@@ -118,7 +118,7 @@ def _build_parser():
     p = add("model-check", help="verify the small/large model equivalence")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--truncation", type=int,
-                   default=int(os.environ.get("SCX_TRUNCATION", "5")))
+                   help="x-degree depth (default: $SCX_TRUNCATION, else 5)")
 
     p = add("batch", help="run commands from a file, one per line")
     p.add_argument("--file", required=True)
@@ -403,17 +403,30 @@ def _cmd_bn_presentation(args, out, err):
 
 
 def _cmd_model_check(args, out, err):
+    depth = args.truncation
+    if depth is None:
+        env = os.environ.get("SCX_TRUNCATION", "5")
+        try:
+            depth = int(env)
+        except ValueError:
+            raise UsageError(f"SCX_TRUNCATION must be an integer, not {env!r}")
     C = _load_complex(args.infile)
-    rep = equivariant.verify_model_equivalence(C, args.truncation)
-    payload = {"ok": rep.ok, "truncation": args.truncation,
-               "failures": rep.failures}
-    lines = [f"ok\t{str(rep.ok).lower()}", f"truncation\t{args.truncation}"]
+    rep = equivariant.verify_model_equivalence(C, depth)
+    payload = {"ok": rep.ok, "truncation": depth, "failures": rep.failures}
+    lines = [f"ok\t{str(rep.ok).lower()}", f"truncation\t{depth}"]
     lines += [f"failure\t{f}" for f in rep.failures]
     _emit(payload, args.json, lines, out)
     return 0 if rep.ok else 2
 
 
+# batch files may run batch files, up to this many levels deep
+BATCH_NESTING_LIMIT = 8
+
+
 def _cmd_batch(args, out, err):
+    if args.batch_depth >= BATCH_NESTING_LIMIT:
+        raise UsageError(f"batch files nest more than {BATCH_NESTING_LIMIT} "
+                         f"levels deep at {args.file}")
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -425,7 +438,7 @@ def _cmd_batch(args, out, err):
         if not line or line.startswith("#"):
             continue
         out.write(f"### {line}\n")
-        code = run(shlex.split(line), out, err)
+        code = run(shlex.split(line), out, err, args.batch_depth + 1)
         worst = max(worst, code)
     return worst
 
@@ -441,8 +454,9 @@ _HANDLERS = {
 }
 
 
-def run(argv, out=None, err=None):
-    """Parse argv and dispatch; returns the exit status."""
+def run(argv, out=None, err=None, batch_depth=0):
+    """Parse argv and dispatch; returns the exit status.  ``batch_depth``
+    counts the batch files whose lines led to this call."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
@@ -450,6 +464,7 @@ def run(argv, out=None, err=None):
         args = parser.parse_args(argv)
         if not args.verb:
             raise UsageError("a verb is required (try --help)")
+        args.batch_depth = batch_depth
         return _HANDLERS[args.verb](args, out, err)
     except UsageError as e:
         err.write(f"usage error: {e}\n")

@@ -55,21 +55,23 @@ def _require_trusted(C, what):
             "the generator could not certify it")
 
 
-def _vpow(C, k):
-    M = Matrix.identity(C.ring, C.n)
+def v_powers(C, k):
+    """The list [I, v, ..., v^k]; once a power vanishes, the later
+    entries reuse it instead of multiplying again."""
+    vp = [Matrix.identity(C.ring, C.n)]
     for _ in range(k):
-        M = C.v * M
-    return M
+        last = vp[-1]
+        vp.append(last if last.is_zero() else C.v * last)
+    return vp
 
 
-def nilpotency_index(C):
-    """Least m <= n with v^m = 0, or None when v is not nilpotent."""
-    M = Matrix.identity(C.ring, C.n)
-    for m in range(C.n + 1):
-        if M.is_zero():
-            return m
-        M = C.v * M
-    return None
+def nilpotency_index(C, vp=None):
+    """Least m <= n with v^m = 0, or None when v is not nilpotent.
+
+    ``vp`` is an optional list from :func:`v_powers` reaching v^n."""
+    if vp is None:
+        vp = v_powers(C, C.n)
+    return next((m for m in range(C.n + 1) if vp[m].is_zero()), None)
 
 
 # ---------------------------------------------------------------------------
@@ -104,13 +106,6 @@ class LaurentTail:
         return LaurentTail.of(self.ring, self.floor,
                               [(d + 1, c) for d, c in self.coeffs])
 
-    def __add__(self, other):
-        floor = max(self.floor, other.floor)
-        degs = {d for d, _ in self.coeffs} | {d for d, _ in other.coeffs}
-        return LaurentTail.of(self.ring, floor,
-                              [(d, self.coefficient(d) + other.coefficient(d))
-                               for d in degs])
-
 
 class SmallHatModel:
     """The finitely presented model C[1] + R[x] with its x-action."""
@@ -119,21 +114,16 @@ class SmallHatModel:
         self.C = C
         self.ring_x = rings.poly_x(C.ring)
 
-    def zero(self):
-        return (Matrix.zeros(self.C.ring, self.C.n, 1),
-                rings.zero(self.ring_x))
-
     def differential(self, alpha, f):
         C = self.C
         out = C.d * alpha
         deg = f.x_degree()
         if deg is not None:
-            vp = Matrix.identity(C.ring, C.n)
+            vp = v_powers(C, deg)
             for i in range(deg + 1):
                 ai = f.x_coefficient(i, C.ring)
                 if ai:
-                    out = out - (vp * C.delta2) * ai
-                vp = C.v * vp
+                    out = out - (vp[i] * C.delta2) * ai
         return out, rings.zero(self.ring_x)
 
     def x_action(self, alpha, f):
@@ -161,11 +151,9 @@ class SmallCheckModel:
 
     def tail_of(self, alpha):
         C = self.C
-        items = []
-        vp = Matrix.identity(C.ring, C.n)
-        for j in range(-self.floor):
-            items.append((-j - 1, (C.delta1 * (vp * alpha))[0, 0]))
-            vp = C.v * vp
+        vp = v_powers(C, -self.floor - 1)
+        items = [(-j - 1, (C.delta1 * (vp[j] * alpha))[0, 0])
+                 for j in range(-self.floor)]
         return LaurentTail.of(C.ring, self.floor, items)
 
     def differential(self, alpha, tail):
@@ -174,10 +162,7 @@ class SmallCheckModel:
     def x_action(self, alpha, tail):
         C = self.C
         a_minus_1 = tail.coefficient(-1)
-        return (C.v * alpha + C.delta2 * a_minus_1,
-                LaurentTail.of(C.ring, tail.floor,
-                               [(d + 1, c) for d, c in tail.coeffs
-                                if d + 1 <= -1]))
+        return C.v * alpha + C.delta2 * a_minus_1, tail.shifted_up()
 
 
 def small_models(C, floor=None):
@@ -212,7 +197,9 @@ def small_triangle_matrices(C, depth):
     def bar_index(deg):
         return deg + depth
 
-    vp_list = [_vpow(C, j) for j in range(depth + 1)]
+    vp = v_powers(C, depth)
+    d1v = [C.delta1 * P for P in vp[:depth]]
+    vd2 = [P * C.delta2 for P in vp]
 
     d_hat = [[z] * hat_dim for _ in range(hat_dim)]
     for g in range(n):
@@ -220,9 +207,8 @@ def small_triangle_matrices(C, depth):
             d_hat[h][g] = C.d[h, g]
     for i in range(depth + 1):
         col = n + i
-        vd2 = vp_list[i] * C.delta2
         for h in range(n):
-            d_hat[h][col] = -vd2[h, 0]
+            d_hat[h][col] = -vd2[i][h, 0]
 
     d_chk = [[z] * chk_dim for _ in range(chk_dim)]
     for g in range(n):
@@ -230,12 +216,12 @@ def small_triangle_matrices(C, depth):
             d_chk[h][g] = C.d[h, g]
         for j in range(depth):
             row = n + j  # degree -j-1
-            d_chk[row][g] = (C.delta1 * vp_list[j])[0, g]
+            d_chk[row][g] = d1v[j][0, g]
 
     i_map = [[z] * hat_dim for _ in range(bar_dim)]
     for g in range(n):
         for j in range(depth):
-            i_map[bar_index(-j - 1)][g] = (C.delta1 * vp_list[j])[0, g]
+            i_map[bar_index(-j - 1)][g] = d1v[j][0, g]
     for i in range(depth + 1):
         i_map[bar_index(i)][n + i] = rings.one(ring)
 
@@ -246,9 +232,8 @@ def small_triangle_matrices(C, depth):
     p_map = [[z] * bar_dim for _ in range(chk_dim)]
     for i in range(depth + 1):
         col = bar_index(i)
-        vd2 = vp_list[min(i, depth)] * C.delta2
         for h in range(n):
-            p_map[h][col] = vd2[h, 0]
+            p_map[h][col] = vd2[i][h, 0]
     for j in range(depth):
         p_map[n + j][bar_index(-j - 1)] = rings.one(ring)
 
@@ -311,15 +296,15 @@ def _from_components(C, deg, alpha, beta, scal, sign=1):
 
 
 def _mat_vec(M, vec):
+    nonzero = [(j, c) for j, c in enumerate(vec) if c]
     out = []
-    for i in range(M.rows):
+    for row in M.data:
         acc = None
-        for j, c in enumerate(vec):
-            if c:
-                e = M[i, j]
-                if e:
-                    term = e * c
-                    acc = term if acc is None else acc + term
+        for j, c in nonzero:
+            e = row[j]
+            if e:
+                term = e * c
+                acc = term if acc is None else acc + term
         out.append(acc if acc is not None else rings.zero(M.ring))
     return out
 
@@ -345,18 +330,18 @@ def _dhat_large(C, el):
     return out
 
 
-def _phi_hat(C, el):
+def _phi_hat(C, vp, el):
     ring = C.ring
     beta_out = [rings.zero(ring)] * C.n
     f_terms = {}
     for deg, (alpha, beta, scal) in _group_by_degree(C, el).items():
-        vb = _mat_vec(_vpow(C, deg), beta) if deg >= 0 else None
         if deg >= 0:
+            vb = _mat_vec(vp[deg], beta)
             beta_out = [a + b for a, b in zip(beta_out, vb)]
             if scal:
                 f_terms[deg] = f_terms.get(deg, rings.zero(ring)) + scal
             for j in range(deg):
-                c = (C.delta1 * (_vpow(C, j) * Matrix(
+                c = (C.delta1 * (vp[j] * Matrix(
                     ring, [[b] for b in beta], cols=1)))[0, 0]
                 if c:
                     k = deg - j - 1
@@ -364,7 +349,7 @@ def _phi_hat(C, el):
     return beta_out, {k: c for k, c in f_terms.items() if c}
 
 
-def _psi_hat(C, beta, f_terms):
+def _psi_hat(C, vp, beta, f_terms):
     ring = C.ring
     out = {}
     for i, c in enumerate(beta):
@@ -375,7 +360,7 @@ def _psi_hat(C, beta, f_terms):
             continue
         out = _el_add(out, {(2, 0, i): a})
         for j in range(i):
-            col = _vpow(C, j) * C.delta2
+            col = vp[j] * C.delta2
             piece = {}
             for r in range(C.n):
                 if col[r, 0]:
@@ -384,11 +369,11 @@ def _psi_hat(C, beta, f_terms):
     return out
 
 
-def _k_hat(C, el):
+def _k_hat(C, vp, el):
     out = {}
     for deg, (_alpha, beta, _scal) in _group_by_degree(C, el).items():
         for j in range(deg):
-            vb = _mat_vec(_vpow(C, j), beta)
+            vb = _mat_vec(vp[j], beta)
             piece = {}
             for r, c in enumerate(vb):
                 if c:
@@ -397,12 +382,12 @@ def _k_hat(C, el):
     return out
 
 
-def _dhat_small(C, beta, f_terms):
+def _dhat_small(C, vp, beta, f_terms):
     alpha = Matrix(C.ring, [[b] for b in beta], cols=1)
     out = C.d * alpha
     for i, a in f_terms.items():
         if a:
-            out = out - (_vpow(C, i) * C.delta2) * a
+            out = out - (vp[i] * C.delta2) * a
     return [out[i, 0] for i in range(C.n)], {}
 
 
@@ -433,6 +418,8 @@ def verify_model_equivalence(C, depth):
     report = ValidationReport(True)
     ring = C.ring
     one = rings.one(ring)
+    # no x-degree below exceeds depth, so v^depth is the highest power used
+    vp = v_powers(C, depth)
 
     basis = []
     for deg in range(depth):
@@ -442,16 +429,17 @@ def verify_model_equivalence(C, depth):
         basis.append({(2, 0, deg): one})
 
     for el in basis:
-        lhs = _phi_hat(C, _dhat_large(C, el))
-        rhs = _dhat_small(C, *_phi_hat(C, el))
+        phi_el = _phi_hat(C, vp, el)
+        lhs = _phi_hat(C, vp, _dhat_large(C, el))
+        rhs = _dhat_small(C, vp, *phi_el)
         if not _small_eq(lhs, rhs):
             report.add(f"Phi fails the chain property on {sorted(el)}")
         x_el = {(s, i, k + 1): c for (s, i, k), c in el.items()}
-        if not _small_eq(_phi_hat(C, x_el), _x_small(C, *_phi_hat(C, el))):
+        if not _small_eq(_phi_hat(C, vp, x_el), _x_small(C, *phi_el)):
             report.add(f"Phi fails x-equivariance on {sorted(el)}")
-        delta = _el_add(_psi_hat(C, *_phi_hat(C, el)), _el_neg(el))
-        homot = _el_add(_dhat_large(C, _k_hat(C, el)),
-                        _k_hat(C, _dhat_large(C, el)))
+        delta = _el_add(_psi_hat(C, vp, *phi_el), _el_neg(el))
+        homot = _el_add(_dhat_large(C, _k_hat(C, vp, el)),
+                        _k_hat(C, vp, _dhat_large(C, el)))
         if delta != homot:
             report.add(f"Psi Phi - id != dK + Kd on {sorted(el)}")
 
@@ -460,13 +448,13 @@ def verify_model_equivalence(C, depth):
                      for j in range(C.n)], {}) for i in range(C.n)]
     small_basis += [(zero_beta, {k: one}) for k in range(depth + 1)]
     for beta, f in small_basis:
-        el = _psi_hat(C, beta, f)
+        el = _psi_hat(C, vp, beta, f)
         lhs = _dhat_large(C, el)
-        rhs = _psi_hat(C, *_dhat_small(C, beta, f))
+        rhs = _psi_hat(C, vp, *_dhat_small(C, vp, beta, f))
         if lhs != rhs:
             report.add("Psi fails the chain property on a small basis "
                        f"element {f or 'generator'}")
-        if not _small_eq(_phi_hat(C, el), (beta, f)):
+        if not _small_eq(_phi_hat(C, vp, el), (beta, f)):
             report.add(f"Phi Psi != id on a small basis element {f}")
     return report
 
@@ -481,8 +469,8 @@ def _kernel_fn(ring):
     return linalg.kernel_fraction_field
 
 
-def _search_bound(C):
-    m = nilpotency_index(C)
+def _search_bound(C, vp):
+    m = nilpotency_index(C, vp)
     if m is not None:
         return m
     if C.ring.is_field or not rings.is_euclidean(C.ring):
@@ -512,7 +500,9 @@ def h_invariant(C, method="search"):
     if method != "search":
         raise ValueError("method must be 'search' or 'ideals'")
     ker = _kernel_fn(C.ring)
-    bound = _search_bound(C)
+    # the bound is at most n + 1 and the searches reach v^(bound + 1)
+    vp = v_powers(C, C.n + 2)
+    bound = _search_bound(C, vp)
 
     K = ker(C.d)
     if K.cols:
@@ -521,7 +511,7 @@ def h_invariant(C, method="search"):
         for k in range(1, bound + 1):
             if cur.cols == 0:
                 break
-            w = (C.delta1 * _vpow(C, k - 1)) * cur
+            w = (C.delta1 * vp[k - 1]) * cur
             if w.is_zero():
                 # once delta1 v^(k-1) dies on the nested kernel it stays
                 # dead: v^(m-k) maps later witnesses back to level k
@@ -531,12 +521,9 @@ def h_invariant(C, method="search"):
         if h > 0:
             return h
 
+    M = C.d
     for k in range(0, -(bound + 2), -1):
-        M = C.d
-        vp = Matrix.identity(C.ring, C.n)
-        for _i in range(0, -k + 1):
-            M = M.hstack(-(vp * C.delta2))
-            vp = C.v * vp
+        M = M.hstack(-(vp[-k] * C.delta2))
         Kk = ker(M)
         last = M.cols - 1
         if any(Kk[last, j] for j in range(Kk.cols)):
@@ -545,7 +532,7 @@ def h_invariant(C, method="search"):
 
 
 def _h_via_ideals(C):
-    bound = _search_bound(C)
+    bound = _search_bound(C, v_powers(C, C.n))
     ideals = j_ideals(C, -(bound + 1), bound)
     for i in sorted(ideals, reverse=True):
         if ideals[i]:
@@ -599,7 +586,8 @@ def j_ideals(C, i_min=None, i_max=None):
     if not rings.is_euclidean(ring):
         raise UnsupportedRingError(
             f"ideal sequences over {ring} are not computable here")
-    m = nilpotency_index(C)
+    vp = v_powers(C, C.n)
+    m = nilpotency_index(C, vp)
     if m is None:
         raise UnsupportedRingError(
             "the ideal sequence needs a nilpotent v map")
@@ -611,17 +599,16 @@ def j_ideals(C, i_min=None, i_max=None):
     for i in range(i_min, i_max + 1):
         if i >= 1:
             M = C.d
+            # v^j = v^m = 0 for j >= m
             for j in range(i - 1):
-                M = M.vstack(C.delta1 * _vpow(C, j))
+                M = M.vstack(C.delta1 * vp[min(j, m)])
             K = linalg.kernel_basis(M)
-            row = (C.delta1 * _vpow(C, i - 1)) * K
+            row = (C.delta1 * vp[min(i - 1, m)]) * K
             gens = [row[0, j] for j in range(row.cols)]
         else:
             M = C.d
-            vp = Matrix.identity(ring, C.n)
-            for _j in range(0, -i + 1):
-                M = M.hstack(-(vp * C.delta2))
-                vp = C.v * vp
+            for j in range(0, -i + 1):
+                M = M.hstack(-(vp[min(j, m)] * C.delta2))
             K = linalg.kernel_basis(M)
             last = M.cols - 1
             gens = [K[last, j] for j in range(K.cols)]
@@ -688,7 +675,8 @@ def gamma(C, k):
     if not C.is_I_graded():
         raise EquivariantError("Gamma needs the instanton grading")
     _require_trusted(C, "Gamma")
-    m = nilpotency_index(C)
+    vp = v_powers(C, C.n)
+    m = nilpotency_index(C, vp)
     if m is None:
         raise UnsupportedRingError("Gamma needs a nilpotent v map")
     zt = rings.ZT
@@ -703,7 +691,9 @@ def gamma(C, k):
     basis.sort(key=lambda t: t[2])
 
     if k >= 1:
-        target = C.delta1 * _vpow(C, k - 1)
+        # v^j = v^m = 0 for j >= m
+        target = C.delta1 * vp[min(k - 1, m)]
+        maps = [C.d] + [C.delta1 * vp[min(j, m)] for j in range(k - 1)]
         degrees = sorted({deg for _i, _s, deg in basis})
         for t in degrees:
             cols = [(i, s) for i, s, deg in basis if deg <= t]
@@ -712,7 +702,6 @@ def gamma(C, k):
             idxs = [i for i, _s in cols]
             shifts = [s for _i, s in cols]
             rows = []
-            maps = [C.d] + [C.delta1 * _vpow(C, j) for j in range(k - 1)]
             for M in maps:
                 sub = M.columns_selected(idxs)
                 for r in range(M.rows):
@@ -737,7 +726,7 @@ def gamma(C, k):
 
     # k <= 0: unknowns are the cycle candidate plus the a_i with i = k mod 2
     a_indices = [i for i in range(0, -k + 1) if (i - k) % 2 == 0]
-    vd2 = {i: _vpow(C, i) * C.delta2 for i in a_indices}
+    vd2 = {i: vp[min(i, m)] * C.delta2 for i in a_indices}
 
     degrees = [None] + sorted({deg for _i, _s, deg in basis})
     for t in degrees:

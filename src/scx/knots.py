@@ -32,6 +32,11 @@ class InconsistentComplexError(KnotError):
     assumed-zero v map cannot be correct."""
 
 
+class CheckFailedError(KnotError):
+    """An internal cross-check disagreed with the computation, so its
+    result is refused."""
+
+
 # certificate search bound: accepted certificates provably have
 # k1 k2 < 2p (the interior count grows linearly in k1 k2 / p), and the
 # enumeration sweeps k1 k2 <= SEARCH_MARGIN * p as a safety margin.
@@ -181,8 +186,8 @@ def solve_k1k2(p, q, i, j, boundary=0):
         raise KnotError("indices must differ")
     for k1, k2 in _candidate_pairs(p, q, i, j):
         if _n_counts_accept(k1, k2, p, q, boundary):
-            if boundary == 0:
-                assert k1 * k2 < 2 * p, (
+            if boundary == 0 and k1 * k2 >= 2 * p:
+                raise CheckFailedError(
                     "accepted certificate exceeds the proven action bound")
             n1, n2 = count_N1N2(k1, k2, p, q)
             return ModuliCertificate(i, j, k1, k2, n1, n2)
@@ -398,7 +403,7 @@ def lens_sasahira(p, q):
 
 def torus_signature(p, q):
     """Signature of the (p, q) torus knot by exact lattice counting; the
-    closed forms for q = 2kp +- 2 and q = (2k+1)p +- 2 are asserted
+    closed forms for q = 2kp +- 2 and q = (2k+1)p +- 2 are checked
     against the count whenever they apply."""
     TorusKnot(p, q)
     if p % 2 == 0:
@@ -415,12 +420,12 @@ def torus_signature(p, q):
         if r > 0 and r % (2 * p) == 0 and (r // (2 * p)) >= 1:
             k = r // (2 * p)
             closed = -(p - 1) * (k * p + k + sign)
-            assert closed == sigma, (p, q, sigma, closed)
+            _check_closed_form("signature", p, q, sigma, closed)
         if r > 0 and r % p == 0 and (r // p) % 2 == 1:
             kk = (r // p - 1) // 2
             closed = (-(p - 1) * ((2 * kk + 1) * (p + 1) // 2 + 2 * sign)
                       + sign * 4 * (p // 4))
-            assert closed == sigma, (p, q, sigma, closed)
+            _check_closed_form("signature", p, q, sigma, closed)
     return sigma
 
 
@@ -444,8 +449,15 @@ def torus_alexander(p, q):
         if r > 0 and r % p == 0:
             ell = r // p
             closed = (p - 1) // 2 * ((p + 1) * ell + 2 * sign) + sign
-            assert closed == total, (p, q, total, closed)
+            _check_closed_form("Alexander norm", p, q, total, closed)
     return delta, total
+
+
+def _check_closed_form(what, p, q, counted, closed):
+    if closed != counted:
+        raise CheckFailedError(
+            f"the closed form gives {what} {closed} for T({p},{q}), "
+            f"the computation {counted}")
 
 
 def vanishing_check(p, q):
@@ -466,7 +478,8 @@ def _even_continued_fraction(p, qpp):
     while True:
         lo = 2 * (x / 2).__floor__()
         e = lo if abs(x - lo) < 1 else lo + 2
-        assert abs(x - e) < 1, "no even quotient within distance one"
+        if abs(x - e) >= 1:
+            raise CheckFailedError("no even quotient within distance one")
         terms.append(int(e))
         rem = e - x
         if rem == 0:
@@ -543,7 +556,10 @@ def fixture(name):
                      Matrix(ring, [[rings.from_int(ring, c) for c in d1]],
                             cols=n),
                      Matrix.zeros(ring, n, 1), v_trusted=True)
-        assert scomplex.validate(C).ok
+        rep = scomplex.validate(C)
+        if not rep.ok:
+            raise InconsistentComplexError(
+                f"fixture {name} fails validation: {rep.failures}")
         return C
     raise KnotError(f"unknown fixture {name!r}")
 

@@ -52,13 +52,6 @@ class Matrix:
         return cls(ring, [[o if i == j else z for j in range(n)]
                           for i in range(n)])
 
-    @classmethod
-    def from_rows(cls, ring, rows):
-        return cls(ring, rows)
-
-    def copy(self):
-        return Matrix(self.ring, self.data)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.data[i][j]
@@ -98,24 +91,20 @@ class Matrix:
             raise LinalgError(
                 f"shape mismatch {self.rows}x{self.cols} * "
                 f"{other.rows}x{other.cols}")
+        # Index each row of the right factor by its nonzero entries once;
+        # every output entry then receives its terms in ascending k.
         z = zero(self.ring)
+        nonzero_rows = [[(j, b) for j, b in enumerate(row) if b]
+                        for row in other.data]
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.data[i][k]
-                    if a:
-                        b = other.data[k][j]
-                        if b:
-                            acc = acc + a * b
-                row.append(acc)
+        for arow in self.data:
+            row = [z] * other.cols
+            for a, brow in zip(arow, nonzero_rows):
+                if a:
+                    for j, b in brow:
+                        row[j] = row[j] + a * b
             out.append(row)
         return Matrix(self.ring, out, cols=other.cols)
-
-    def scale(self, p):
-        return self * p
 
     def _compat(self, other, same_shape=False):
         if not isinstance(other, Matrix):
@@ -180,9 +169,6 @@ class SmithResult:
 class HomologySummary:
     free_rank: int
     torsion: list
-
-    def total_rank_over_field(self):
-        return self.free_rank
 
 
 def _require_euclidean(ring):
@@ -309,7 +295,8 @@ def kernel_basis(M):
     r = snf.rank()
     free = [j for j in range(M.cols)
             if j >= min(M.rows, M.cols) or not snf.D[j, j]]
-    assert len(free) == M.cols - r
+    if len(free) != M.cols - r:
+        raise LinalgError("Smith form rank disagrees with its free columns")
     return snf.V.columns_selected(free)
 
 

@@ -144,10 +144,6 @@ class Ring:
         return self.tag in ("Q", "F2", "F4")
 
     @property
-    def is_domain(self):
-        return True
-
-    @property
     def char_two(self):
         return self.base in ("F2", "F4")
 

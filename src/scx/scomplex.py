@@ -527,19 +527,6 @@ class ChainComplex:
         merged."""
         return linalg.homology(self.D, self.D)
 
-    def graded_ranks(self):
-        """Free rank of homology per Z/4 grading (Euclidean rings)."""
-        out = {}
-        for g in range(4):
-            cols = [i for i, (_n, gr) in enumerate(self.gens) if gr % 4 == g]
-            cols_up = [i for i, (_n, gr) in enumerate(self.gens)
-                       if gr % 4 == (g + 1) % 4]
-            d_out = self.D.columns_selected(cols)
-            d_in = self.D.columns_selected(cols_up).rows_selected(cols)
-            ker = len(cols) - linalg.rank(d_out)
-            out[g] = ker - linalg.rank(d_in)
-        return out
-
     def rank_over_fractions(self):
         """Total homology rank over the fraction field of the ring."""
         r = linalg.rank_fraction_field(self.D)

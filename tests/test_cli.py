@@ -2,6 +2,7 @@
 
 import io
 import json
+import shlex
 
 from scx import cli
 
@@ -114,6 +115,22 @@ def test_model_check_env_truncation(tmp_path, monkeypatch):
     assert code == 0 and "truncation\t2" in out
 
 
+def test_model_check_bad_env_truncation_is_a_usage_error(tmp_path,
+                                                          monkeypatch):
+    path = tmp_path / "t.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
+    monkeypatch.setenv("SCX_TRUNCATION", "deep")
+    code, _, err = run(["model-check", "--in", str(path)])
+    assert code == 1
+    assert "usage error" in err and "SCX_TRUNCATION" in err
+    # an explicit --truncation and the other verbs never read it
+    code, out, _ = run(["model-check", "--in", str(path),
+                        "--truncation", "2"])
+    assert code == 0 and "truncation\t2" in out
+    code, out, _ = run(["torus", "--p", "3", "--q", "5"])
+    assert code == 0 and "signature\t-8" in out
+
+
 def test_validate_broken_complex_exit_2(tmp_path):
     path = tmp_path / "t.json"
     run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
@@ -184,6 +201,16 @@ def test_batch_mode(tmp_path):
     assert code == 0
     assert "### torus --p 3 --q 5" in out
     assert "signature\t-8" in out and "total\t0" in out
+
+
+def test_batch_running_itself_stops_at_the_nesting_limit(tmp_path):
+    script = tmp_path / "loop.txt"
+    script.write_text("lens --p 9 --q 2\n"
+                      f"batch --file {shlex.quote(str(script))}\n")
+    code, out, err = run(["batch", "--file", str(script)])
+    assert code == 1
+    assert "usage error" in err and "nest" in err
+    assert out.count("total\t0") == cli.BATCH_NESTING_LIMIT
 
 
 def test_fixture_verb(tmp_path):

@@ -106,6 +106,40 @@ def test_model_equivalence_randomized():
             assert rep.ok, rep.failures[:4]
 
 
+def _trefoil_pair_zt():
+    """The zt tensor of two_bridge_complex(3, 1) with the trefoil."""
+    return S.tensor(knots.two_bridge_complex(3, 1, "zt"), trefoil("zt"))
+
+
+def _bumped(C, name, i, j):
+    """C with 1 added to entry (i, j) of the map ``name``."""
+    maps = {key: getattr(C, key) for key in ("d", "v", "delta1", "delta2")}
+    rows = [row[:] for row in maps[name].data]
+    rows[i][j] = rows[i][j] + R.one(C.ring)
+    maps[name] = L.Matrix(C.ring, rows, cols=maps[name].cols)
+    return S.SComplex(C.ring, C.gens, maps["d"], maps["v"], maps["delta1"],
+                      maps["delta2"], C.v_trusted)
+
+
+def test_model_equivalence_pair_passes():
+    assert E.verify_model_equivalence(_trefoil_pair_zt(), 3).ok
+
+
+@pytest.mark.parametrize("name, i, j", [("delta1", 0, 3), ("v", 0, 3),
+                                        ("v", 2, 1)])
+def test_model_equivalence_catches_a_bumped_entry(name, i, j):
+    B = _trefoil_pair_zt()
+    if name == "delta1":
+        assert B.gens[j].gr_mod4 % 4 == 1
+    else:
+        assert (B.gens[j].gr_mod4 - B.gens[i].gr_mod4) % 4 == 2
+    rep = E.verify_model_equivalence(_bumped(B, name, i, j), 3)
+    assert not rep.ok
+    assert rep.failures == [
+        "Phi fails the chain property on [(1, 3, 1)]",
+        "Psi Phi - id != dK + Kd on [(1, 3, 2)]"]
+
+
 # ---------------------------------------------------------------------------
 # h invariant
 

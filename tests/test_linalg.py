@@ -1,11 +1,15 @@
-"""Smith normal form with certificates, kernels, solving, homology."""
+"""Matrix products and v-powers, Smith normal form with certificates,
+kernels, solving, homology."""
 
 import random
 
 import pytest
 
+from scx import equivariant as E
+from scx import knots
 from scx import linalg as L
 from scx import rings as R
+from scx import scomplex as S
 
 import helpers
 
@@ -138,3 +142,133 @@ def test_kernel_fraction_field_spans():
             K = L.kernel_fraction_field(M)
             assert (M * K).is_zero()
             assert K.cols == n - L.rank_fraction_field(M)
+
+
+# ---------------------------------------------------------------------------
+# products
+
+
+def _naive_product(A, B):
+    """Triple-loop reference: every term, zeros included, in ascending k."""
+    rows = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            acc = R.zero(A.ring)
+            for k in range(A.cols):
+                acc = acc + A[i, k] * B[k, j]
+            row.append(acc)
+        rows.append(row)
+    return L.Matrix(A.ring, rows, cols=B.cols)
+
+
+def _random_sparse(rng, ring, m, n):
+    return L.Matrix(ring, [[helpers.random_poly(rng, ring)
+                            if rng.random() < 0.3 else R.zero(ring)
+                            for _ in range(n)] for _ in range(m)], cols=n)
+
+
+def _same_entries(M, N):
+    return ((M.rows, M.cols) == (N.rows, N.cols)
+            and [[e.to_str() for e in row] for row in M.data]
+            == [[e.to_str() for e in row] for row in N.data])
+
+
+@pytest.mark.parametrize("ring", [R.Z, R.ZT, R.F2T, R.universal(3)],
+                         ids=lambda r: r.tag)
+def test_product_matches_naive_reference(ring):
+    rng = random.Random(808)
+    for _ in range(40):
+        m, k, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        A = _random_sparse(rng, ring, m, k)
+        B = _random_sparse(rng, ring, k, n)
+        # a zero row of A and a zero column of B
+        A.data[rng.randrange(m)] = [R.zero(ring)] * k
+        zc = rng.randrange(n)
+        for row in B.data:
+            row[zc] = R.zero(ring)
+        P, N = A * B, _naive_product(A, B)
+        assert P == N and _same_entries(P, N)
+        assert all(P[i, zc].is_zero() for i in range(m))
+
+
+def test_product_empty_shapes():
+    rng = random.Random(909)
+    ring = R.ZT
+    A = _random_sparse(rng, ring, 3, 4)
+    for left, right, shape in (
+            (L.Matrix.zeros(ring, 0, 3), A, (0, 4)),
+            (A, L.Matrix.zeros(ring, 4, 0), (3, 0)),
+            (L.Matrix.zeros(ring, 2, 0), L.Matrix.zeros(ring, 0, 5), (2, 5))):
+        P = left * right
+        assert (P.rows, P.cols) == shape
+        assert P.is_zero()
+        assert P == _naive_product(left, right)
+    with pytest.raises(L.LinalgError):
+        A * A
+
+
+def test_product_with_a_scalar():
+    rng = random.Random(1010)
+    for ring in (R.Z, R.ZT, R.F2T, R.universal(3)):
+        A = _random_sparse(rng, ring, 3, 4)
+        p = helpers.random_poly(rng, ring)
+        P = A * p
+        assert (P.rows, P.cols) == (3, 4)
+        assert all(P[i, j] == A[i, j] * p
+                   for i in range(3) for j in range(4))
+        assert (A * R.zero(ring)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# powers of v
+
+
+def _v_power_complexes():
+    rng = random.Random(1111)
+    out = [knots.fixture(name) for name in ("trivial", "trefoil", "t34",
+                                            "t35")]
+    trefoil = knots.two_bridge_complex(3, -1, "f2t")
+    out.append(S.tensor(trefoil, S.tensor(trefoil, trefoil)))
+    for ring in (R.ZT, R.F2T):
+        out += [helpers.random_scomplex(rng, ring, max_gens=10)
+                for _ in range(4)]
+    return out
+
+
+def _naive_nilpotency_index(C):
+    M = L.Matrix.identity(C.ring, C.n)
+    for m in range(C.n + 1):
+        if M.is_zero():
+            return m
+        M = C.v * M
+    return None
+
+
+def test_v_powers_are_repeated_products():
+    for C in _v_power_complexes():
+        vp = E.v_powers(C, C.n + 2)
+        assert len(vp) == C.n + 3
+        M = L.Matrix.identity(C.ring, C.n)
+        for j, P in enumerate(vp):
+            assert P == M, j
+            M = C.v * M
+
+
+def test_nilpotency_index_unchanged():
+    seen = set()
+    for C in _v_power_complexes():
+        m = E.nilpotency_index(C)
+        assert m == _naive_nilpotency_index(C)
+        assert m == E.nilpotency_index(C, E.v_powers(C, C.n))
+        seen.add(m)
+    assert len(seen) > 1
+    # a v that is not nilpotent
+    ring = R.F2T
+    C = S.SComplex(ring, [S.Generator("a", 0), S.Generator("b", 2)],
+                   L.Matrix.zeros(ring, 2, 2),
+                   L.Matrix(ring, [[R.zero(ring), R.one(ring)],
+                                   [R.one(ring), R.zero(ring)]]),
+                   L.Matrix.zeros(ring, 1, 2), L.Matrix.zeros(ring, 2, 1))
+    assert E.nilpotency_index(C) is None
+    assert _naive_nilpotency_index(C) is None
