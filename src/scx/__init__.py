@@ -2,7 +2,7 @@
 theory: rings, matrices, complexes, equivariant invariants, knot
 generators and a command line."""
 
-from . import cli, equivariant, knots, linalg, rings, scomplex
+from . import equivariant, knots, linalg, rings, scomplex
 from .equivariant import (INFINITY, ModulePresentation, bn_presentation,
                           gamma, h_invariant, hat_presentation, j_ideals,
                           small_models, verify_model_equivalence)

@@ -315,7 +315,13 @@ def _cmd_euler(args, out, err):
     return 0
 
 
+def _check_range(lo, hi):
+    if lo is not None and hi is not None and lo > hi:
+        raise UsageError(f"reversed range: --min {lo} is above --max {hi}")
+
+
 def _cmd_jideals(args, out, err):
+    _check_range(args.min, args.max)
     C = _apply_specialization(_load_complex(args.infile), args.specialize,
                               args.ring)
     ideals = equivariant.j_ideals(C, args.min, args.max)
@@ -337,6 +343,7 @@ def _cmd_gamma(args, out, err):
     if args.min is not None or args.max is not None:
         lo = args.min if args.min is not None else 0
         hi = args.max if args.max is not None else lo
+        _check_range(lo, hi)
         ks.extend(range(lo, hi + 1))
     if not ks:
         raise UsageError("gamma needs --k or --min/--max")

@@ -38,7 +38,10 @@ class Matrix:
             if len(row) != self.cols:
                 raise LinalgError("ragged matrix rows")
             for e in row:
-                if not isinstance(e, LaurentPoly) or e.ring != ring:
+                # equal rings need not be one object, so identity is only
+                # the fast path before the dataclass comparison
+                if not isinstance(e, LaurentPoly) or (
+                        e.ring is not ring and e.ring != ring):
                     raise RingMismatchError("entry from a different ring")
 
     @classmethod
@@ -78,8 +81,9 @@ class Matrix:
         return self + (-other)
 
     def __neg__(self):
-        return Matrix(self.ring, [[-e for e in row] for row in self.data],
-                      cols=self.cols)
+        # zero entries are kept as they are rather than negated into copies
+        return Matrix(self.ring, [[-e if e else e for e in row]
+                                  for row in self.data], cols=self.cols)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):

@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 
+import scx
 from scx import cli
 
 
@@ -80,6 +84,31 @@ def test_jideals(tmp_path):
     assert "J[2]\t0" in out
     assert "J[1]\tT^4 - 1" in out
     assert "J[0]\tring" in out
+
+
+def test_reversed_ranges_are_usage_errors(tmp_path):
+    path = tmp_path / "t.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
+    for verb, extra in (("jideals", ["--specialize", "U=1"]), ("gamma", [])):
+        code, out, err = run([verb, "--in", str(path), "--min", "3",
+                              "--max", "1"] + extra)
+        assert code == 1 and out == ""
+        assert err == "usage error: reversed range: --min 3 is above --max 1\n"
+    # a one-point range is not reversed
+    code, out, _ = run(["gamma", "--in", str(path), "--min", "1",
+                        "--max", "1"])
+    assert code == 0 and out == "gamma(1)\t1/3\n"
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scx.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "scx.cli",
+         "torus", "--p", "3", "--q", "5"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "signature\t-8" in proc.stdout
 
 
 def test_euler_sharp_and_presentations(tmp_path):

@@ -125,19 +125,60 @@ def test_model_equivalence_pair_passes():
     assert E.verify_model_equivalence(_trefoil_pair_zt(), 3).ok
 
 
-@pytest.mark.parametrize("name, i, j", [("delta1", 0, 3), ("v", 0, 3),
-                                        ("v", 2, 1)])
-def test_model_equivalence_catches_a_bumped_entry(name, i, j):
-    B = _trefoil_pair_zt()
+_PHI_CHAIN = "Phi fails the chain property on [(1, 3, 1)]"
+_HOMOTOPY = "Psi Phi - id != dK + Kd on [(1, 3, 2)]"
+
+
+def _psi_chain(ring, *degrees):
+    return [f"Psi fails the chain property on a small basis element "
+            f"{{{k}: <{ring}: 1>}}" for k in degrees]
+
+
+# expected failures, as the dict-element checker before the matrix rewrite
+# reported them
+@pytest.mark.parametrize("ring, name, i, j, depth, failures", [
+    pytest.param("zt", "delta1", 0, 3, 3, [_PHI_CHAIN, _HOMOTOPY],
+                 id="delta1-0-3"),
+    pytest.param("zt", "v", 0, 3, 3, [_PHI_CHAIN, _HOMOTOPY], id="v-0-3"),
+    pytest.param("zt", "v", 2, 1, 3, [_PHI_CHAIN, _HOMOTOPY], id="v-2-1"),
+    pytest.param("zt", "d", 0, 2, 1, _psi_chain("ZT", 1), id="d-0-2-depth1"),
+    pytest.param("zt", "d", 0, 2, 3, _psi_chain("ZT", 1, 2, 3),
+                 id="d-0-2-depth3"),
+    pytest.param("zt", "delta2", 0, 0, 3,
+                 [_PHI_CHAIN, _HOMOTOPY] + _psi_chain("ZT", 1, 2, 3),
+                 id="delta2-0-0"),
+    pytest.param("f2t", "delta2", 0, 0, 3,
+                 [_PHI_CHAIN, _HOMOTOPY] + _psi_chain("F2T", 1, 2, 3),
+                 id="f2t-delta2-0-0"),
+])
+def test_model_equivalence_catches_a_bumped_entry(ring, name, i, j, depth,
+                                                  failures):
+    B = S.tensor(knots.two_bridge_complex(3, 1, ring), trefoil(ring))
     if name == "delta1":
         assert B.gens[j].gr_mod4 % 4 == 1
-    else:
+    elif name == "v":
         assert (B.gens[j].gr_mod4 - B.gens[i].gr_mod4) % 4 == 2
-    rep = E.verify_model_equivalence(_bumped(B, name, i, j), 3)
+    rep = E.verify_model_equivalence(_bumped(B, name, i, j), depth)
     assert not rep.ok
-    assert rep.failures == [
-        "Phi fails the chain property on [(1, 3, 1)]",
-        "Psi Phi - id != dK + Kd on [(1, 3, 2)]"]
+    assert rep.failures == failures
+
+
+def test_model_equivalence_works_one_degree_at_a_time(monkeypatch):
+    # the largest matrix built must not grow with the truncation the way
+    # whole operators on x-degrees 0..depth would
+    t = trefoil("f2t")
+    C = S.tensor(t, S.tensor(t, t))
+    largest = {}
+    init = L.Matrix.__init__
+
+    def recording_init(self, ring, data, cols=None):
+        init(self, ring, data, cols)
+        largest[depth] = max(largest.get(depth, 0), self.rows * self.cols)
+
+    monkeypatch.setattr(L.Matrix, "__init__", recording_init)
+    for depth in (2, 8):
+        assert E.verify_model_equivalence(C, depth).ok
+    assert largest[8] <= 3 * largest[2], largest
 
 
 # ---------------------------------------------------------------------------

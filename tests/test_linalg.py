@@ -220,6 +220,19 @@ def test_product_with_a_scalar():
         assert (A * R.zero(ring)).is_zero()
 
 
+def test_entries_must_share_the_matrix_ring():
+    zt = R.ZT
+    with pytest.raises(R.RingMismatchError):
+        L.Matrix(zt, [[R.one(zt), R.one(R.F2T)]])
+    with pytest.raises(R.RingMismatchError):
+        L.Matrix(zt, [[R.one(zt), 1]])
+    # an equal ring built separately is not the same object, and is accepted
+    ring, other = R.universal(3), R.universal(3)
+    assert other == ring and other is not ring
+    M = L.Matrix(ring, [[R.one(other), R.var(other, "T")]])
+    assert M[0, 1] == R.var(ring, "T")
+
+
 # ---------------------------------------------------------------------------
 # powers of v
 
