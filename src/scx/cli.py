@@ -378,19 +378,22 @@ def _cmd_sharp(args, out, err):
     return 0
 
 
-def _cmd_hat_presentation(args, out, err):
-    C = _apply_specialization(_load_complex(args.infile), args.specialize,
-                              args.ring)
-    pres = equivariant.hat_presentation(C)
-    doc = pres.to_dict()
+def _emit_presentation(pres, as_json, out):
     lines = ["generators\t" + ", ".join(pres.generators)]
     for j in range(pres.relations.cols):
         rel = "; ".join(
             f"{pres.generators[i]}: {pres.relations[i, j].to_str()}"
             for i in range(pres.relations.rows) if pres.relations[i, j])
         lines.append(f"relation[{j}]\t{rel}")
-    _emit(doc, args.json, lines, out)
+    _emit(pres.to_dict(), as_json, lines, out)
     return 0
+
+
+def _cmd_hat_presentation(args, out, err):
+    C = _apply_specialization(_load_complex(args.infile), args.specialize,
+                              args.ring)
+    pres = equivariant.hat_presentation(C)
+    return _emit_presentation(pres, args.json, out)
 
 
 def _cmd_bn_presentation(args, out, err):
@@ -398,15 +401,7 @@ def _cmd_bn_presentation(args, out, err):
                               args.ring)
     pres = equivariant.bn_presentation(equivariant.hat_presentation(C),
                                        target=args.target)
-    doc = pres.to_dict()
-    lines = ["generators\t" + ", ".join(pres.generators)]
-    for j in range(pres.relations.cols):
-        rel = "; ".join(
-            f"{pres.generators[i]}: {pres.relations[i, j].to_str()}"
-            for i in range(pres.relations.rows) if pres.relations[i, j])
-        lines.append(f"relation[{j}]\t{rel}")
-    _emit(doc, args.json, lines, out)
-    return 0
+    return _emit_presentation(pres, args.json, out)
 
 
 def _cmd_model_check(args, out, err):

@@ -286,13 +286,6 @@ def smith_normal_form(M):
                        Matrix(ring, V, cols=n))
 
 
-def rank(M):
-    """Rank over the fraction field, via Smith form on Euclidean rings."""
-    if is_euclidean(M.ring):
-        return smith_normal_form(M).rank()
-    return rank_fraction_field(M)
-
-
 def kernel_basis(M):
     """Columns form a basis of ker M as a module (Euclidean rings)."""
     snf = smith_normal_form(M)
@@ -308,19 +301,7 @@ def solve(M, b):
     """One solution of M x = b, or None when the system is unsolvable."""
     if b.rows != M.rows or b.cols != 1:
         raise LinalgError("right-hand side shape mismatch")
-    snf = smith_normal_form(M)
-    c = snf.U * b
-    ring = M.ring
-    y = [zero(ring)] * M.cols
-    for i in range(M.rows):
-        if i < min(M.rows, M.cols) and snf.D[i, i]:
-            q = divide(c[i, 0], snf.D[i, i])
-            if q is None:
-                return None
-            y[i] = q
-        elif c[i, 0]:
-            return None
-    return snf.V * Matrix(ring, [[v] for v in y])
+    return solve_matrix(M, b)
 
 
 def solve_matrix(M, B):
@@ -401,62 +382,62 @@ def det(M):
     return -d if sign < 0 else d
 
 
-def rank_fraction_field(M):
-    """Rank over Frac(ring) by division-free Gaussian elimination."""
+def _eliminate(M):
+    """Division-free Gauss-Jordan elimination; returns the reduced rows and
+    the (row, col) pivots.  Each column pivots on its candidate with the
+    fewest terms, and every other row becomes p*row - q*pivot_row, walking
+    only the pivot row's nonzero entries and leaving zeros unmultiplied."""
     A = [row[:] for row in M.data]
-    m, n = M.rows, M.cols
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if A[i][c]), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        for i in range(m):
-            if i != r and A[i][c]:
-                p, q = A[r][c], A[i][c]
-                A[i] = [p * A[i][j] - q * A[r][j] for j in range(n)]
-        r += 1
+    m = M.rows
+    pivots = []
+    for c in range(M.cols):
+        r = len(pivots)
         if r == m:
             break
-    return r
+        cands = [i for i in range(r, m) if A[i][c]]
+        if not cands:
+            continue
+        best = min(cands, key=lambda i: len(A[i][c].terms_dict()))
+        A[r], A[best] = A[best], A[r]
+        p = A[r][c]
+        support = [(j, e) for j, e in enumerate(A[r]) if e]
+        for i in range(m):
+            q = A[i][c]
+            if i == r or not q:
+                continue
+            row = [p * e if e else e for e in A[i]]
+            for j, e in support:
+                row[j] = row[j] - q * e
+            A[i] = row
+        pivots.append((r, c))
+    return A, pivots
+
+
+def rank(M):
+    """Rank over the fraction field of the ring, for every supported ring."""
+    return len(_eliminate(M)[1])
+
+
+rank_fraction_field = rank
 
 
 def kernel_fraction_field(M):
     """Columns spanning ker M over Frac(ring), with entries cleared into
     the ring.  Works over any supported integral domain."""
     ring = M.ring
-    A = [row[:] for row in M.data]
-    m, n = M.rows, M.cols
-    pivots = []  # (row, col)
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, m) if A[i][c]), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        for i in range(m):
-            if i != r and A[i][c]:
-                p, q = A[r][c], A[i][c]
-                A[i] = [p * A[i][j] - q * A[r][j] for j in range(n)]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    pivot_cols = {c for _, c in pivots}
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    cols = []
-    prod_all = one(ring)
-    for i, c in pivots:
-        prod_all = prod_all * A[i][c]
-    for f in free_cols:
-        vec = [zero(ring)] * n
-        vec[f] = prod_all
-        for i, c in pivots:
-            other = one(ring)
-            for i2, c2 in pivots:
-                if i2 != i:
-                    other = other * A[i2][c2]
-            vec[c] = -A[i][f] * other
-        cols.append(vec)
-    return Matrix(ring, [[cols[j][i] for j in range(len(cols))]
-                         for i in range(n)], cols=len(cols))
+    A, pivots = _eliminate(M)
+    free = sorted(set(range(M.cols)) - {c for _, c in pivots})
+    # head[k] * tail[k + 1] is the product of every pivot but the k-th
+    diag = [A[i][c] for i, c in pivots]
+    head, tail = [one(ring)], [one(ring)]
+    for d, e in zip(diag, reversed(diag)):
+        head.append(head[-1] * d)
+        tail.insert(0, e * tail[0])
+    others = [h * t for h, t in zip(head, tail[1:])]
+    rows = [[zero(ring)] * len(free) for _ in range(M.cols)]
+    for j, f in enumerate(free):
+        rows[f][j] = head[-1]
+        for (i, c), other in zip(pivots, others):
+            if A[i][f]:
+                rows[c][j] = -(A[i][f] * other)
+    return Matrix(ring, rows, cols=len(free))

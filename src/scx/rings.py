@@ -332,7 +332,9 @@ class LaurentPoly:
     def _check(self, other):
         if not isinstance(other, LaurentPoly):
             raise TypeError(f"expected LaurentPoly, got {type(other)!r}")
-        if other.ring != self.ring:
+        # equal rings need not be one object, so identity is only the
+        # fast path before the dataclass comparison
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
 
     def __add__(self, other):
@@ -397,7 +399,8 @@ class LaurentPoly:
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.ring == other.ring and self._terms == other._terms
+        return ((self.ring is other.ring or self.ring == other.ring)
+                and self._terms == other._terms)
 
     def __hash__(self):
         h = self._hash

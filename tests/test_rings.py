@@ -39,6 +39,16 @@ def test_ring_mismatch_raises():
         R.var(R.ZT, "T") + R.var(R.QT, "T")
 
 
+def test_equal_rings_need_not_be_one_object():
+    ring, other = R.universal(3), R.universal(3)
+    assert other == ring and other is not ring
+    a, b = R.var(ring, "T"), R.var(other, "T")
+    assert a == b and b == a
+    assert a + b == R.from_int(ring, 2) * a
+    with pytest.raises(R.RingMismatchError):
+        R.var(R.ZT, "T") + R.var(R.F2T, "T")
+
+
 def test_base_change_t_to_x_in_f4():
     t = R.var(R.ZT, "T")
     img = R.base_change(t ** 2 - t ** -2, {"T": R.var(R.F4, "x")}, R.F4)
