@@ -439,7 +439,9 @@ def torus_alexander(p, q):
     num = (t ** (p * q) - o) * (t - o)
     den = (t ** p - o) * (t ** q - o)
     quot = rings.divide(num, den)
-    assert quot is not None, "torus Alexander division must be exact"
+    if quot is None:
+        raise CheckFailedError(
+            f"the Alexander division for T({p},{q}) is not exact")
     half = (p - 1) * (q - 1) // 2
     delta = quot * t ** (-half)
     total = sum(abs(c) for _k, c in delta.sorted_terms())

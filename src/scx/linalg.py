@@ -45,6 +45,14 @@ class Matrix:
                     raise RingMismatchError("entry from a different ring")
 
     @classmethod
+    def _trusted(cls, ring, data, cols):
+        """Wrap the list of row lists ``data`` without copying or checking
+        it: for results built from checked matrices over ``ring``."""
+        M = object.__new__(cls)
+        M.ring, M.data, M.rows, M.cols = ring, data, len(data), cols
+        return M
+
+    @classmethod
     def zeros(cls, ring, rows, cols):
         z = zero(ring)
         return cls(ring, [[z] * cols for _ in range(rows)], cols=cols)
@@ -67,29 +75,31 @@ class Matrix:
         return all(e.is_zero() for row in self.data for e in row)
 
     def transpose(self):
-        return Matrix(self.ring, [[self.data[i][j] for i in range(self.rows)]
-                                  for j in range(self.cols)], cols=self.rows)
+        return Matrix._trusted(self.ring, [[row[j] for row in self.data]
+                                           for j in range(self.cols)],
+                               self.rows)
 
     def __add__(self, other):
         self._compat(other, same_shape=True)
-        return Matrix(self.ring,
-                      [[a + b for a, b in zip(r1, r2)]
-                       for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols)
+        return Matrix._trusted(self.ring,
+                               [[a + b for a, b in zip(r1, r2)]
+                                for r1, r2 in zip(self.data, other.data)],
+                               self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         # zero entries are kept as they are rather than negated into copies
-        return Matrix(self.ring, [[-e if e else e for e in row]
-                                  for row in self.data], cols=self.cols)
+        return Matrix._trusted(self.ring, [[-e if e else e for e in row]
+                                           for row in self.data], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            return Matrix(self.ring,
-                          [[e * other for e in row] for row in self.data],
-                          cols=self.cols)
+            # the entry products check that other lies in the ring
+            return Matrix._trusted(self.ring,
+                                   [[e * other for e in row]
+                                    for row in self.data], self.cols)
         self._compat(other)
         if self.cols != other.rows:
             raise LinalgError(
@@ -108,7 +118,7 @@ class Matrix:
                     for j, b in brow:
                         row[j] = row[j] + a * b
             out.append(row)
-        return Matrix(self.ring, out, cols=other.cols)
+        return Matrix._trusted(self.ring, out, other.cols)
 
     def _compat(self, other, same_shape=False):
         if not isinstance(other, Matrix):
@@ -194,18 +204,23 @@ def smith_normal_form(M):
     U = [row[:] for row in Matrix.identity(ring, m).data]
     V = [row[:] for row in Matrix.identity(ring, n).data]
 
+    # x - q*0 == x, so the updates skip the zero entries of row or column t
     def row_axpy(i, q, t):
         # row_i -= q*row_t
         for j in range(n):
-            A[i][j] = A[i][j] - q * A[t][j]
+            if A[t][j]:
+                A[i][j] = A[i][j] - q * A[t][j]
         for j in range(m):
-            U[i][j] = U[i][j] - q * U[t][j]
+            if U[t][j]:
+                U[i][j] = U[i][j] - q * U[t][j]
 
     def col_axpy(j, q, t):
         for i in range(m):
-            A[i][j] = A[i][j] - A[i][t] * q
+            if A[i][t]:
+                A[i][j] = A[i][j] - A[i][t] * q
         for i in range(n):
-            V[i][j] = V[i][j] - V[i][t] * q
+            if V[i][t]:
+                V[i][j] = V[i][j] - V[i][t] * q
 
     def row_swap(i, t):
         A[i], A[t] = A[t], A[i]

@@ -9,8 +9,12 @@ polynomial extension of any of these by a nonnegative-degree variable x.
 A value is an immutable :class:`LaurentPoly`: a ring descriptor together
 with a finite dictionary of terms keyed by the exponent triple
 ``(x_exp, u_exp, t_exps)``.  No two terms share a key, no coefficient is
-zero, and U-exponent denominators divide the ring's bound N.  All
-arithmetic is exact; nothing in this module touches floating point.
+zero, and U-exponent denominators divide the ring's bound N; a U-exponent
+is a plain int when it is integral and a Fraction only when it is not.
+These conditions are checked where a polynomial is built from outside
+data (``LaurentPoly(...)``, ``monomial``, ``var``, ``parse``), not again
+on arithmetic results.  All arithmetic is exact; nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 
 class RingError(Exception):
@@ -46,12 +51,6 @@ def _cadd(base, a, b):
     if base == "Z" or base == "Q":
         return a + b
     return a ^ b
-
-
-def _cneg(base, a):
-    if base == "Z" or base == "Q":
-        return -a
-    return a
 
 
 def _cmul(base, a, b):
@@ -205,9 +204,6 @@ def inner_ring(ring):
     raise RingError(f"cannot strip x from {ring}")
 
 
-_ZERO = Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 
@@ -234,8 +230,10 @@ class LaurentPoly:
                 c &= 3
             if c == 0:
                 continue
-            if not isinstance(u, Fraction):
+            if not isinstance(u, int):
                 u = Fraction(u)
+                if u.denominator == 1:
+                    u = u.numerator
             if u and not ring.udenom:
                 raise RingError(f"{ring} has no U variable")
             if ring.udenom and ring.udenom % u.denominator:
@@ -257,6 +255,17 @@ class LaurentPoly:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _trusted(cls, ring, terms):
+        """Wrap ``terms`` without checking them: for results built from
+        checked operands, whose keys are canonical and coefficients
+        nonzero.  The dictionary is taken over, not copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -291,12 +300,13 @@ class LaurentPoly:
             raise RingError(f"{self} is not a unit")
         (x, u, ts), c = next(iter(self._terms.items()))
         inv = _cinv(self.ring.base, c)
-        return LaurentPoly(self.ring, {(x, -u, tuple(-e for e in ts)): inv})
+        return LaurentPoly._trusted(self.ring,
+                                    {(x, -u, tuple(-e for e in ts)): inv})
 
     def const_value(self):
         """Coefficient of the constant term (all exponents zero)."""
         nt = len(self.ring.tvars)
-        return self._terms.get((0, _ZERO, (0,) * nt),
+        return self._terms.get((0, 0, (0,) * nt),
                                _cfrom_int(self.ring.base, 0))
 
     def coefficient(self, key):
@@ -339,20 +349,28 @@ class LaurentPoly:
 
     def __add__(self, other):
         self._check(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         base = self.ring.base
+        z_or_q = base == "Z" or base == "Q"
         out = dict(self._terms)
+        get = out.get
         for k, c in other._terms.items():
-            s = _cadd(base, out.get(k, _cfrom_int(base, 0)), c)
-            if s == 0:
-                out.pop(k, None)
-            else:
+            s = get(k, 0) + c if z_or_q else get(k, 0) ^ c
+            if s:
                 out[k] = s
-        return LaurentPoly(self.ring, out)
+            else:
+                # c is nonzero, so a zero sum means k was present
+                del out[k]
+        return LaurentPoly._trusted(self.ring, out)
 
     def __neg__(self):
-        base = self.ring.base
-        return LaurentPoly(self.ring,
-                           {k: _cneg(base, c) for k, c in self._terms.items()})
+        if self.ring.char_two:
+            return self
+        return LaurentPoly._trusted(self.ring,
+                                    {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -361,18 +379,30 @@ class LaurentPoly:
         if isinstance(other, int):
             other = from_int(self.ring, other)
         self._check(other)
-        base = self.ring.base
+        ring = self.ring
+        base = ring.base
+        z_or_q, f2 = base == "Z" or base == "Q", base == "F2"
+        one_t = len(ring.tvars) == 1
         out = {}
+        get = out.get
+        right = list(other._terms.items())
         for (x1, u1, t1), c1 in self._terms.items():
-            for (x2, u2, t2), c2 in other._terms.items():
-                k = (x1 + x2, u1 + u2, tuple(a + b for a, b in zip(t1, t2)))
-                c = _cmul(base, c1, c2)
-                s = _cadd(base, out.get(k, _cfrom_int(base, 0)), c)
-                if s == 0:
-                    out.pop(k, None)
+            for (x2, u2, t2), c2 in right:
+                k = (x1 + x2, u1 + u2,
+                     (t1[0] + t2[0],) if one_t else tuple(map(add, t1, t2)))
+                if z_or_q:
+                    out[k] = get(k, 0) + c1 * c2
+                elif f2:
+                    out[k] = get(k, 0) ^ c1 & c2
                 else:
-                    out[k] = s
-        return LaurentPoly(self.ring, out)
+                    out[k] = get(k, 0) ^ _cmul(base, c1, c2)
+        if ring.udenom > 1:
+            # a sum of fractional U-exponents may be integral
+            out = {(x, u.numerator if u.denominator == 1 else u, ts): c
+                   for (x, u, ts), c in out.items() if c}
+        else:
+            out = {k: c for k, c in out.items() if c}
+        return LaurentPoly._trusted(ring, out)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -384,17 +414,21 @@ class LaurentPoly:
             raise TypeError("polynomial powers must be integers")
         if n < 0:
             return self.unit_inverse() ** (-n)
-        result = one(self.ring)
-        for _ in range(n):
-            result = result * self
+        result, square = one(self.ring), self
+        while n:
+            if n & 1:
+                result = result * square
+            n >>= 1
+            if n:
+                square = square * square
         return result
 
     def scale(self, coeff):
-        """Multiply by a raw base-domain coefficient."""
+        """Multiply by a raw nonzero base-domain coefficient."""
         base = self.ring.base
-        return LaurentPoly(self.ring,
-                           {k: _cmul(base, c, coeff)
-                            for k, c in self._terms.items()})
+        return LaurentPoly._trusted(self.ring,
+                                    {k: _cmul(base, c, coeff)
+                                     for k, c in self._terms.items()})
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
@@ -465,7 +499,7 @@ class LaurentPoly:
 
 
 def zero(ring):
-    return LaurentPoly(ring, {})
+    return LaurentPoly._trusted(ring, {})
 
 
 def one(ring):
@@ -475,8 +509,8 @@ def one(ring):
 def from_int(ring, n):
     c = _cfrom_int(ring.base, n)
     if c == 0:
-        return LaurentPoly(ring, {})
-    return LaurentPoly(ring, {(0, _ZERO, (0,) * len(ring.tvars)): c})
+        return zero(ring)
+    return LaurentPoly._trusted(ring, {(0, 0, (0,) * len(ring.tvars)): c})
 
 
 def monomial(ring, coeff=1, u=0, t=None, x=0):
@@ -489,14 +523,14 @@ def monomial(ring, coeff=1, u=0, t=None, x=0):
         coeff = _cfrom_int(ring.base, coeff)
     if coeff == 0:
         return zero(ring)
-    return LaurentPoly(ring, {(x, Fraction(u), tuple(t)): coeff})
+    return LaurentPoly(ring, {(x, u, tuple(t)): coeff})
 
 
 def f4_scalar(ring, bits):
     """The F4 constant with the given bit value 0..3 (2 means x)."""
     if ring.base != "F4":
         raise RingError("f4_scalar needs an F4-based ring")
-    return LaurentPoly(ring, {(0, _ZERO, (0,) * len(ring.tvars)): bits})
+    return LaurentPoly(ring, {(0, 0, (0,) * len(ring.tvars)): bits})
 
 
 def var(ring, name, exp=1):
@@ -508,7 +542,7 @@ def var(ring, name, exp=1):
     if name == "U":
         if not ring.udenom:
             raise RingError(f"{ring} has no U variable")
-        return monomial(ring, 1, u=Fraction(exp))
+        return monomial(ring, 1, u=exp)
     if name in ring.tvars:
         idx = ring.tvars.index(name)
         t = [0] * len(ring.tvars)
@@ -565,11 +599,11 @@ def _convert_scalar(c, src_base, target):
     if src_base == target.base:
         if c == 0:
             return zero(target)
-        return LaurentPoly(target, {(0, _ZERO, (0,) * len(target.tvars)): c})
+        return LaurentPoly(target, {(0, 0, (0,) * len(target.tvars)): c})
     if src_base == "F2" and target.base == "F4":
         return from_int(target, c)
     if src_base == "Q" and target.base == "Q":
-        return LaurentPoly(target, {(0, _ZERO, (0,) * len(target.tvars)): c})
+        return LaurentPoly(target, {(0, 0, (0,) * len(target.tvars)): c})
     raise RingError(f"no coefficient map {src_base} -> {target.base}")
 
 
@@ -623,38 +657,65 @@ def divide(a, b):
     ring = a.ring
     if not ring.tvars and not ring.has_x and not ring.udenom:
         q = _cdiv(ring.base, a.const_value(), b.const_value())
-        return None if q is None else LaurentPoly(ring, {(0, _ZERO, ()): q})
+        return None if q is None else LaurentPoly(ring, {(0, 0, ()): q})
     return _divide_general(a, b)
 
 
 def _divide_general(a, b):
-    # Greedy leading-term division in the canonical monomial order.  When
-    # the quotient exists each step peels off its leading term, so the
-    # loop runs len(q) times; an iteration cap guards the inexact case.
+    # Greedy leading-term division in the canonical monomial order.  Each
+    # step peels off a quotient term strictly below the one before.  An
+    # exact quotient lies in the exponent box [min a - min b, max a - max b],
+    # coordinate by coordinate over x, U and each T (the rings are integral
+    # domains), so a term outside it means b does not divide a, and the
+    # strictly falling terms can visit the box's points at most once each.
     ring = a.ring
     base = ring.base
-    r = a
+    z_or_q = base == "Z" or base == "Q"
+    lo, hi = _exponent_box(a)
+    blo, bhi = _exponent_box(b)
+    lo = [p - q for p, q in zip(lo, blo)]
+    hi = [p - q for p, q in zip(hi, bhi)]
+    bkey = max(b._terms)
+    bc = b._terms[bkey]
+    right = list(b._terms.items())
+    r = dict(a._terms)
     q_terms = {}
-    bkey, bc = b.sorted_terms()[0]
-    cap = 16 * (len(a._terms) + 1) * (len(b._terms) + 1) + 64
-    for _ in range(cap):
-        if r.is_zero():
-            return LaurentPoly(ring, q_terms)
-        rkey, rc = r.sorted_terms()[0]
+    while r:
+        rkey = max(r)
         x = rkey[0] - bkey[0]
         u = rkey[1] - bkey[1]
+        if u.__class__ is not int and u.denominator == 1:
+            u = u.numerator
         ts = tuple(p - qq for p, qq in zip(rkey[2], bkey[2]))
-        if x < 0:
+        if x < 0 or not all(
+                low <= e <= high for low, e, high in zip(lo, (x, u) + ts, hi)):
             return None
         if ring.udenom and ring.udenom % u.denominator:
             return None
-        c = _cdiv(base, rc, bc)
+        c = _cdiv(base, r[rkey], bc)
         if c is None:
             return None
-        k = (x, u, ts)
-        q_terms[k] = c
-        r = r - LaurentPoly(ring, {k: c}) * b
-    return None
+        q_terms[(x, u, ts)] = c
+        # r -= c * X^x U^u T^ts * b
+        for (bx, bu, bts), d in right:
+            k = (x + bx, u + bu, tuple(map(add, ts, bts)))
+            if z_or_q:
+                s = r.get(k, 0) - c * d
+            else:
+                s = r.get(k, 0) ^ _cmul(base, c, d)
+            if s:
+                r[k] = s
+            else:
+                del r[k]
+    return LaurentPoly._trusted(ring, q_terms)
+
+
+def _exponent_box(p):
+    """Coordinate-wise minima and maxima of the exponents (x, u, *ts) of
+    the nonzero polynomial p."""
+    points = [(x, u) + ts for x, u, ts in p._terms]
+    return ([min(col) for col in zip(*points)],
+            [max(col) for col in zip(*points)])
 
 
 def divmod_euclid(a, b):
@@ -682,8 +743,8 @@ def divmod_euclid(a, b):
         while not r.is_zero() and r.t_span() >= nb:
             rkey, rc = max(r._terms.items(), key=lambda kv: kv[0][2][0])
             c = _cdiv(ring.base, rc, bc)
-            t = LaurentPoly(ring,
-                            {(0, _ZERO, (rkey[2][0] - bkey[2][0],)): c})
+            t = LaurentPoly._trusted(ring,
+                                     {(0, 0, (rkey[2][0] - bkey[2][0],)): c})
             q = q + t
             r = r - t * b
         return q, r
@@ -720,7 +781,7 @@ def normalizing_unit(p):
     if p.is_zero():
         return one(ring)
     keys = list(p._terms)
-    umin = min(k[1] for k in keys) if ring.udenom else _ZERO
+    umin = min(k[1] for k in keys) if ring.udenom else 0
     tmins = tuple(min(k[2][i] for k in keys)
                   for i in range(len(ring.tvars)))
     shifted = LaurentPoly(ring, {(0, -umin, tuple(-m for m in tmins)):
@@ -838,10 +899,7 @@ class _Parser:
                 self.next()
                 exp = self.exponent()
             try:
-                if tok == "U":
-                    return var(self.ring, "U", exp)
-                return var(self.ring, tok, exp) if not isinstance(exp, Fraction) \
-                    else var(self.ring, tok, exp)
+                return var(self.ring, tok, exp)
             except RingError as e:
                 raise ParseError(str(e))
         raise ParseError(f"unexpected token {tok!r}")
@@ -882,6 +940,8 @@ class _Parser:
 
 def parse(ring, s):
     """Parse the textual polynomial format, e.g. ``U^{1/3}*T^2 - U^{1/3}*T^-2``."""
+    if s == "0":
+        return zero(ring)
     toks = _tokenize(s)
     if not toks:
         raise ParseError("empty polynomial string")

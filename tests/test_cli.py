@@ -7,8 +7,10 @@ import shlex
 import subprocess
 import sys
 
+import pytest
+
 import scx
-from scx import cli
+from scx import cli, rings
 
 
 def run(argv):
@@ -51,6 +53,24 @@ def test_torus_table():
     assert "signature\t-8" in out
     assert "alexander_norm\t7" in out
     assert "vanishing\tfalse" in out
+
+
+def test_torus_alexander_of_a_long_quotient():
+    # the Alexander division has a 1196-term quotient
+    sympy = pytest.importorskip("sympy")
+    p, q = 3, 601
+    code, out, err = run(["torus", "--p", str(p), "--q", str(q)])
+    assert code == 0, err
+    fields = dict(line.split("\t") for line in out.splitlines())
+    T = sympy.Symbol("T")
+    half = (p - 1) * (q - 1) // 2
+    delta = rings.parse(rings.ZT, fields["alexander"])
+    # delta * T^half as an ordinary polynomial
+    lifted = sympy.Poly.from_dict(
+        {(ts[0] + half,): c for (_x, _u, ts), c in delta.terms_dict().items()},
+        T)
+    assert lifted * sympy.Poly(T ** p - 1, T) * sympy.Poly(T ** q - 1, T) \
+        == sympy.Poly((T ** (p * q) - 1) * (T - 1), T)
 
 
 def test_torus_json():

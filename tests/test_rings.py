@@ -114,6 +114,16 @@ def test_divide_by_unit_and_failure():
     assert R.divide(t ** 2 + one, t + one) == t + one
 
 
+def test_divide_finds_quotients_longer_than_its_operands():
+    # the quotient has 1000 terms, far more than both operands together
+    for ring in (R.ZT, R.F2T):
+        t, one = R.var(ring, "T"), R.one(ring)
+        q = R.divide(t ** 1000 - one, t - one)
+        assert len(q.terms_dict()) == 1000
+        assert q == sum((t ** k for k in range(1, 1000)), one)
+        assert R.divide(t ** 1000 + t ** 500 - one, t - one) is None
+
+
 def test_divide_by_zero():
     with pytest.raises(ZeroDivisionError):
         R.divide(R.one(R.ZT), R.zero(R.ZT))

@@ -1,0 +1,180 @@
+"""The exact ring core against independent oracles: its algebraic laws as
+hypothesis properties, and products and quotients over ZZ[T, 1/T] and
+GF(2)[T, 1/T] against sympy."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from scx import rings as R  # noqa: E402
+
+U3 = R.universal(3)
+RINGS = (R.ZT, R.F2T, R.QT, U3)
+ORACLE_RINGS = (R.ZT, R.F2T)
+SYMBOL = sympy.Symbol("T")
+
+# deterministic, and no example database left in the working directory
+PROPERTY = settings(max_examples=60, deadline=None, database=None,
+                    derandomize=True)
+
+
+def _coefficients(ring):
+    if ring.base == "Q":
+        return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    if ring.base == "F2":
+        return st.just(1)
+    return st.integers(-3, 3)
+
+
+def _keys(ring):
+    # U-exponents n/3 are integral for every third n, so both kinds occur
+    u = (st.integers(-6, 6).map(lambda n: Fraction(n, ring.udenom))
+         if ring.udenom else st.just(0))
+    ts = st.tuples(*[st.integers(-4, 4)] * len(ring.tvars))
+    return st.tuples(st.just(0), u, ts)
+
+
+def polys(ring, max_terms=5):
+    return st.dictionaries(_keys(ring), _coefficients(ring),
+                           max_size=max_terms).map(
+        lambda terms: R.LaurentPoly(ring, terms))
+
+
+def pairs(rings):
+    return st.sampled_from(rings).flatmap(
+        lambda ring: st.tuples(polys(ring), polys(ring)))
+
+
+def canonical_keys(p):
+    """Integral U-exponents are ints; only fractional ones are Fractions."""
+    return all(type(u) is int or (type(u) is Fraction and u.denominator != 1)
+               for _x, u, _ts in p.terms_dict())
+
+
+@PROPERTY
+@given(pairs(RINGS))
+def test_product_divided_by_a_factor_is_the_other_factor(ab):
+    a, b = ab
+    assume(b)
+    product = a * b
+    assert canonical_keys(product)
+    q = R.divide(product, b)
+    assert q == a and canonical_keys(q)
+
+
+@PROPERTY
+@given(pairs(RINGS), polys(U3, max_terms=1))
+def test_divide_returns_an_exact_quotient_or_none(ab, shift):
+    a, b = ab
+    assume(b)
+    if a.ring is U3:
+        a = a + shift
+    q = R.divide(a, b)
+    if q is not None:
+        assert q * b == a and canonical_keys(q)
+
+
+@PROPERTY
+@given(st.sampled_from(RINGS).flatmap(polys))
+def test_parse_print_round_trip(p):
+    assert canonical_keys(p)
+    text = p.to_str()
+    back = R.parse(p.ring, text)
+    assert back == p and back.to_str() == text and canonical_keys(back)
+
+
+def _homomorphisms():
+    zt_t, u3_t, u3_u = R.var(R.ZT, "T"), R.var(U3, "T"), R.var(U3, "U")
+    third = R.var(U3, "U", Fraction(1, 3))
+    return [
+        (R.ZT, R.F2T, {"T": R.var(R.F2T, "T")}),
+        (R.ZT, R.ZT, {"T": -(zt_t ** -2)}),
+        (R.QT, R.QT, {"T": R.var(R.QT, "T") ** 3}),
+        (R.F2T, R.F4, {"T": R.var(R.F4, "x")}),
+        (U3, R.ZT, {"U": R.one(R.ZT), "T": zt_t ** -1}),
+        (U3, U3, {"U": u3_u ** 2, "T": third * u3_t}),
+    ]
+
+
+@PROPERTY
+@given(st.sampled_from(range(6)).flatmap(
+    lambda i: st.tuples(st.just(i), polys(_homomorphisms()[i][0]),
+                        polys(_homomorphisms()[i][0]))))
+def test_base_change_is_a_ring_homomorphism(case):
+    i, a, b = case
+    src, target, assignment = _homomorphisms()[i]
+
+    def f(p):
+        return R.base_change(p, assignment, target)
+
+    assert f(R.one(src)) == R.one(target)
+    assert f(a + b) == f(a) + f(b)
+    assert f(a * b) == f(a) * f(b)
+    assert canonical_keys(f(a * b))
+
+
+def _sympy_poly(p, shift):
+    """p * T^shift as a sympy polynomial over ZZ or GF(2)."""
+    expr = sum((c * SYMBOL ** (ts[0] + shift)
+                for (_x, _u, ts), c in p.terms_dict().items()),
+               sympy.Integer(0))
+    if p.ring.base == "F2":
+        return sympy.Poly(expr, SYMBOL, modulus=2)
+    return sympy.Poly(expr, SYMBOL, domain=sympy.ZZ)
+
+
+@PROPERTY
+@given(pairs(ORACLE_RINGS))
+def test_products_agree_with_sympy(ab):
+    a, b = ab
+    assert _sympy_poly(a * b, 8) == _sympy_poly(a, 4) * _sympy_poly(b, 4)
+
+
+@PROPERTY
+@given(pairs(ORACLE_RINGS), pairs(ORACLE_RINGS))
+def test_quotients_agree_with_sympy(ab, cd):
+    a, b = ab
+    c, _ = cd
+    assume(b and c.ring is a.ring)
+    # half the draws are multiples of b, so both answers are exercised
+    for num in (a, (a + c) * b):
+        # T is a unit, so b | num in the Laurent ring exactly when the
+        # polynomial b*T^4 divides num*T^24 in ZZ[T] (resp. GF(2)[T])
+        q, r = _sympy_poly(num, 24).div(_sympy_poly(b, 4))
+        exact = r.is_zero
+        if exact and num.ring.base == "Z":
+            try:
+                q = q.to_ring()
+            except sympy.polys.polyerrors.CoercionFailed:
+                exact = False
+        ours = R.divide(num, b)
+        assert (ours is not None) == exact
+        if exact:
+            assert _sympy_poly(ours, 20) == q
+
+
+def test_integral_u_exponents_are_int_keys():
+    third = R.var(U3, "U", Fraction(1, 3))
+    two_thirds = R.var(U3, "U", Fraction(2, 3))
+    t = R.var(U3, "T")
+    cases = [
+        third * two_thirds,
+        R.parse(U3, "U^{3/3}*T - U^{-6/3}"),
+        R.LaurentPoly(U3, {(0, Fraction(2), (1,)): 1}),
+        R.divide((third + t) * (two_thirds + t), two_thirds + t),
+        (third + t) ** 3,
+        R.normalize_associate(third * t + two_thirds),
+    ]
+    for p in cases:
+        assert canonical_keys(p), p
+    assert [type(u) for _x, u, _ts in cases[0].terms_dict()] == [int]
+    assert {type(u) for _x, u, _ts in (third + t).terms_dict()} \
+        == {Fraction, int}
+    for _x, u, _ts in (R.var(R.ZT, "T") * R.var(R.ZT, "T")).terms_dict():
+        assert type(u) is int

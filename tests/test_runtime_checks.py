@@ -11,10 +11,7 @@ from scx import knots as K
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "scx"
 
 # (file, enclosing function) of every assert statement still allowed.
-# torus_alexander keeps its assert until rings.divide stops capping its
-# loop below the quotient length for large q, a known defect listed in
-# ROADMAP.md.
-ALLOWED_ASSERTS = {("knots.py", "torus_alexander")}
+ALLOWED_ASSERTS = set()
 
 
 def _asserts(path):
