@@ -5,7 +5,7 @@ generators and a command line."""
 from . import equivariant, knots, linalg, rings, scomplex
 from .equivariant import (INFINITY, ModulePresentation, bn_presentation,
                           gamma, h_invariant, hat_presentation, j_ideals,
-                          small_models, verify_model_equivalence)
+                          verify_model_equivalence)
 from .knots import (ModuliCertificate, TorusKnot, TwoBridgeKnot, count_N1N2,
                     fixture, lens_sasahira, solve_k1k2, torus_alexander,
                     torus_signature, two_bridge_complex,
@@ -18,8 +18,8 @@ from .scomplex import (Generator, SComplex, SMorphism, base_change_complex,
 
 __all__ = [
     "INFINITY", "ModulePresentation", "bn_presentation", "gamma",
-    "h_invariant", "hat_presentation", "j_ideals", "small_models",
-    "verify_model_equivalence", "ModuliCertificate", "TorusKnot",
+    "h_invariant", "hat_presentation", "j_ideals", "verify_model_equivalence",
+    "ModuliCertificate", "TorusKnot",
     "TwoBridgeKnot", "count_N1N2", "fixture", "lens_sasahira", "solve_k1k2",
     "torus_alexander", "torus_signature", "two_bridge_complex",
     "two_bridge_signature_oracle", "vanishing_check", "Matrix", "homology",

@@ -19,6 +19,7 @@ from . import equivariant, knots, rings, scomplex
 from .equivariant import (EquivariantError, INFINITY, UnsupportedRingError,
                           UntrustedVError)
 from .knots import InconsistentComplexError, KnotError
+from .linalg import LinalgError
 from .rings import ParseError, RingError
 from .scomplex import SchemaError, SComplexError
 
@@ -225,7 +226,7 @@ def _report_table(rep):
 
 def _cmd_two_bridge(args, out, err):
     C = knots.two_bridge_complex(args.p, args.q, args.ring)
-    rep = knots.two_bridge_report(args.p, args.q, args.ring)
+    rep = knots.two_bridge_report(args.p, args.q, C)
     doc = scomplex.to_dict(C)
     if args.out:
         _write_or_print(args.out, json.dumps(doc, indent=2), out)
@@ -475,7 +476,8 @@ def run(argv, out=None, err=None, batch_depth=0):
         err.write(f"input error: {e}\n")
         return 1
     except (UntrustedVError, UnsupportedRingError, InconsistentComplexError,
-            EquivariantError, SComplexError, KnotError, RingError) as e:
+            EquivariantError, SComplexError, KnotError, RingError,
+            LinalgError) as e:
         err.write(f"refused: {e}\n")
         return 2
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import linalg, rings, scomplex
-from .linalg import Matrix
+from .linalg import Matrix, assemble
 from .scomplex import ValidationReport
 
 
@@ -76,116 +76,7 @@ def nilpotency_index(C, vp=None):
 
 
 # ---------------------------------------------------------------------------
-# small models
-
-
-@dataclass(frozen=True)
-class LaurentTail:
-    """Finitely many x-terms of negative degree, truncated below ``floor``.
-
-    Represents an element of x^-1 R[[x^-1]] to the stated precision.
-    """
-
-    ring: object
-    floor: int
-    coeffs: tuple  # ((degree, LaurentPoly), ...) with floor <= degree <= -1
-
-    @classmethod
-    def of(cls, ring, floor, items):
-        kept = tuple(sorted((d, c) for d, c in items
-                            if c and floor <= d <= -1))
-        return cls(ring, floor, kept)
-
-    def coefficient(self, deg):
-        for d, c in self.coeffs:
-            if d == deg:
-                return c
-        return rings.zero(self.ring)
-
-    def shifted_up(self):
-        """Multiplication by x, re-truncated to the same floor."""
-        return LaurentTail.of(self.ring, self.floor,
-                              [(d + 1, c) for d, c in self.coeffs])
-
-
-class SmallHatModel:
-    """The finitely presented model C[1] + R[x] with its x-action."""
-
-    def __init__(self, C):
-        self.C = C
-        self.ring_x = rings.poly_x(C.ring)
-
-    def differential(self, alpha, f):
-        C = self.C
-        out = C.d * alpha
-        deg = f.x_degree()
-        if deg is not None:
-            vp = v_powers(C, deg)
-            for i in range(deg + 1):
-                ai = f.x_coefficient(i, C.ring)
-                if ai:
-                    out = out - (vp[i] * C.delta2) * ai
-        return out, rings.zero(self.ring_x)
-
-    def x_action(self, alpha, f):
-        C = self.C
-        d1a = (C.delta1 * alpha)[0, 0]
-        lifted = rings.base_change(
-            d1a, scomplex.standard_assignment(C.ring, self.ring_x),
-            self.ring_x)
-        return C.v * alpha, lifted + rings.var(self.ring_x, "x") * f
-
-    def differential_is_zero(self):
-        # d(a, f) = (d a - sum v^i delta2 f_i, 0) vanishes identically
-        # exactly when d = 0 and delta2 = 0.
-        return self.C.d.is_zero() and self.C.delta2.is_zero()
-
-
-class SmallCheckModel:
-    """The co-model C + x^-1 R[[x^-1]], truncated at an explicit floor."""
-
-    def __init__(self, C, floor):
-        if floor > -1:
-            raise EquivariantError("truncation floor must be <= -1")
-        self.C = C
-        self.floor = floor
-
-    def tail_of(self, alpha):
-        C = self.C
-        vp = v_powers(C, -self.floor - 1)
-        items = [(-j - 1, (C.delta1 * (vp[j] * alpha))[0, 0])
-                 for j in range(-self.floor)]
-        return LaurentTail.of(C.ring, self.floor, items)
-
-    def differential(self, alpha, tail):
-        return self.C.d * alpha, self.tail_of(alpha)
-
-    def x_action(self, alpha, tail):
-        C = self.C
-        a_minus_1 = tail.coefficient(-1)
-        return C.v * alpha + C.delta2 * a_minus_1, tail.shifted_up()
-
-
-def small_models(C, floor=None):
-    """Both small equivariant models of C; the check side is truncated at
-    ``floor`` (default: just deep enough for a nilpotent v)."""
-    if floor is None:
-        m = nilpotency_index(C)
-        floor = -(m if m is not None else C.n) - 1
-    return SmallHatModel(C), SmallCheckModel(C, floor)
-
-
-# ---------------------------------------------------------------------------
 # truncated matrices of the small triangle and the model equivalence
-
-
-def _assemble(ring, rows, cols, pieces):
-    """A rows x cols matrix, zero but for the (row, col, block) pieces."""
-    data = [[rings.zero(ring)] * cols for _ in range(rows)]
-    for r, c, M in pieces:
-        for i, row in enumerate(M.data):
-            data[r + i][c:c + M.cols] = row
-    return Matrix(ring, data, cols=cols)
 
 
 def small_triangle_matrices(C, depth):
@@ -195,6 +86,9 @@ def small_triangle_matrices(C, depth):
     hat basis: n shifted generators then x^0..x^depth;
     check basis: n generators then x^-1..x^-depth;
     bar basis: x^-depth..x^depth.
+
+    ``x_hat`` is x on the hat basis, (beta, f) |-> (v beta, delta1 beta +
+    x f), with x^depth sent to 0: x^(depth + 1) lies outside the basis.
     """
     ring, n = C.ring, C.n
     hat_dim, chk_dim, bar_dim = n + depth + 1, n + depth, 2 * depth + 1
@@ -204,18 +98,21 @@ def small_triangle_matrices(C, depth):
     vd2 = [P * C.delta2 for P in vp]
     # row or column depth + i of the bar basis holds x^i
     return {
-        "d_hat": _assemble(ring, hat_dim, hat_dim, [(0, 0, C.d)] + [
+        "d_hat": assemble(ring, hat_dim, hat_dim, [(0, 0, C.d)] + [
             (0, n + i, -P) for i, P in enumerate(vd2)]),
-        "d_check": _assemble(ring, chk_dim, chk_dim, [(0, 0, C.d)] + [
+        "d_check": assemble(ring, chk_dim, chk_dim, [(0, 0, C.d)] + [
             (n + j, 0, P) for j, P in enumerate(d1v)]),
-        "i": _assemble(ring, bar_dim, hat_dim, [
+        "i": assemble(ring, bar_dim, hat_dim, [
             (depth, n, Matrix.identity(ring, depth + 1))] + [
             (depth - j - 1, 0, P) for j, P in enumerate(d1v)]),
-        "j": _assemble(ring, hat_dim, chk_dim, [
+        "j": assemble(ring, hat_dim, chk_dim, [
             (0, 0, -Matrix.identity(ring, n))]),
-        "p": _assemble(ring, chk_dim, bar_dim, [
+        "p": assemble(ring, chk_dim, bar_dim, [
             (0, depth + i, P) for i, P in enumerate(vd2)] + [
             (n + j, depth - j - 1, one) for j in range(depth)]),
+        "x_hat": assemble(ring, hat_dim, hat_dim, [
+            (0, 0, C.v), (n, 0, C.delta1),
+            (n + 1, n, Matrix.identity(ring, depth))]),
     }
 
 
@@ -256,28 +153,26 @@ def verify_model_equivalence(C, depth):
     d1v = [C.delta1 * P for P in vp[:depth]]
     vd2 = [P * C.delta2 for P in vp[:depth]]
     minus_dt, chi = -C.dtilde()[1], C.chi_matrix()
-    d_small = small_triangle_matrices(C, depth)["d_hat"]
+    small_mats = small_triangle_matrices(C, depth)
+    # x_small sends x^depth to 0, a degree no image of phis[k], k < depth,
+    # reaches
+    d_small, x_small = small_mats["d_hat"], small_mats["x_hat"]
     # Phi_k: beta x^k |-> (v^k beta, sum_j delta1 v^j beta x^(k-j-1)),
     # e0 x^k |-> x^k, alpha |-> 0
-    phis = [_assemble(ring, small, size,
-                      [(0, n, vp[k]), (n + k, 2 * n, one)]
-                      + [(n + k - j - 1, n, d1v[j]) for j in range(k)])
+    phis = [assemble(ring, small, size,
+                     [(0, n, vp[k]), (n + k, 2 * n, one)]
+                     + [(n + k - j - 1, n, d1v[j]) for j in range(k)])
             for k in range(depth + 1)]
     # Psi_m, the degree-m part of Psi: beta |-> beta x^0, and x^i |->
     # e0 x^i + sum_j v^j delta2 x^(i-j-1) in the alpha slot
-    psis = [_assemble(ring, size, small,
-                      [(2 * n, n + m, one)]
-                      + [(0, n + m + j + 1, vd2[j]) for j in range(depth - m)]
-                      + ([(n, 0, Matrix.identity(ring, n))] if m == 0 else []))
+    psis = [assemble(ring, size, small,
+                     [(2 * n, n + m, one)]
+                     + [(0, n + m + j + 1, vd2[j]) for j in range(depth - m)]
+                     + ([(n, 0, Matrix.identity(ring, n))] if m == 0 else []))
             for m in range(depth + 1)]
     # K_j, from degree k to degree k - j - 1: beta |-> -v^j beta as alpha
-    homotopies = [_assemble(ring, size, size, [(0, n, -vp[j])])
+    homotopies = [assemble(ring, size, size, [(0, n, -vp[j])])
                   for j in range(depth)]
-    # x on the small model: (beta, f) |-> (v beta, delta1 beta + x f); the
-    # top power x^depth never occurs in the images it is applied to
-    x_small = _assemble(ring, small, small,
-                        [(0, 0, C.v), (n, 0, C.delta1),
-                         (n + 1, n, Matrix.identity(ring, depth))])
 
     def d_block(m, k):
         return minus_dt if m == k else chi if m == k + 1 else None
@@ -401,7 +296,7 @@ def h_invariant(C, method="search"):
         last = M.cols - 1
         if any(Kk[last, j] for j in range(Kk.cols)):
             return k
-    raise AssertionError("h search failed to terminate within its bound")
+    raise EquivariantError("h search failed to terminate within its bound")
 
 
 def _h_via_ideals(C):
@@ -410,7 +305,7 @@ def _h_via_ideals(C):
     for i in sorted(ideals, reverse=True):
         if ideals[i]:
             return i
-    raise AssertionError("ideal sequence is empty below the bound")
+    raise EquivariantError("ideal sequence is empty below the bound")
 
 
 # ---------------------------------------------------------------------------
@@ -656,32 +551,21 @@ def hat_presentation(C):
     the relation x*g - (v g) - delta1(g)*e0.
     """
     _require_trusted(C, "the hat presentation")
-    hat = SmallHatModel(C)
-    if not hat.differential_is_zero():
+    if not (C.d.is_zero() and C.delta2.is_zero()):
         raise EquivariantError(
             "small-model differential is nonzero; the chain module is not "
             "the homology, presentation refused")
-    rx = hat.ring_x
+    rx = rings.poly_x(C.ring)
     lift_assign = scomplex.standard_assignment(C.ring, rx)
 
-    def lift(p):
-        return rings.base_change(p, lift_assign, rx)
+    def lift(M):
+        return M.map_entries(lambda p: rings.base_change(p, lift_assign, rx)
+                             if p else rings.zero(rx), rx)
 
-    names = [g.name for g in C.gens] + ["e0"]
-    x = rings.var(rx, "x")
-    cols = []
-    for g in range(C.n):
-        col = [rings.zero(rx) for _ in range(C.n + 1)]
-        col[g] = col[g] + x
-        for h in range(C.n):
-            if C.v[h, g]:
-                col[h] = col[h] - lift(C.v[h, g])
-        if C.delta1[0, g]:
-            col[C.n] = col[C.n] - lift(C.delta1[0, g])
-        cols.append(col)
-    rel = Matrix(rx, [[cols[j][i] for j in range(C.n)]
-                      for i in range(C.n + 1)], cols=C.n)
-    return ModulePresentation(rx, names, rel)
+    n = C.n
+    x_minus_v = Matrix.identity(rx, n) * rings.var(rx, "x") - lift(C.v)
+    rel = assemble(rx, n + 1, n, [(0, 0, x_minus_v), (n, 0, -lift(C.delta1))])
+    return ModulePresentation(rx, [g.name for g in C.gens] + ["e0"], rel)
 
 
 def bn_p_element(target):

@@ -601,8 +601,9 @@ def _map_summary(M, label):
     return {"label": label, "nonzero": len(cells), "entries": cells}
 
 
-def two_bridge_report(p, q, ring="universal"):
-    C = two_bridge_complex(p, q, ring)
+def two_bridge_report(p, q, C):
+    """The report of K(p, q) from its complex ``C``, as built by
+    :func:`two_bridge_complex`."""
     knot = TwoBridgeKnot(p, q)
     rep = KnotInvariantReport(knot=f"K({p},{q})", ring=C.ring.tag)
     if knot.q_normalized != q:

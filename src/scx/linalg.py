@@ -81,8 +81,9 @@ class Matrix:
 
     def __add__(self, other):
         self._compat(other, same_shape=True)
+        # a + 0 is a: zero entries of other cost no ring addition
         return Matrix._trusted(self.ring,
-                               [[a + b for a, b in zip(r1, r2)]
+                               [[a + b if b else a for a, b in zip(r1, r2)]
                                 for r1, r2 in zip(self.data, other.data)],
                                self.cols)
 
@@ -142,10 +143,6 @@ class Matrix:
             raise LinalgError("column count mismatch")
         return Matrix(self.ring, self.data + other.data, cols=self.cols)
 
-    def column(self, j):
-        return Matrix(self.ring, [[self.data[i][j]] for i in range(self.rows)],
-                      cols=1)
-
     def columns_selected(self, js):
         return Matrix(self.ring,
                       [[self.data[i][j] for j in js] for i in range(self.rows)],
@@ -162,6 +159,48 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.data)
         return f"<Matrix {self.rows}x{self.cols} over {self.ring.tag}: {body}>"
+
+
+def assemble(ring, rows, cols, pieces):
+    """The rows x cols matrix over ``ring`` that is zero but for the
+    (row, col, block) pieces, each block placed with its top left entry
+    at (row, col); a later piece overwrites an earlier one."""
+    data = [[zero(ring)] * cols for _ in range(rows)]
+    for r, c, M in pieces:
+        if M.ring != ring:
+            raise RingMismatchError(f"block over {M.ring}, not {ring}")
+        if r < 0 or c < 0 or r + M.rows > rows or c + M.cols > cols:
+            raise LinalgError(f"{M.rows}x{M.cols} block at ({r}, {c}) "
+                              f"leaves a {rows}x{cols} matrix")
+        for i, row in enumerate(M.data):
+            data[r + i][c:c + M.cols] = row
+    return Matrix._trusted(ring, data, cols)
+
+
+def kron(A, B):
+    """The Kronecker product: entry (i*B.rows + k, j*B.cols + l) is
+    A[i, j] * B[k, l].  Only pairs of nonzero entries are multiplied, and
+    a factor 1 or -1 is applied as a copy or a negation."""
+    A._compat(B)
+    o = one(A.ring)
+    mo = -o
+
+    def nonzero(M):
+        # (row, col, entry, sign): sign is 1 or -1 when the entry is
+        # that unit, else 0
+        return [(i, j, e, 1 if e == o else -1 if e == mo else 0)
+                for i, row in enumerate(M.data) for j, e in enumerate(row)
+                if e]
+
+    z = zero(A.ring)
+    data = [[z] * (A.cols * B.cols) for _ in range(A.rows * B.rows)]
+    nonzero_b = nonzero(B)
+    for i, j, a, sa in nonzero(A):
+        for k, l, b, sb in nonzero_b:
+            p = (a if sb > 0 else -a) if sb else (
+                (b if sa > 0 else -b) if sa else a * b)
+            data[i * B.rows + k][j * B.cols + l] = p
+    return Matrix._trusted(A.ring, data, A.cols * B.cols)
 
 
 @dataclass

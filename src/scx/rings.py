@@ -208,6 +208,14 @@ def inner_ring(ring):
 # Laurent polynomials
 
 
+def _int_exponent(e, name):
+    """``e`` as an int; it may be an integral Fraction, nothing else."""
+    e = Fraction(e)
+    if e.denominator != 1:
+        raise RingError(f"{name}-exponent {e} is not an integer")
+    return e.numerator
+
+
 class LaurentPoly:
     """Immutable exact polynomial over one of the supported rings.
 
@@ -239,6 +247,10 @@ class LaurentPoly:
             if ring.udenom and ring.udenom % u.denominator:
                 raise RingError(
                     f"U-exponent {u} not a multiple of 1/{ring.udenom}")
+            if not isinstance(x, int):
+                x = _int_exponent(x, "x")
+            if not all(isinstance(t, int) for t in ts):
+                ts = tuple(_int_exponent(t, "T") for t in ts)
             if x and not ring.has_x:
                 raise RingError(f"{ring} has no x variable")
             if x < 0:
@@ -314,19 +326,6 @@ class LaurentPoly:
 
     def terms_dict(self):
         return dict(self._terms)
-
-    def x_degree(self):
-        if not self._terms:
-            return None
-        return max(k[0] for k in self._terms)
-
-    def x_coefficient(self, i, target_ring):
-        """The coefficient of x^i, as a polynomial of the x-less ring."""
-        out = {}
-        for (x, u, ts), c in self._terms.items():
-            if x == i:
-                out[(0, u, ts)] = c
-        return LaurentPoly(target_ring, out)
 
     def t_span(self):
         """max - min of the T-exponent (one-variable Laurent rings only)."""
@@ -554,7 +553,7 @@ def var(ring, name, exp=1):
                 raise RingError("x-exponents must be nonnegative")
             return monomial(ring, 1, x=exp)
         if ring.base == "F4":
-            return f4_scalar(ring, 2) ** exp
+            return f4_scalar(ring, 2) ** _int_exponent(exp, "x")
     raise RingError(f"{ring} has no variable {name!r}")
 
 
@@ -891,6 +890,8 @@ class _Parser:
                 d = self.next()
                 if not d.isdigit():
                     raise ParseError("expected denominator digits")
+                if int(d) == 0:
+                    raise ParseError(f"zero denominator in {n}/{d}")
                 return monomial(self.ring, Fraction(n, int(d)))
             return from_int(self.ring, n)
         if tok[0].isalpha():
@@ -911,6 +912,8 @@ class _Parser:
             if self.peek() == "/":
                 self.next()
                 den = self.signed_int()
+                if den == 0:
+                    raise ParseError(f"zero denominator in exponent {num}/0")
                 val = Fraction(num, den)
             else:
                 val = Fraction(num)
@@ -945,7 +948,10 @@ def parse(ring, s):
     toks = _tokenize(s)
     if not toks:
         raise ParseError("empty polynomial string")
-    return _Parser(ring, toks).parse()
+    try:
+        return _Parser(ring, toks).parse()
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply")
 
 
 # ---------------------------------------------------------------------------

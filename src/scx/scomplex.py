@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, rings
-from .linalg import Matrix
+from .linalg import Matrix, assemble, kron
 from .rings import RingError, RingMismatchError
 
 
@@ -116,26 +116,16 @@ class SComplex:
         names = ([(g.name, g.gr_mod4) for g in self.gens]
                  + [(g.name + "~", (g.gr_mod4 + 1) % 4) for g in self.gens]
                  + [("e0", 0)])
-        z_nn = Matrix.zeros(self.ring, n, n)
-        z_n1 = Matrix.zeros(self.ring, n, 1)
-        z_1n = Matrix.zeros(self.ring, 1, n)
-        z_11 = Matrix.zeros(self.ring, 1, 1)
-        top = self.d.hstack(z_nn).hstack(z_n1)
-        mid = self.v.hstack(-self.d).hstack(self.delta2)
-        bot = self.delta1.hstack(z_1n).hstack(z_11)
-        return names, top.vstack(mid).vstack(bot)
+        return names, assemble(self.ring, 2 * n + 1, 2 * n + 1, [
+            (0, 0, self.d), (n, 0, self.v), (n, n, -self.d),
+            (n, 2 * n, self.delta2), (2 * n, 0, self.delta1)])
 
     def chi_matrix(self):
         """The degree-1 endomorphism of the total complex: identity from
         the first summand onto the shifted copy, zero elsewhere."""
         n = self.n
-        size = 2 * n + 1
-        M = Matrix.zeros(self.ring, size, size)
-        data = [row[:] for row in M.data]
-        o = rings.one(self.ring)
-        for i in range(n):
-            data[n + i][i] = o
-        return Matrix(self.ring, data)
+        return assemble(self.ring, 2 * n + 1, 2 * n + 1,
+                        [(n, 0, Matrix.identity(self.ring, n))])
 
     def __repr__(self):
         return (f"<SComplex over {self.ring.tag} with {self.n} generators, "
@@ -263,147 +253,82 @@ def _eps(g):
     return -1 if g % 4 in (1, 3) else 1
 
 
+def _eps_matrix(C):
+    """diag(eps(gr)) over the generators of C; in characteristic two
+    -1 = 1 and it is the identity."""
+    ring, one = C.ring, rings.one(C.ring)
+    z = rings.zero(ring)
+    signs = [one if _eps(g.gr_mod4) > 0 else -one for g in C.gens]
+    return Matrix(ring, [[s if i == j else z for j in range(C.n)]
+                         for i, s in enumerate(signs)], cols=C.n)
+
+
 def tensor(C, Cp):
     """Tensor product S-complex on (CxC') + (CxC')[1] + C + C'.
 
-    The block formulas carry Koszul signs through the sign map eps; over
-    characteristic-two rings all signs collapse.
+    The maps are Kronecker blocks over these four summands.  The Koszul
+    signs enter through E = diag(eps(gr)) on C, which is the identity in
+    characteristic two:
+
+        D = [ d(x)1 + E(x)d'        0              0            0         ]
+            [ E(x)v' - vE(x)1  d(x)1 - E(x)d'  E(x)delta2'  -delta2(x)1   ]
+            [ E(x)delta1'           0              d            0         ]
+            [ delta1(x)1            0              0            d'        ]
+
+        V = [ v(x)1   0           0   delta2(x)1 ]
+            [ 0       v(x)1       0   0          ]
+            [ 0       0           v   0          ]
+            [ 0       delta1(x)1  0   v'         ]
+
+    delta1 is [0 0 delta1 delta1'] and delta2 is [0 0 delta2 delta2']^T.
     """
     if C.ring != Cp.ring:
         raise RingMismatchError(f"{C.ring} vs {Cp.ring}")
     ring = C.ring
     igraded = C.is_I_graded() and Cp.is_I_graded()
 
-    pairs = [(i, j) for i in range(C.n) for j in range(Cp.n)]
-    p_idx = {ij: k for k, ij in enumerate(pairs)}
-    np_ = len(pairs)
-    n1, n2 = C.n, Cp.n
-    total = 2 * np_ + n1 + n2
-
-    def pair_gen(i, j, shifted):
-        a, b = C.gens[i], Cp.gens[j]
+    def pair_gen(a, b, shifted):
         name = f"({a.name}&{b.name})" + ("~" if shifted else "")
         gr = (a.gr_mod4 + b.gr_mod4 + (1 if shifted else 0)) % 4
         deg = (a.deg_I + b.deg_I) if igraded else None
         return Generator(name, gr, deg)
 
-    gens = ([pair_gen(i, j, False) for i, j in pairs]
-            + [pair_gen(i, j, True) for i, j in pairs]
+    pairs = [(a, b) for a in C.gens for b in Cp.gens]
+    gens = ([pair_gen(a, b, False) for a, b in pairs]
+            + [pair_gen(a, b, True) for a, b in pairs]
             + [Generator(f"({g.name}&-)", g.gr_mod4,
                          g.deg_I if igraded else None) for g in C.gens]
             + [Generator(f"(-&{g.name})", g.gr_mod4,
                          g.deg_I if igraded else None) for g in Cp.gens])
 
-    z = rings.zero(ring)
-    D = [[z] * total for _ in range(total)]
-    V = [[z] * total for _ in range(total)]
-    D1 = [[z] * total]
-    D2 = [[z] for _ in range(total)]
-
-    def sgn(g, p):
-        return p if _eps(g) == 1 or ring.char_two else -p
-
-    off2 = np_
-    off3 = 2 * np_
-    off4 = 2 * np_ + n1
-
-    for (i, j), col in p_idx.items():
-        ga = C.gens[i].gr_mod4
-        # block (1,1): d x 1 + eps x d'
-        for i2 in range(n1):
-            if C.d[i2, i]:
-                r = p_idx[(i2, j)]
-                D[r][col] = D[r][col] + C.d[i2, i]
-        for j2 in range(n2):
-            if Cp.d[j2, j]:
-                r = p_idx[(i, j2)]
-                D[r][col] = D[r][col] + sgn(ga, Cp.d[j2, j])
-        # block (2,1): -eps v x 1 + eps x v'
-        for i2 in range(n1):
-            if C.v[i2, i]:
-                r = off2 + p_idx[(i2, j)]
-                D[r][col] = D[r][col] - sgn(ga, C.v[i2, i])
-        for j2 in range(n2):
-            if Cp.v[j2, j]:
-                r = off2 + p_idx[(i, j2)]
-                D[r][col] = D[r][col] + sgn(ga, Cp.v[j2, j])
-        # block (3,1): eps x delta1'
-        if Cp.delta1[0, j]:
-            r = off3 + i
-            D[r][col] = D[r][col] + sgn(ga, Cp.delta1[0, j])
-        # block (4,1): delta1 x 1
-        if C.delta1[0, i]:
-            r = off4 + j
-            D[r][col] = D[r][col] + C.delta1[0, i]
-        # v block (1,1): v x 1
-        for i2 in range(n1):
-            if C.v[i2, i]:
-                V[p_idx[(i2, j)]][col] = C.v[i2, i]
-
-    for (i, j), k in p_idx.items():
-        col = off2 + k
-        ga = C.gens[i].gr_mod4
-        # block (2,2): d x 1 - eps x d'
-        for i2 in range(n1):
-            if C.d[i2, i]:
-                r = off2 + p_idx[(i2, j)]
-                D[r][col] = D[r][col] + C.d[i2, i]
-        for j2 in range(n2):
-            if Cp.d[j2, j]:
-                r = off2 + p_idx[(i, j2)]
-                D[r][col] = D[r][col] - sgn(ga, Cp.d[j2, j])
-        # v block (2,2): v x 1
-        for i2 in range(n1):
-            if C.v[i2, i]:
-                V[off2 + p_idx[(i2, j)]][col] = C.v[i2, i]
-        # v block (4,2): delta1 x 1
-        if C.delta1[0, i]:
-            V[off4 + j][col] = C.delta1[0, i]
-
-    for i in range(n1):
-        col = off3 + i
-        ga = C.gens[i].gr_mod4
-        # block (2,3): eps x delta2'
-        for j2 in range(n2):
-            if Cp.delta2[j2, 0]:
-                r = off2 + p_idx[(i, j2)]
-                D[r][col] = D[r][col] + sgn(ga, Cp.delta2[j2, 0])
-        # block (3,3): d
-        for i2 in range(n1):
-            if C.d[i2, i]:
-                D[off3 + i2][col] = C.d[i2, i]
-        # v block (3,3): v
-        for i2 in range(n1):
-            if C.v[i2, i]:
-                V[off3 + i2][col] = C.v[i2, i]
-        D1[0][col] = C.delta1[0, i]
-        D2[col][0] = C.delta2[i, 0]
-
-    for j in range(n2):
-        col = off4 + j
-        # block (2,4): -delta2 x 1
-        for i2 in range(n1):
-            if C.delta2[i2, 0]:
-                r = off2 + p_idx[(i2, j)]
-                D[r][col] = D[r][col] - C.delta2[i2, 0]
-        # block (4,4): d'
-        for j2 in range(n2):
-            if Cp.d[j2, j]:
-                D[off4 + j2][col] = Cp.d[j2, j]
-        # v block (1,4): delta2 x 1
-        for i2 in range(n1):
-            if C.delta2[i2, 0]:
-                V[p_idx[(i2, j)]][col] = C.delta2[i2, 0]
-        # v block (4,4): v'
-        for j2 in range(n2):
-            if Cp.v[j2, j]:
-                V[off4 + j2][col] = Cp.v[j2, j]
-        D1[0][col] = Cp.delta1[0, j]
-        D2[col][0] = Cp.delta2[j, 0]
-
-    return SComplex(ring, gens, Matrix(ring, D, cols=total),
-                    Matrix(ring, V, cols=total), Matrix(ring, D1, cols=total),
-                    Matrix(ring, D2, cols=1),
+    E = _eps_matrix(C)
+    one = Matrix.identity(ring, Cp.n)
+    d_one, v_one = kron(C.d, one), kron(C.v, one)
+    delta1_one = kron(C.delta1, one)
+    # offsets of the summands (CxC')[1], C and C'
+    off2 = C.n * Cp.n
+    off3 = 2 * off2
+    off4 = off3 + C.n
+    total = off4 + Cp.n
+    D = assemble(ring, total, total, [
+        (0, 0, d_one + kron(E, Cp.d)),
+        (off2, 0, kron(E, Cp.v) + kron(-(C.v * E), one)),
+        (off3, 0, kron(E, Cp.delta1)),
+        (off4, 0, delta1_one),
+        (off2, off2, d_one + kron(-E, Cp.d)),
+        (off2, off3, kron(E, Cp.delta2)),
+        (off2, off4, kron(-C.delta2, one)),
+        (off3, off3, C.d),
+        (off4, off4, Cp.d)])
+    V = assemble(ring, total, total, [
+        (0, 0, v_one), (off2, off2, v_one), (off4, off2, delta1_one),
+        (0, off4, kron(C.delta2, one)), (off3, off3, C.v),
+        (off4, off4, Cp.v)])
+    D1 = assemble(ring, 1, total, [(0, off3, C.delta1),
+                                   (0, off4, Cp.delta1)])
+    D2 = assemble(ring, total, 1, [(off3, 0, C.delta2),
+                                   (off4, 0, Cp.delta2)])
+    return SComplex(ring, gens, D, V, D1, D2,
                     v_trusted=C.v_trusted and Cp.v_trusted)
 
 
@@ -412,7 +337,8 @@ def tensor(C, Cp):
 
 
 def dual(C, grading="reverse"):
-    """Dual S-complex.
+    """Dual S-complex: d* = (S d)^T with S = diag(eps(gr)), v* = v^T,
+    delta1* = delta2^T and delta2* = -delta1^T.
 
     ``grading="reverse"`` places the dual of a grading-i generator in
     grading 3-i (mod 4), the orientation-reversal convention; this is the
@@ -422,25 +348,12 @@ def dual(C, grading="reverse"):
     """
     if grading not in ("reverse", "negate"):
         raise ValueError("grading must be 'reverse' or 'negate'")
-    ring = C.ring
-    n = C.n
     shift = 3 if grading == "reverse" else 0
     gens = [Generator(g.name + "*", (shift - g.gr_mod4) % 4)
             for g in C.gens]
-    z = rings.zero(ring)
-    Dd = [[z] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            e = C.d[b, a]
-            if e:
-                # sign (-1)^(gr of the original source of the dualized map)
-                Dd[a][b] = e if (ring.char_two
-                                 or C.gens[b].gr_mod4 % 2 == 0) else -e
-    Vd = C.v.transpose()
-    d1 = Matrix(ring, [[C.delta2[j, 0] for j in range(n)]], cols=n)
-    d2 = Matrix(ring, [[-C.delta1[0, i]] for i in range(n)], cols=1)
-    return SComplex(ring, gens, Matrix(ring, Dd, cols=n), Vd, d1, d2,
-                    v_trusted=C.v_trusted)
+    return SComplex(C.ring, gens, (_eps_matrix(C) * C.d).transpose(),
+                    C.v.transpose(), C.delta2.transpose(),
+                    -C.delta1.transpose(), v_trusted=C.v_trusted)
 
 
 # ---------------------------------------------------------------------------
@@ -543,18 +456,16 @@ def sharp_complex(C, twisted=False):
     names, dt = C.dtilde()
     chi = C.chi_matrix()
     ring = C.ring
-    two_chi = chi * rings.from_int(ring, 2)
+    size = dt.rows
+    pieces = [(0, 0, dt), (size, 0, chi * rings.from_int(ring, 2)),
+              (size, size, dt)]
     if twisted:
         if not ring.tvars:
             raise SComplexError("twisted model needs a T variable")
         t = rings.var(ring, ring.tvars[0])
         w = (2 * t ** 2 + 2 * t ** -2 - rings.from_int(ring, 4))
-        upper_right = chi * w
-    else:
-        upper_right = Matrix.zeros(ring, dt.rows, dt.cols)
-    top = dt.hstack(upper_right)
-    bottom = two_chi.hstack(dt)
-    D = top.vstack(bottom)
+        pieces.append((0, size, chi * w))
+    D = assemble(ring, 2 * size, 2 * size, pieces)
     gens = ([(name, gr) for name, gr in names]
             + [(name + "#", (gr + 2) % 4) for name, gr in names])
     cplx = ChainComplex(ring, gens, D)

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import scx
-from scx import cli, rings
+from scx import cli, equivariant, linalg, rings
 
 
 def run(argv):
@@ -202,6 +202,34 @@ def test_usage_and_input_errors(tmp_path):
     bad.write_text("{\"ring\": {\"tag\": \"UNIV\", \"denom\": 3}}")
     code, _, err = run(["h", "--in", str(bad)])
     assert code == 1 and "input error" in err
+
+
+def test_bad_entries_in_a_file_are_input_errors(tmp_path):
+    path = tmp_path / "t.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    for entry in ("U^{1/0}*T^2 - U^{1/3}*T^-2",
+                  "U^{1/3}*T^{1/2} - U^{1/3}*T^-2",
+                  "(" * 3000 + "U^{1/3}*T^2" + ")" * 3000):
+        doc["delta1"] = [entry]
+        path.write_text(json.dumps(doc))
+        code, out, err = run(["validate", "--in", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("input error: delta1[0]: ")
+        assert "Traceback" not in err
+
+
+def test_linalg_error_is_a_refusal(tmp_path, monkeypatch):
+    path = tmp_path / "t.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
+
+    def failing(C, method="search"):
+        raise linalg.LinalgError("Smith form rank disagrees")
+
+    monkeypatch.setattr(equivariant, "h_invariant", failing)
+    code, out, err = run(["h", "--in", str(path)])
+    assert code == 2 and out == ""
+    assert err == "refused: Smith form rank disagrees\n"
 
 
 def test_refused_computation_exit_2(tmp_path):

@@ -153,7 +153,7 @@ def test_sign_colliding_knot_refused_over_z_available_over_f2():
 
 
 def test_q_normalization_recorded():
-    rep = K.two_bridge_report(3, -1)
+    rep = K.two_bridge_report(3, -1, K.two_bridge_complex(3, -1))
     assert any("normalized" in n for n in rep.notes)
     C1 = K.two_bridge_complex(3, -1)
     C2 = K.two_bridge_complex(3, 2)
@@ -272,11 +272,11 @@ def test_fixture_unknown_name():
 
 
 def test_report_contents():
-    rep = K.two_bridge_report(3, -1)
+    rep = K.two_bridge_report(3, -1, K.two_bridge_complex(3, -1))
     assert rep.invariants["h"] == 1
     assert rep.invariants["euler_characteristic"] == -1
     assert rep.invariants["signature_oracle"] == -2
-    rep5 = K.two_bridge_report(5, -1)
+    rep5 = K.two_bridge_report(5, -1, K.two_bridge_complex(5, -1))
     assert "h" not in rep5.invariants
     assert rep5.warnings
     # monopole parity metadata of would-be v entries is recorded

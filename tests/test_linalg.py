@@ -271,6 +271,50 @@ def test_entries_must_share_the_matrix_ring():
     assert M[0, 1] == R.var(ring, "T")
 
 
+@pytest.mark.parametrize("ring", [R.ZT, R.F2], ids=lambda r: r.tag)
+def test_kron_mixed_product_law(ring):
+    # (A (x) B)(C (x) D) = AC (x) BD
+    rng = random.Random(1212)
+    for _ in range(20):
+        m, k, n = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        p, q, r = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        A, C = _random_sparse(rng, ring, m, k), _random_sparse(rng, ring, k, n)
+        B, D = _random_sparse(rng, ring, p, q), _random_sparse(rng, ring, q, r)
+        # entries 1 and -1 take the copy and negation paths
+        B.data[0][0], D.data[0][0] = R.one(ring), -R.one(ring)
+        left = L.kron(A, B) * L.kron(C, D)
+        assert (left.rows, left.cols) == (m * p, n * r)
+        assert left == L.kron(A * C, B * D)
+
+
+def test_kron_entries_and_empty_shapes():
+    ring = R.ZT
+    t = R.var(ring, "T")
+    A = L.Matrix(ring, [[t, R.zero(ring)], [R.one(ring), -t]])
+    B = L.Matrix(ring, [[R.one(ring), t]])
+    K = L.kron(A, B)
+    assert [[K[i, j] for j in range(4)] for i in range(2)] == [
+        [t, t * t, R.zero(ring), R.zero(ring)],
+        [R.one(ring), t, -t, -(t * t)]]
+    E = L.kron(A, L.Matrix.zeros(ring, 0, 3))
+    assert (E.rows, E.cols) == (0, 6)
+    with pytest.raises(R.RingMismatchError):
+        L.kron(A, L.Matrix.identity(R.F2T, 1))
+
+
+def test_assemble_places_blocks():
+    ring = R.ZT
+    t = R.var(ring, "T")
+    I2 = L.Matrix.identity(ring, 2)
+    M = L.assemble(ring, 3, 4, [(0, 1, I2), (2, 0, L.Matrix(ring, [[t]]))])
+    z, o = R.zero(ring), R.one(ring)
+    assert M == L.Matrix(ring, [[z, o, z, z], [z, z, o, z], [t, z, z, z]])
+    with pytest.raises(L.LinalgError):
+        L.assemble(ring, 2, 2, [(1, 1, I2)])
+    with pytest.raises(R.RingMismatchError):
+        L.assemble(ring, 2, 2, [(0, 0, L.Matrix.identity(R.F2T, 2))])
+
+
 # ---------------------------------------------------------------------------
 # powers of v
 

@@ -187,6 +187,29 @@ def test_parse_rejects_garbage():
             R.parse(R.universal(3), bad)
 
 
+def test_parse_rejects_fractional_exponents_zero_denominators_deep_nesting():
+    for ring, bad in ((R.ZT, "T^{1/2}"), (R.poly_x(R.ZT), "x^{1/2}"),
+                      (R.F4, "x^{1/2}"), (R.universal(3), "U^{1/0}"),
+                      (R.Q, "1/0")):
+        with pytest.raises(R.ParseError):
+            R.parse(ring, bad)
+    with pytest.raises(R.ParseError, match="nested too deeply"):
+        R.parse(R.ZT, "(" * 3000 + "T" + ")" * 3000)
+    assert R.parse(R.ZT, "(" * 50 + "T" + ")" * 50) == R.var(R.ZT, "T")
+    # integral fractions are plain integers
+    assert R.parse(R.ZT, "T^{4/2}") == R.var(R.ZT, "T", 2)
+    assert R.parse(R.poly_x(R.ZT), "x^{2/1}").to_str() == "x^2"
+
+
+def test_laurent_poly_exponents_are_integers():
+    assert R.LaurentPoly(R.ZT, {(0, 0, (Fraction(4, 2),)): 1}) \
+        == R.var(R.ZT, "T", 2)
+    with pytest.raises(R.RingError):
+        R.LaurentPoly(R.ZT, {(0, 0, (Fraction(1, 2),)): 1})
+    with pytest.raises(R.RingError):
+        R.LaurentPoly(R.poly_x(R.ZT), {(Fraction(1, 3), 0, (0,)): 1})
+
+
 def test_poly_x_refused_over_f4():
     with pytest.raises(R.RingError):
         R.poly_x(R.F4T)

@@ -1,5 +1,5 @@
 """Runtime checks in ``src/scx`` are real exceptions, so that ``python -O``
-cannot remove them."""
+cannot remove them, and none of them is an ``AssertionError``."""
 
 import ast
 import pathlib
@@ -34,6 +34,20 @@ def test_only_the_listed_asserts_remain():
     found = [a for path in sorted(SRC.glob("*.py")) for a in _asserts(path)]
     assert sorted(set(found)) == sorted(ALLOWED_ASSERTS)
     assert len(found) == len(ALLOWED_ASSERTS)
+
+
+def test_no_explicit_assertion_errors():
+    # a failed internal check is a refusal the command line reports, not
+    # an AssertionError that escapes it as a traceback
+    raised = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call):
+                exc = exc.func
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                raised.append((path.name, node.lineno))
+    assert raised == []
 
 
 def test_closed_form_mismatch_is_refused():
