@@ -24,6 +24,14 @@ from .rings import ParseError, RingError
 from .scomplex import SchemaError, SComplexError
 
 
+# batch files may run batch files, up to this many levels deep
+BATCH_NESTING_LIMIT = 8
+# gamma --k/--min/--max and jideals --min/--max lie within +-RANGE_LIMIT
+RANGE_LIMIT = 100
+# model-check --truncation (and SCX_TRUNCATION) is at most this deep
+TRUNCATION_LIMIT = 100
+
+
 class UsageError(Exception):
     pass
 
@@ -119,7 +127,8 @@ def _build_parser():
     p = add("model-check", help="verify the small/large model equivalence")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--truncation", type=int,
-                   help="x-degree depth (default: $SCX_TRUNCATION, else 5)")
+                   help="x-degree depth (default: $SCX_TRUNCATION, else 5;"
+                   f" at most {TRUNCATION_LIMIT})")
 
     p = add("batch", help="run commands from a file, one per line")
     p.add_argument("--file", required=True)
@@ -316,7 +325,15 @@ def _cmd_euler(args, out, err):
     return 0
 
 
+def _check_limit(flag, value):
+    if value is not None and not -RANGE_LIMIT <= value <= RANGE_LIMIT:
+        raise UsageError(f"{flag} {value} is outside the range limit "
+                         f"-{RANGE_LIMIT}..{RANGE_LIMIT}")
+
+
 def _check_range(lo, hi):
+    _check_limit("--min", lo)
+    _check_limit("--max", hi)
     if lo is not None and hi is not None and lo > hi:
         raise UsageError(f"reversed range: --min {lo} is above --max {hi}")
 
@@ -339,8 +356,9 @@ def _cmd_jideals(args, out, err):
 
 
 def _cmd_gamma(args, out, err):
-    C = _load_complex(args.infile)
     ks = list(args.k)
+    for k in ks:
+        _check_limit("--k", k)
     if args.min is not None or args.max is not None:
         lo = args.min if args.min is not None else 0
         hi = args.max if args.max is not None else lo
@@ -348,6 +366,7 @@ def _cmd_gamma(args, out, err):
         ks.extend(range(lo, hi + 1))
     if not ks:
         raise UsageError("gamma needs --k or --min/--max")
+    C = _load_complex(args.infile)
     vals = {}
     for k in sorted(set(ks)):
         g = equivariant.gamma(C, k)
@@ -413,6 +432,9 @@ def _cmd_model_check(args, out, err):
             depth = int(env)
         except ValueError:
             raise UsageError(f"SCX_TRUNCATION must be an integer, not {env!r}")
+    if depth > TRUNCATION_LIMIT:
+        raise UsageError(f"truncation {depth} is above the limit "
+                         f"{TRUNCATION_LIMIT}")
     C = _load_complex(args.infile)
     rep = equivariant.verify_model_equivalence(C, depth)
     payload = {"ok": rep.ok, "truncation": depth, "failures": rep.failures}
@@ -420,10 +442,6 @@ def _cmd_model_check(args, out, err):
     lines += [f"failure\t{f}" for f in rep.failures]
     _emit(payload, args.json, lines, out)
     return 0 if rep.ok else 2
-
-
-# batch files may run batch files, up to this many levels deep
-BATCH_NESTING_LIMIT = 8
 
 
 def _cmd_batch(args, out, err):

@@ -93,13 +93,11 @@ def small_triangle_matrices(C, depth):
     ring, n = C.ring, C.n
     hat_dim, chk_dim, bar_dim = n + depth + 1, n + depth, 2 * depth + 1
     one = Matrix.identity(ring, 1)
-    vp = v_powers(C, depth)
-    d1v = [C.delta1 * P for P in vp[:depth]]
-    vd2 = [P * C.delta2 for P in vp]
+    vp, d1v, vd2 = _triangle_powers(C, depth)
+    d_hat, x_hat = _hat_maps(C, depth, vd2)
     # row or column depth + i of the bar basis holds x^i
     return {
-        "d_hat": assemble(ring, hat_dim, hat_dim, [(0, 0, C.d)] + [
-            (0, n + i, -P) for i, P in enumerate(vd2)]),
+        "d_hat": d_hat,
         "d_check": assemble(ring, chk_dim, chk_dim, [(0, 0, C.d)] + [
             (n + j, 0, P) for j, P in enumerate(d1v)]),
         "i": assemble(ring, bar_dim, hat_dim, [
@@ -110,10 +108,27 @@ def small_triangle_matrices(C, depth):
         "p": assemble(ring, chk_dim, bar_dim, [
             (0, depth + i, P) for i, P in enumerate(vd2)] + [
             (n + j, depth - j - 1, one) for j in range(depth)]),
-        "x_hat": assemble(ring, hat_dim, hat_dim, [
-            (0, 0, C.v), (n, 0, C.delta1),
-            (n + 1, n, Matrix.identity(ring, depth))]),
+        "x_hat": x_hat,
     }
+
+
+def _triangle_powers(C, depth):
+    """v^i for i <= depth, delta1 v^i for i < depth, v^i delta2 for
+    i <= depth."""
+    vp = v_powers(C, depth)
+    return vp, [C.delta1 * P for P in vp[:depth]], [P * C.delta2 for P in vp]
+
+
+def _hat_maps(C, depth, vd2):
+    """d_hat and x_hat of :func:`small_triangle_matrices`, from the list
+    ``vd2`` of v^i delta2."""
+    ring, n = C.ring, C.n
+    size = n + depth + 1
+    return (assemble(ring, size, size, [(0, 0, C.d)] + [
+                (0, n + i, -P) for i, P in enumerate(vd2)]),
+            assemble(ring, size, size, [
+                (0, 0, C.v), (n, 0, C.delta1),
+                (n + 1, n, Matrix.identity(ring, depth))]))
 
 
 def _sum_of_products(pairs):
@@ -126,8 +141,7 @@ def _bad_columns(lhs, rhs):
     """The column indices where two matrices of one shape differ."""
     if lhs == rhs:
         return set()
-    return {j for r1, r2 in zip(lhs.data, rhs.data)
-            for j, (a, b) in enumerate(zip(r1, r2)) if a != b}
+    return {j for _i, j, _e in (lhs - rhs).nonzero_entries()}
 
 
 def verify_model_equivalence(C, depth):
@@ -149,14 +163,11 @@ def verify_model_equivalence(C, depth):
     one = Matrix.identity(ring, 1)
     size, small = 2 * n + 1, n + depth + 1
     # no x-degree below exceeds depth, so v^depth is the highest power used
-    vp = v_powers(C, depth)
-    d1v = [C.delta1 * P for P in vp[:depth]]
-    vd2 = [P * C.delta2 for P in vp[:depth]]
+    vp, d1v, vd2 = _triangle_powers(C, depth)
     minus_dt, chi = -C.dtilde()[1], C.chi_matrix()
-    small_mats = small_triangle_matrices(C, depth)
     # x_small sends x^depth to 0, a degree no image of phis[k], k < depth,
     # reaches
-    d_small, x_small = small_mats["d_hat"], small_mats["x_hat"]
+    d_small, x_small = _hat_maps(C, depth, vd2)
     # Phi_k: beta x^k |-> (v^k beta, sum_j delta1 v^j beta x^(k-j-1)),
     # e0 x^k |-> x^k, alpha |-> 0
     phis = [assemble(ring, small, size,
@@ -538,8 +549,7 @@ class ModulePresentation:
         return {
             "ring": rings.ring_to_dict(self.ring),
             "generators": list(self.generators),
-            "relations": [[e.to_str() for e in row]
-                          for row in self.relations.data],
+            "relations": scomplex.matrix_strings(self.relations),
         }
 
 
@@ -559,8 +569,8 @@ def hat_presentation(C):
     lift_assign = scomplex.standard_assignment(C.ring, rx)
 
     def lift(M):
-        return M.map_entries(lambda p: rings.base_change(p, lift_assign, rx)
-                             if p else rings.zero(rx), rx)
+        return M.map_entries(lambda p: rings.base_change(p, lift_assign, rx),
+                             rx)
 
     n = C.n
     x_minus_v = Matrix.identity(rx, n) * rings.var(rx, "x") - lift(C.v)

@@ -596,8 +596,7 @@ class KnotInvariantReport:
 
 
 def _map_summary(M, label):
-    cells = [(i, j, e.to_str()) for i in range(M.rows)
-             for j in range(M.cols) if (e := M[i, j])]
+    cells = [(i, j, e.to_str()) for i, j, e in M.nonzero_entries()]
     return {"label": label, "nonzero": len(cells), "entries": cells}
 
 

@@ -1,11 +1,11 @@
 """Exact matrix algebra over the supported rings.
 
-Dense matrices of :class:`~scx.rings.LaurentPoly` entries, Smith normal
-form with transform certificates over the Euclidean rings (Z, the
-constant fields, and one-variable Laurent rings over a field), kernels,
-exact linear solving, homology of composable pairs, and fraction-field
-rank/kernels over any of the integral domains.
-"""
+Matrices of :class:`~scx.rings.LaurentPoly` entries stored as row dicts
+of their nonzero entries (the algorithms here never visit a zero), Smith
+normal form with transform certificates over the Euclidean rings (Z,
+the constant fields, and one-variable Laurent rings over a field),
+kernels, exact linear solving, homology of composable pairs, and
+fraction-field rank/kernels over any of the integral domains."""
 
 from __future__ import annotations
 
@@ -21,104 +21,135 @@ class LinalgError(Exception):
     pass
 
 
-class Matrix:
-    """Immutable-by-convention dense matrix over a single ring."""
+def _nonzero(ring, e):
+    """Whether e is nonzero, once it is checked to be an entry of ring."""
+    # equal rings need not be one object: identity is only the fast path
+    if not isinstance(e, LaurentPoly) or (e.ring is not ring
+                                          and e.ring != ring):
+        raise RingMismatchError("entry from a different ring")
+    return bool(e)
 
-    __slots__ = ("ring", "rows", "cols", "data")
+
+def _add_into(row, src, q=None):
+    """row += q * src (row += src without q) on row dicts, in place, with
+    cancelled sums dropped; only the entries of src are visited."""
+    for j, e in src.items():
+        e = e if q is None else q * e
+        a = row.get(j)
+        e = e if a is None else a + e
+        if e:
+            row[j] = e
+        else:
+            row.pop(j, None)
+
+
+class Matrix:
+    """Immutable-by-convention matrix over a single ring, row i stored as
+    the dict {column: nonzero entry}: no zero is ever stored, and a row
+    dict is never changed once a matrix holds it, so matrices may share
+    rows.  ``Matrix(ring, rows)`` takes dense rows and drops their zeros.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "_dicts", "_dense")
 
     def __init__(self, ring, data, cols=None):
-        self.ring = ring
-        self.data = [list(row) for row in data]
-        self.rows = len(self.data)
-        if self.data:
-            self.cols = len(self.data[0])
-        else:
-            self.cols = 0 if cols is None else cols
-        for row in self.data:
-            if len(row) != self.cols:
-                raise LinalgError("ragged matrix rows")
-            for e in row:
-                # equal rings need not be one object, so identity is only
-                # the fast path before the dataclass comparison
-                if not isinstance(e, LaurentPoly) or (
-                        e.ring is not ring and e.ring != ring):
-                    raise RingMismatchError("entry from a different ring")
+        data = [list(row) for row in data]
+        cols = len(data[0]) if data else cols or 0
+        if any(len(row) != cols for row in data):
+            raise LinalgError("ragged matrix rows")
+        self.ring, self.rows, self.cols = ring, len(data), cols
+        self._dense = None
+        self._dicts = [{j: e for j, e in enumerate(row) if _nonzero(ring, e)}
+                       for row in data]
 
     @classmethod
-    def _trusted(cls, ring, data, cols):
-        """Wrap the list of row lists ``data`` without copying or checking
-        it: for results built from checked matrices over ``ring``."""
+    def _trusted(cls, ring, dicts, cols):
+        """Wrap the row dicts ``dicts`` without copying or checking them:
+        for results built from checked matrices over ``ring``."""
         M = object.__new__(cls)
-        M.ring, M.data, M.rows, M.cols = ring, data, len(data), cols
+        M.ring, M._dicts, M.rows, M.cols = ring, dicts, len(dicts), cols
+        M._dense = None
         return M
 
     @classmethod
     def zeros(cls, ring, rows, cols):
-        z = zero(ring)
-        return cls(ring, [[z] * cols for _ in range(rows)], cols=cols)
+        return cls._trusted(ring, [{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, ring, n):
-        z, o = zero(ring), one(ring)
-        return cls(ring, [[o if i == j else z for j in range(n)]
-                          for i in range(n)])
+        return cls._trusted(ring, [{i: one(ring)} for i in range(n)], n)
+
+    @property
+    def data(self):
+        """A read-only dense view (row tuples) for readers outside scx,
+        built on first access; scx itself walks ``nonzero_entries``."""
+        if self._dense is None:
+            z = zero(self.ring)
+            self._dense = tuple(tuple(row.get(j, z) for j in range(self.cols))
+                                for row in self._dicts)
+        return self._dense
+
+    def nonzero_entries(self):
+        """The nonzero entries as (row, col, entry), in row-major order."""
+        return ((i, j, row[j]) for i, row in enumerate(self._dicts)
+                for j in sorted(row))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        e = self._dicts[i].get(range(self.cols)[j])
+        return zero(self.ring) if e is None else e
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
-                and self.data == other.data)
+                and (self.rows, self.cols) == (other.rows, other.cols)
+                and self._dicts == other._dicts)
 
     def is_zero(self):
-        return all(e.is_zero() for row in self.data for e in row)
+        return not any(self._dicts)
 
     def transpose(self):
-        return Matrix._trusted(self.ring, [[row[j] for row in self.data]
-                                           for j in range(self.cols)],
-                               self.rows)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._dicts):
+            for j, e in row.items():
+                out[j][i] = e
+        return Matrix._trusted(self.ring, out, self.rows)
 
     def __add__(self, other):
         self._compat(other, same_shape=True)
-        # a + 0 is a: zero entries of other cost no ring addition
-        return Matrix._trusted(self.ring,
-                               [[a + b if b else a for a, b in zip(r1, r2)]
-                                for r1, r2 in zip(self.data, other.data)],
-                               self.cols)
+        out = [dict(row) for row in self._dicts]
+        for row, src in zip(out, other._dicts):
+            _add_into(row, src)
+        return Matrix._trusted(self.ring, out, self.cols)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        # zero entries are kept as they are rather than negated into copies
-        return Matrix._trusted(self.ring, [[-e if e else e for e in row]
-                                           for row in self.data], self.cols)
+        return Matrix._trusted(self.ring, [{j: -e for j, e in row.items()}
+                                           for row in self._dicts], self.cols)
 
     def __mul__(self, other):
         if isinstance(other, LaurentPoly):
-            # the entry products check that other lies in the ring
-            return Matrix._trusted(self.ring,
-                                   [[e * other for e in row]
-                                    for row in self.data], self.cols)
+            if other.ring != self.ring:
+                raise RingMismatchError(f"{self.ring} vs {other.ring}")
+            return Matrix._trusted(
+                self.ring, [{j: p for j, e in row.items() if (p := e * other)}
+                            for row in self._dicts], self.cols)
         self._compat(other)
         if self.cols != other.rows:
             raise LinalgError(
                 f"shape mismatch {self.rows}x{self.cols} * "
                 f"{other.rows}x{other.cols}")
-        # Index each row of the right factor by its nonzero entries once;
-        # every output entry then receives its terms in ascending k.
-        z = zero(self.ring)
-        nonzero_rows = [[(j, b) for j, b in enumerate(row) if b]
-                        for row in other.data]
+        # only stored entries meet; sums that cancel are dropped per row
+        right = other._dicts
         out = []
-        for arow in self.data:
-            row = [z] * other.cols
-            for a, brow in zip(arow, nonzero_rows):
-                if a:
-                    for j, b in brow:
-                        row[j] = row[j] + a * b
-            out.append(row)
+        for arow in self._dicts:
+            row = {}
+            for k, a in arow.items():
+                for j, b in right[k].items():
+                    s = row.get(j)
+                    row[j] = a * b if s is None else s + a * b
+            out.append({j: e for j, e in row.items() if e})
         return Matrix._trusted(self.ring, out, other.cols)
 
     def _compat(self, other, same_shape=False):
@@ -133,31 +164,40 @@ class Matrix:
         self._compat(other)
         if self.rows != other.rows:
             raise LinalgError("row count mismatch")
-        return Matrix(self.ring,
-                      [r1 + r2 for r1, r2 in zip(self.data, other.data)],
-                      cols=self.cols + other.cols)
+        c = self.cols
+        return Matrix._trusted(self.ring, [
+            {**r1, **{c + j: e for j, e in r2.items()}}
+            for r1, r2 in zip(self._dicts, other._dicts)], c + other.cols)
 
     def vstack(self, other):
         self._compat(other)
         if self.cols != other.cols:
             raise LinalgError("column count mismatch")
-        return Matrix(self.ring, self.data + other.data, cols=self.cols)
+        return Matrix._trusted(self.ring, self._dicts + other._dicts,
+                               self.cols)
 
     def columns_selected(self, js):
-        return Matrix(self.ring,
-                      [[self.data[i][j] for j in js] for i in range(self.rows)],
-                      cols=len(js))
+        js = [range(self.cols)[j] for j in js]
+        return Matrix._trusted(self.ring, [
+            {k: row[j] for k, j in enumerate(js) if j in row}
+            for row in self._dicts], len(js))
 
     def rows_selected(self, idxs):
-        return Matrix(self.ring, [self.data[i] for i in idxs], cols=self.cols)
+        return Matrix._trusted(self.ring, [self._dicts[i] for i in idxs],
+                               self.cols)
 
     def map_entries(self, f, target_ring=None):
+        """Apply f to every stored entry.  Zero entries are not stored, so
+        f must send 0 to 0: every caller passes a ring homomorphism such
+        as :func:`~scx.rings.base_change`."""
         ring = target_ring if target_ring is not None else self.ring
-        return Matrix(ring, [[f(e) for e in row] for row in self.data],
-                      cols=self.cols)
+        return Matrix._trusted(ring, [
+            {j: y for j, e in row.items() if _nonzero(ring, y := f(e))}
+            for row in self._dicts], self.cols)
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(e) for e in row) for row in self.data)
+        body = "; ".join(", ".join(str(self[i, j]) for j in range(self.cols))
+                         for i in range(self.rows))
         return f"<Matrix {self.rows}x{self.cols} over {self.ring.tag}: {body}>"
 
 
@@ -165,16 +205,19 @@ def assemble(ring, rows, cols, pieces):
     """The rows x cols matrix over ``ring`` that is zero but for the
     (row, col, block) pieces, each block placed with its top left entry
     at (row, col); a later piece overwrites an earlier one."""
-    data = [[zero(ring)] * cols for _ in range(rows)]
+    dicts = [{} for _ in range(rows)]
     for r, c, M in pieces:
         if M.ring != ring:
             raise RingMismatchError(f"block over {M.ring}, not {ring}")
         if r < 0 or c < 0 or r + M.rows > rows or c + M.cols > cols:
             raise LinalgError(f"{M.rows}x{M.cols} block at ({r}, {c}) "
                               f"leaves a {rows}x{cols} matrix")
-        for i, row in enumerate(M.data):
-            data[r + i][c:c + M.cols] = row
-    return Matrix._trusted(ring, data, cols)
+        for i, row in enumerate(M._dicts):
+            dst = dicts[r + i]
+            for j in [j for j in dst if c <= j < c + M.cols]:
+                del dst[j]
+            dst.update({c + j: e for j, e in row.items()})
+    return Matrix._trusted(ring, dicts, cols)
 
 
 def kron(A, B):
@@ -182,25 +225,22 @@ def kron(A, B):
     A[i, j] * B[k, l].  Only pairs of nonzero entries are multiplied, and
     a factor 1 or -1 is applied as a copy or a negation."""
     A._compat(B)
-    o = one(A.ring)
-    mo = -o
+    o, mo = one(A.ring), -one(A.ring)
 
     def nonzero(M):
         # (row, col, entry, sign): sign is 1 or -1 when the entry is
         # that unit, else 0
         return [(i, j, e, 1 if e == o else -1 if e == mo else 0)
-                for i, row in enumerate(M.data) for j, e in enumerate(row)
-                if e]
+                for i, j, e in M.nonzero_entries()]
 
-    z = zero(A.ring)
-    data = [[z] * (A.cols * B.cols) for _ in range(A.rows * B.rows)]
+    dicts = [{} for _ in range(A.rows * B.rows)]
     nonzero_b = nonzero(B)
     for i, j, a, sa in nonzero(A):
         for k, l, b, sb in nonzero_b:
             p = (a if sb > 0 else -a) if sb else (
                 (b if sa > 0 else -b) if sa else a * b)
-            data[i * B.rows + k][j * B.cols + l] = p
-    return Matrix._trusted(A.ring, data, A.cols * B.cols)
+            dicts[i * B.rows + k][j * B.cols + l] = p
+    return Matrix._trusted(A.ring, dicts, A.cols * B.cols)
 
 
 @dataclass
@@ -224,120 +264,89 @@ class HomologySummary:
     torsion: list
 
 
-def _require_euclidean(ring):
-    if not is_euclidean(ring):
-        raise LinalgError(
-            f"{ring} is not Euclidean; Smith reduction is refused there")
-
-
 def smith_normal_form(M):
     """Diagonalize M by invertible row/column operations.
 
     Returns a :class:`SmithResult` whose diagonal entries are canonical
     associates forming a divisibility chain, zeros last.
     """
-    _require_euclidean(M.ring)
     ring = M.ring
+    if not is_euclidean(ring):
+        raise LinalgError(
+            f"{ring} is not Euclidean; Smith reduction is refused there")
     m, n = M.rows, M.cols
-    A = [row[:] for row in M.data]
-    U = [row[:] for row in Matrix.identity(ring, m).data]
-    V = [row[:] for row in Matrix.identity(ring, n).data]
+    A = [dict(row) for row in M._dicts]
+    U = [{i: one(ring)} for i in range(m)]
+    V = [{i: one(ring)} for i in range(n)]
 
-    # x - q*0 == x, so the updates skip the zero entries of row or column t
     def row_axpy(i, q, t):
-        # row_i -= q*row_t
-        for j in range(n):
-            if A[t][j]:
-                A[i][j] = A[i][j] - q * A[t][j]
-        for j in range(m):
-            if U[t][j]:
-                U[i][j] = U[i][j] - q * U[t][j]
+        # row_i += q*row_t
+        _add_into(A[i], A[t], q)
+        _add_into(U[i], U[t], q)
 
     def col_axpy(j, q, t):
-        for i in range(m):
-            if A[i][t]:
-                A[i][j] = A[i][j] - A[i][t] * q
-        for i in range(n):
-            if V[i][t]:
-                V[i][j] = V[i][j] - V[i][t] * q
-
-    def row_swap(i, t):
-        A[i], A[t] = A[t], A[i]
-        U[i], U[t] = U[t], U[i]
+        # col_j += q*col_t
+        for r in A + V:
+            if t in r:
+                _add_into(r, {j: r[t]}, q)
 
     def col_swap(j, t):
-        for r in A:
-            r[j], r[t] = r[t], r[j]
-        for r in V:
-            r[j], r[t] = r[t], r[j]
+        for r in A + V:
+            if j in r or t in r:
+                a, b = r.pop(j, None), r.pop(t, None)
+                r.update((k, e) for k, e in ((t, a), (j, b)) if e is not None)
 
     t = 0
     while t < min(m, n):
-        # locate a pivot of minimal Euclidean norm
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j]:
-                    nm = enorm(A[i][j])
-                    if best is None or nm < best[0]:
-                        best = (nm, i, j)
+        # a pivot of minimal Euclidean norm, the first in (row, col) order
+        best = min(((enorm(e), i, j) for i in range(t, m)
+                    for j, e in A[i].items() if j >= t), default=None)
         if best is None:
             break
         _, bi, bj = best
-        if bi != t:
-            row_swap(bi, t)
+        A[bi], A[t], U[bi], U[t] = A[t], A[bi], U[t], U[bi]
         if bj != t:
             col_swap(bj, t)
         while True:
-            restart = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q, r = divmod_euclid(A[i][t], A[t][t])
-                    row_axpy(i, q, t)
-                    if r:
-                        row_swap(i, t)
-                        restart = True
-                        break
-            if restart:
+            # clear column t below the pivot, then row t beyond it, in
+            # ascending order; a nonzero remainder is swapped in as the
+            # smaller pivot and the sweep starts over
+            i = next((i for i in range(t + 1, m) if t in A[i]), None)
+            if i is not None:
+                q, r = divmod_euclid(A[i][t], A[t][t])
+                row_axpy(i, -q, t)
+                if r:
+                    A[i], A[t], U[i], U[t] = A[t], A[i], U[t], U[i]
                 continue
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q, r = divmod_euclid(A[t][j], A[t][t])
-                    col_axpy(j, q, t)
-                    if r:
-                        col_swap(j, t)
-                        restart = True
-                        break
-            if restart:
+            j = min((j for j in A[t] if j > t), default=None)
+            if j is not None:
+                q, r = divmod_euclid(A[t][j], A[t][t])
+                col_axpy(j, -q, t)
+                if r:
+                    col_swap(j, t)
                 continue
-            # pivot must divide the remaining submatrix for the chain
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] and divide(A[i][j], A[t][t]) is None:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # pivot must divide the remaining submatrix for the chain; a
+            # unit divides everything
+            p = A[t][t]
+            offender = None if p.is_unit() else next(
+                (i for i in range(t + 1, m) if any(
+                    j > t and divide(e, p) is None
+                    for j, e in A[i].items())), None)
             if offender is None:
                 break
-            for j in range(n):
-                A[t][j] = A[t][j] + A[offender][j]
-            for j in range(m):
-                U[t][j] = U[t][j] + U[offender][j]
+            row_axpy(t, None, offender)  # row_t += row_offender
         t += 1
 
     for k in range(min(m, n)):
-        if A[k][k]:
+        if k in A[k]:
             u = normalizing_unit(A[k][k])
             if not u.is_one():
-                for j in range(n):
-                    A[k][j] = u * A[k][j]
-                for j in range(m):
-                    U[k][j] = u * U[k][j]
+                A[k], U[k] = ({j: u * e for j, e in X.items()}
+                              for X in (A[k], U[k]))
 
-    return SmithResult(Matrix(ring, A, cols=n), Matrix(ring, U, cols=m),
-                       Matrix(ring, V, cols=n))
+    return SmithResult(Matrix._trusted(ring, A, n),
+                       Matrix._trusted(ring, U, m),
+                       Matrix._trusted(ring, V, n))
 
 
 def kernel_basis(M):
@@ -361,23 +370,15 @@ def solve(M, b):
 def solve_matrix(M, B):
     """Solve M X = B column-wise; None when any column is unsolvable."""
     snf = smith_normal_form(M)
-    C = snf.U * B
-    ring = M.ring
-    cols = []
-    for j in range(B.cols):
-        y = [zero(ring)] * M.cols
-        for i in range(M.rows):
-            if i < min(M.rows, M.cols) and snf.D[i, i]:
-                q = divide(C[i, j], snf.D[i, i])
-                if q is None:
-                    return None
-                y[i] = q
-            elif C[i, j]:
-                return None
-        cols.append(y)
-    X = Matrix(ring, [[cols[j][i] for j in range(B.cols)]
-                      for i in range(M.cols)])
-    return snf.V * X
+    diag = snf.diagonal()
+    # D Y = U B entry by entry, then X = V Y
+    Y = [{} for _ in range(M.cols)]
+    for i, j, c in (snf.U * B).nonzero_entries():
+        q = divide(c, diag[i]) if i < len(diag) and diag[i] else None
+        if q is None:
+            return None
+        Y[i][j] = q
+    return snf.V * Matrix._trusted(M.ring, Y, B.cols)
 
 
 def homology(d_in, d_out):
@@ -413,7 +414,7 @@ def det(M):
     ring = M.ring
     if n == 0:
         return one(ring)
-    A = [row[:] for row in M.data]
+    A = [[M[i, j] for j in range(n)] for i in range(n)]
     sign = 1
     prev = one(ring)
     for k in range(n - 1):
@@ -437,31 +438,28 @@ def det(M):
 
 
 def _eliminate(M):
-    """Division-free Gauss-Jordan elimination; returns the reduced rows and
-    the (row, col) pivots.  Each column pivots on its candidate with the
-    fewest terms, and every other row becomes p*row - q*pivot_row, walking
-    only the pivot row's nonzero entries and leaving zeros unmultiplied."""
-    A = [row[:] for row in M.data]
-    m = M.rows
+    """Division-free Gauss-Jordan elimination; returns the reduced row
+    dicts and the (row, col) pivots.  Each column pivots on its candidate
+    with the fewest terms, and every other row becomes p*row - q*pivot_row,
+    walking only the nonzero entries of both."""
+    A, m = list(M._dicts), M.rows
     pivots = []
     for c in range(M.cols):
         r = len(pivots)
         if r == m:
             break
-        cands = [i for i in range(r, m) if A[i][c]]
+        cands = [i for i in range(r, m) if c in A[i]]
         if not cands:
             continue
         best = min(cands, key=lambda i: len(A[i][c].terms_dict()))
         A[r], A[best] = A[best], A[r]
         p = A[r][c]
-        support = [(j, e) for j, e in enumerate(A[r]) if e]
         for i in range(m):
-            q = A[i][c]
-            if i == r or not q:
+            q = A[i].get(c)
+            if i == r or q is None:
                 continue
-            row = [p * e if e else e for e in A[i]]
-            for j, e in support:
-                row[j] = row[j] - q * e
+            row = {j: p * e for j, e in A[i].items()}
+            _add_into(row, A[r], -q)
             A[i] = row
         pivots.append((r, c))
     return A, pivots
@@ -488,10 +486,10 @@ def kernel_fraction_field(M):
         head.append(head[-1] * d)
         tail.insert(0, e * tail[0])
     others = [h * t for h, t in zip(head, tail[1:])]
-    rows = [[zero(ring)] * len(free) for _ in range(M.cols)]
+    dicts = [{} for _ in range(M.cols)]
     for j, f in enumerate(free):
-        rows[f][j] = head[-1]
+        dicts[f][j] = head[-1]
         for (i, c), other in zip(pivots, others):
-            if A[i][f]:
-                rows[c][j] = -(A[i][f] * other)
-    return Matrix(ring, rows, cols=len(free))
+            if f in A[i]:
+                dicts[c][j] = -(A[i][f] * other)
+    return Matrix._trusted(ring, dicts, len(free))

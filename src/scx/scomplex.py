@@ -137,33 +137,28 @@ class SComplex:
 
 
 def _entry_gradings_ok(report, label, M, src_grs, dst_grs, drop):
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if M[i, j] and (src_grs[j] - drop) % 4 != dst_grs[i] % 4:
-                report.add(f"{label}[{i},{j}] nonzero but grading "
-                           f"{src_grs[j]} -/-> {dst_grs[i]} (drop {drop})")
+    for i, j, _e in M.nonzero_entries():
+        if (src_grs[j] - drop) % 4 != dst_grs[i] % 4:
+            report.add(f"{label}[{i},{j}] nonzero but grading "
+                       f"{src_grs[j]} -/-> {dst_grs[i]} (drop {drop})")
 
 
 def _entry_levels_ok(report, label, M, src_deg, dst_deg, strict):
     # Chern-Simons filtration check, path-normalized: an entry monomial
     # U^u from level a to level b has integer defect n = u - (a - b) and
     # its image sits at level n + b, which must not exceed a.
-    for i in range(M.rows):
-        for j in range(M.cols):
-            e = M[i, j]
-            if not e:
+    for i, j, e in M.nonzero_entries():
+        a, b = src_deg[j], dst_deg[i]
+        for (x, u, ts), _c in e.sorted_terms():
+            defect = u - (a - b)
+            if defect.denominator != 1:
+                report.add(f"{label}[{i},{j}]: U^{u} incompatible with "
+                           f"levels {a} -> {b}")
                 continue
-            a, b = src_deg[j], dst_deg[i]
-            for (x, u, ts), _c in e.sorted_terms():
-                defect = u - (a - b)
-                if defect.denominator != 1:
-                    report.add(f"{label}[{i},{j}]: U^{u} incompatible with "
-                               f"levels {a} -> {b}")
-                    continue
-                level = defect + b
-                if level > a or (strict and level == a):
-                    report.add(f"{label}[{i},{j}]: monomial U^{u} lands at "
-                               f"level {level}, not below {a}")
+            level = defect + b
+            if level > a or (strict and level == a):
+                report.add(f"{label}[{i},{j}]: monomial U^{u} lands at "
+                           f"level {level}, not below {a}")
 
 
 def validate(C):
@@ -184,11 +179,11 @@ def validate(C):
 
     _entry_gradings_ok(report, "d", C.d, grs, grs, 1)
     _entry_gradings_ok(report, "v", C.v, grs, grs, 2)
-    for j in range(C.n):
-        if C.delta1[0, j] and grs[j] % 4 != 1:
+    for _i, j, _e in C.delta1.nonzero_entries():
+        if grs[j] % 4 != 1:
             report.add(f"delta1[{j}] nonzero on grading {grs[j]} generator")
-    for i in range(C.n):
-        if C.delta2[i, 0] and grs[i] % 4 != 2:
+    for i, _j, _e in C.delta2.nonzero_entries():
+        if grs[i] % 4 != 2:
             report.add(f"delta2[{i}] lands in grading {grs[i]}, not 2")
 
     if C.is_I_graded():
@@ -491,16 +486,25 @@ def _frac_parse(s, path):
         raise SchemaError(f"{path}: bad rational {s!r}")
 
 
+def matrix_strings(M):
+    """The rows of M as lists of polynomial strings, "0" where no entry
+    is stored: the wire format of a matrix."""
+    out = [["0"] * M.cols for _ in range(M.rows)]
+    for i, j, e in M.nonzero_entries():
+        out[i][j] = e.to_str()
+    return out
+
+
 def to_dict(C):
     return {
         "ring": rings.ring_to_dict(C.ring),
         "generators": [{"name": g.name, "gr_mod4": g.gr_mod4,
                         "deg_I": _frac_str(g.deg_I), "hol": _frac_str(g.hol)}
                        for g in C.gens],
-        "d": [[e.to_str() for e in row] for row in C.d.data],
-        "v": [[e.to_str() for e in row] for row in C.v.data],
-        "delta1": [e.to_str() for e in C.delta1.data[0]] if C.n else [],
-        "delta2": [row[0].to_str() for row in C.delta2.data],
+        "d": matrix_strings(C.d),
+        "v": matrix_strings(C.v),
+        "delta1": matrix_strings(C.delta1)[0] if C.n else [],
+        "delta2": [row[0] for row in matrix_strings(C.delta2)],
         "v_trusted": C.v_trusted,
     }
 
@@ -543,6 +547,13 @@ def from_dict(doc):
                               _frac_parse(g.get("deg_I"), path + ".deg_I"),
                               _frac_parse(g.get("hol"), path + ".hol")))
     n = len(gens)
+    z = rings.zero(ring)
+
+    def entry(s, key, *idx):
+        # "0", most entries of the sparse maps, is read without a parse
+        if s == "0":
+            return z
+        return _parse_entry(ring, s, key + "".join(f"[{k}]" for k in idx))
 
     def matrix_of(key, rows, cols):
         raw = doc.get(key)
@@ -552,8 +563,7 @@ def from_dict(doc):
         for i, row in enumerate(raw):
             if not isinstance(row, list) or len(row) != cols:
                 raise SchemaError(f"{key}[{i}]: expected {cols} entries")
-            data.append([_parse_entry(ring, e, f"{key}[{i}][{j}]")
-                         for j, e in enumerate(row)])
+            data.append([entry(e, key, i, j) for j, e in enumerate(row)])
         return Matrix(ring, data, cols=cols)
 
     d = matrix_of("d", n, n)
@@ -561,13 +571,13 @@ def from_dict(doc):
     raw_d1 = doc.get("delta1")
     if not isinstance(raw_d1, list) or len(raw_d1) != n:
         raise SchemaError(f"delta1: expected {n} entries")
-    delta1 = Matrix(ring, [[_parse_entry(ring, e, f"delta1[{j}]")
+    delta1 = Matrix(ring, [[entry(e, "delta1", j)
                             for j, e in enumerate(raw_d1)]], cols=n) \
         if n else Matrix.zeros(ring, 1, 0)
     raw_d2 = doc.get("delta2")
     if not isinstance(raw_d2, list) or len(raw_d2) != n:
         raise SchemaError(f"delta2: expected {n} entries")
-    delta2 = Matrix(ring, [[_parse_entry(ring, e, f"delta2[{i}]")]
+    delta2 = Matrix(ring, [[entry(e, "delta2", i)]
                            for i, e in enumerate(raw_d2)], cols=1) \
         if n else Matrix.zeros(ring, 0, 1)
     v_trusted = doc.get("v_trusted", True)

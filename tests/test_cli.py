@@ -120,6 +120,50 @@ def test_reversed_ranges_are_usage_errors(tmp_path):
     assert code == 0 and out == "gamma(1)\t1/3\n"
 
 
+def test_ranges_beyond_the_limit_are_usage_errors(tmp_path):
+    path = tmp_path / "t.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
+    lim = cli.RANGE_LIMIT
+    limit = f"is outside the range limit -{lim}..{lim}\n"
+    for verb, flag, extra in (("gamma", "--k", []), ("gamma", "--min", []),
+                              ("gamma", "--max", []),
+                              ("jideals", "--min", ["--specialize", "U=1"]),
+                              ("jideals", "--max", ["--specialize", "U=1"])):
+        for value in (-lim - 1, lim + 1, -100000):
+            code, out, err = run([verb, "--in", str(path), flag, str(value)]
+                                 + extra)
+            assert code == 1 and out == ""
+            assert err == f"usage error: {flag} {value} " + limit
+    # refused before the input is read
+    code, _, err = run(["gamma", "--in", str(tmp_path / "missing.json"),
+                        "--k", "-100000"])
+    assert code == 1 and err == "usage error: --k -100000 " + limit
+    # the limits themselves are accepted
+    code, out, _ = run(["gamma", "--in", str(path), "--k", str(-lim),
+                        "--k", str(lim)])
+    assert code == 0 and out == f"gamma({-lim})\t0\ngamma({lim})\tinfinity\n"
+    code, out, _ = run(["jideals", "--in", str(path), "--specialize", "U=1",
+                        "--min", str(lim), "--max", str(lim)])
+    assert code == 0 and out == f"J[{lim}]\t0\n"
+
+
+def test_truncation_beyond_the_limit_is_a_usage_error(tmp_path, monkeypatch):
+    path = tmp_path / "t.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
+    deep = str(cli.TRUNCATION_LIMIT + 1)
+    expected = (f"usage error: truncation {deep} is above the limit "
+                f"{cli.TRUNCATION_LIMIT}\n")
+    code, out, err = run(["model-check", "--in", str(path),
+                          "--truncation", deep])
+    assert (code, out, err) == (1, "", expected)
+    monkeypatch.setenv("SCX_TRUNCATION", deep)
+    code, out, err = run(["model-check", "--in", str(path)])
+    assert (code, out, err) == (1, "", expected)
+    # an explicit --truncation within the limit wins over the variable
+    code, out, _ = run(["model-check", "--in", str(path), "--truncation", "2"])
+    assert code == 0 and "truncation\t2" in out
+
+
 def test_module_entry_point_runs_without_warnings():
     src = os.path.dirname(os.path.dirname(os.path.abspath(scx.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

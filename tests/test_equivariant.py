@@ -87,9 +87,10 @@ def _trefoil_pair_zt():
 def _bumped(C, name, i, j):
     """C with 1 added to entry (i, j) of the map ``name``."""
     maps = {key: getattr(C, key) for key in ("d", "v", "delta1", "delta2")}
-    rows = [row[:] for row in maps[name].data]
+    M = maps[name]
+    rows = [[M[r, c] for c in range(M.cols)] for r in range(M.rows)]
     rows[i][j] = rows[i][j] + R.one(C.ring)
-    maps[name] = L.Matrix(C.ring, rows, cols=maps[name].cols)
+    maps[name] = L.Matrix(C.ring, rows, cols=M.cols)
     return S.SComplex(C.ring, C.gens, maps["d"], maps["v"], maps["delta1"],
                       maps["delta2"], C.v_trusted)
 
@@ -142,13 +143,23 @@ def test_model_equivalence_works_one_degree_at_a_time(monkeypatch):
     t = trefoil("f2t")
     C = S.tensor(t, S.tensor(t, t))
     largest = {}
-    init = L.Matrix.__init__
+    init, trusted = L.Matrix.__init__, L.Matrix._trusted.__func__
+
+    def record(M):
+        largest[depth] = max(largest.get(depth, 0), M.rows * M.cols)
 
     def recording_init(self, ring, data, cols=None):
         init(self, ring, data, cols)
-        largest[depth] = max(largest.get(depth, 0), self.rows * self.cols)
+        record(self)
 
+    def recording_trusted(cls, ring, dicts, cols):
+        M = trusted(cls, ring, dicts, cols)
+        record(M)
+        return M
+
+    # results of matrix operations are wrapped by _trusted, not __init__
     monkeypatch.setattr(L.Matrix, "__init__", recording_init)
+    monkeypatch.setattr(L.Matrix, "_trusted", classmethod(recording_trusted))
     for depth in (2, 8):
         assert E.verify_model_equivalence(C, depth).ok
     assert largest[8] <= 3 * largest[2], largest

@@ -206,6 +206,13 @@ def _random_sparse(rng, ring, m, n):
                             for _ in range(n)] for _ in range(m)], cols=n)
 
 
+def _replaced(M, f):
+    """M with each entry e at (i, j) replaced by f(i, j, e), built through
+    the constructor."""
+    return L.Matrix(M.ring, [[f(i, j, M[i, j]) for j in range(M.cols)]
+                             for i in range(M.rows)], cols=M.cols)
+
+
 def _same_entries(M, N):
     return ((M.rows, M.cols) == (N.rows, N.cols)
             and [[e.to_str() for e in row] for row in M.data]
@@ -221,10 +228,10 @@ def test_product_matches_naive_reference(ring):
         A = _random_sparse(rng, ring, m, k)
         B = _random_sparse(rng, ring, k, n)
         # a zero row of A and a zero column of B
-        A.data[rng.randrange(m)] = [R.zero(ring)] * k
+        zr = rng.randrange(m)
+        A = _replaced(A, lambda i, j, e: R.zero(ring) if i == zr else e)
         zc = rng.randrange(n)
-        for row in B.data:
-            row[zc] = R.zero(ring)
+        B = _replaced(B, lambda i, j, e: R.zero(ring) if j == zc else e)
         P, N = A * B, _naive_product(A, B)
         assert P == N and _same_entries(P, N)
         assert all(P[i, zc].is_zero() for i in range(m))
@@ -281,7 +288,8 @@ def test_kron_mixed_product_law(ring):
         A, C = _random_sparse(rng, ring, m, k), _random_sparse(rng, ring, k, n)
         B, D = _random_sparse(rng, ring, p, q), _random_sparse(rng, ring, q, r)
         # entries 1 and -1 take the copy and negation paths
-        B.data[0][0], D.data[0][0] = R.one(ring), -R.one(ring)
+        B = _replaced(B, lambda i, j, e: R.one(ring) if i == j == 0 else e)
+        D = _replaced(D, lambda i, j, e: -R.one(ring) if i == j == 0 else e)
         left = L.kron(A, B) * L.kron(C, D)
         assert (left.rows, left.cols) == (m * p, n * r)
         assert left == L.kron(A * C, B * D)
@@ -367,3 +375,94 @@ def test_nilpotency_index_unchanged():
                    L.Matrix.zeros(ring, 1, 2), L.Matrix.zeros(ring, 2, 1))
     assert E.nilpotency_index(C) is None
     assert _naive_nilpotency_index(C) is None
+
+
+# ---------------------------------------------------------------------------
+# sparse storage: no zero is ever stored
+
+
+def _stores_no_zero(M):
+    stored = list(M.nonzero_entries())
+    return (all(e for _i, _j, e in stored)
+            and [(i, j) for i, j, _e in stored]
+            == [(i, j) for i in range(M.rows) for j in range(M.cols)
+                if M[i, j]])
+
+
+@pytest.mark.parametrize("ring", [R.Z, R.ZT, R.F2T, R.universal(3)],
+                         ids=lambda r: r.tag)
+def test_cancellation_stores_no_zero(ring):
+    rng = random.Random(1313)
+    for _ in range(20):
+        m, k, n = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        A = _random_sparse(rng, ring, m, k)
+        B = _random_sparse(rng, ring, k, n)
+        Z = A + (-A)
+        assert Z.is_zero() and list(Z.nonzero_entries()) == []
+        assert (A - A).is_zero() and Z == L.Matrix.zeros(ring, m, k)
+        # [A | -A] [B; B] cancels entry by entry
+        P = A.hstack(-A) * B.vstack(B)
+        assert P.is_zero() and P == L.Matrix.zeros(ring, m, n)
+        for M in (A * B, A + A, L.kron(A, B), A.transpose(),
+                  A * R.zero(ring), L.assemble(ring, m + k, k + n, [
+                      (0, 0, A), (m, k, B), (0, k, L.Matrix.zeros(ring, m, n))
+                  ])):
+            assert _stores_no_zero(M)
+
+
+def test_smith_form_stores_no_zero():
+    rng = random.Random(1414)
+    for ring in (R.Z, R.Q, R.F2T, R.QT):
+        for _ in range(15):
+            M = _random_sparse(rng, ring, rng.randint(1, 5), rng.randint(1, 5))
+            s = L.smith_normal_form(M)
+            assert s.U * M * s.V == s.D
+            for X in (s.D, s.U, s.V, L.kernel_basis(M),
+                      L.kernel_fraction_field(M)):
+                assert _stores_no_zero(X)
+
+
+def test_base_change_that_kills_entries_stores_no_zero():
+    two = R.from_int(R.Z, 2)
+    M = L.Matrix(R.Z, [[two, R.one(R.Z)], [two, two]])
+    N = M.map_entries(lambda p: R.base_change(p, {}, R.F2), R.F2)
+    assert _stores_no_zero(N)
+    assert list(N.nonzero_entries()) == [(0, 1, R.one(R.F2))]
+    assert N == L.Matrix(R.F2, [[R.zero(R.F2), R.one(R.F2)],
+                                [R.zero(R.F2), R.zero(R.F2)]])
+    assert (M * two).map_entries(lambda p: R.base_change(p, {}, R.F2),
+                                 R.F2).is_zero()
+
+
+def test_explicit_zeros_give_the_same_matrix():
+    ring = R.ZT
+    t, z = R.var(ring, "T"), R.zero(ring)
+    M = L.Matrix(ring, [[t, z, z], [z, z, -t]])
+    assert M == L.assemble(ring, 2, 3, [(0, 0, L.Matrix(ring, [[t]])),
+                                        (1, 2, L.Matrix(ring, [[-t]]))])
+    assert M == L.Matrix.zeros(ring, 2, 3) + M
+    assert M != L.Matrix.zeros(ring, 2, 3)
+    assert list(M.nonzero_entries()) == [(0, 0, t), (1, 2, -t)]
+    assert (M[0, 1], M[1, 2], M[1, -1]) == (z, -t, -t)
+    with pytest.raises(IndexError):
+        M[0, 3]
+    # equal entries stored in another order still compare equal
+    A = L.Matrix(ring, [[t, z, z]])
+    B = L.Matrix(ring, [[z, z, t]])
+    assert A + B == B + A and list((B + A).nonzero_entries()) == [
+        (0, 0, t), (0, 2, t)]
+    # a zero-row or zero-column shape keeps its other dimension
+    assert (L.Matrix(ring, [], cols=4).cols, L.Matrix(ring, []).cols) == (4, 0)
+
+
+def test_dense_view_is_read_only_and_built_once():
+    ring = R.F2T
+    t, z = R.var(ring, "T"), R.zero(ring)
+    M = L.Matrix(ring, [[t, z], [z, R.one(ring)]])
+    view = M.data
+    assert view == ((t, z), (z, R.one(ring)))
+    assert M.data is view
+    with pytest.raises(TypeError):
+        view[0][0] = z
+    with pytest.raises(AttributeError):
+        M.data = ()

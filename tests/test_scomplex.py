@@ -346,3 +346,20 @@ def test_broken_complex_loads_but_fails_validation():
     doc["d"] = [["1"]]
     C = S.from_dict(doc)
     assert not S.validate(C).ok
+
+
+def test_wire_format_round_trips_byte_identically():
+    rng = random.Random(1616)
+    for ring in (R.Z, R.ZT, R.F2T, R.universal(3)):
+        for _ in range(10):
+            A = helpers.random_scomplex(rng, ring, max_gens=6)
+            B = helpers.random_scomplex(rng, ring, max_gens=4)
+            for C in (S.tensor(A, B), S.dual(A), S.dual(A, "negate")):
+                text = json.dumps(S.to_dict(C), indent=2)
+                C2 = S.from_dict(json.loads(text))
+                assert json.dumps(S.to_dict(C2), indent=2) == text
+                assert (C2.d, C2.v, C2.delta1, C2.delta2) == (
+                    C.d, C.v, C.delta1, C.delta2)
+                # the sparse maps print "0" for every entry not stored
+                assert sum(e != "0" for row in S.to_dict(C)["v"]
+                           for e in row) == len(list(C.v.nonzero_entries()))
