@@ -5,11 +5,20 @@ jideals, gamma, euler, sharp, hat-presentation, bn-presentation,
 model-check, batch.  Reports are TSV tables by default and JSON with
 ``--json``.  Exit status 0 on success, 1 on usage or input errors, 2 on
 validation failures and refused computations.
+
+``_build_parser`` declares each verb once, with its handler, and runs
+once per process.  ``_input_complex`` is the one way a verb reads
+``--in``: parse the file, then ``validate`` it for h, jideals, gamma and
+model-check (the paper defines them only for S-complexes), then apply
+``--specialize``/``--ring``.  ``--help`` writes to the output stream and
+exits 0, on a batch line too.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import shlex
@@ -36,101 +45,109 @@ class UsageError(Exception):
     pass
 
 
-class ComputationRefused(Exception):
-    pass
+class _HelpShown(Exception):
+    """argparse printed a help text instead of running a verb."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def exit(self, status=0, message=None):
+        # only --help gets here: error() above takes every failure
+        raise _HelpShown
 
+
+@functools.cache
 def _build_parser():
-    top = _Parser(prog="scx", description=__doc__)
+    # scx --help shows the first two paragraphs of the module docstring
+    top = _Parser(prog="scx",
+                  description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = top.add_subparsers(dest="verb", metavar="VERB")
 
-    def add(name, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, handler, help, infile=False, check=False,
+            specialize=False):
+        """One verb; ``check`` and ``specialize`` steer _input_complex."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--json", action="store_true",
                        help="emit JSON instead of a TSV table")
+        p.set_defaults(handler=handler, check_input=check)
+        if infile:
+            p.add_argument("--in", dest="infile", required=True)
+        if specialize:
+            p.add_argument("--specialize", action="append", default=[],
+                           metavar="VAR=VALUE")
+            p.add_argument("--ring",
+                           help="target ring for the specialization")
         return p
 
-    p = add("two-bridge", help="generate a two-bridge knot complex")
+    p = add("two-bridge", _cmd_two_bridge,
+            "generate a two-bridge knot complex")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--ring", default="universal")
     p.add_argument("--out", help="write the complex JSON to this file")
 
-    p = add("lens", help="Sasahira lens-space homology ranks")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
+    for name, handler, help in (
+            ("lens", _cmd_lens, "Sasahira lens-space homology ranks"),
+            ("torus", _cmd_torus,
+             "torus knot signature, Alexander data, vanishing")):
+        p = add(name, handler, help)
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--q", type=int, required=True)
 
-    p = add("torus", help="torus knot signature, Alexander data, vanishing")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-
-    p = add("fixture", help="emit a named fixture complex")
+    p = add("fixture", _cmd_fixture, "emit a named fixture complex")
     p.add_argument("--name", required=True,
                    choices=["trivial", "trefoil", "t34", "t35"])
     p.add_argument("--out")
 
-    p = add("validate", help="validate a complex file")
-    p.add_argument("--in", dest="infile", required=True)
+    add("validate", _cmd_validate, "validate a complex file", infile=True)
 
-    p = add("tensor", help="tensor product of two complexes")
+    p = add("tensor", _cmd_tensor, "tensor product of two complexes")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--out")
 
-    p = add("dual", help="dual complex")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("dual", _cmd_dual, "dual complex", infile=True)
     p.add_argument("--out")
     p.add_argument("--grading", default="reverse",
                    choices=["reverse", "negate"])
 
-    for name, extra in (("h", ()), ("euler", ()),
-                        ("jideals", ("--min", "--max"))):
-        p = add(name, help=f"compute {name} of a complex")
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--specialize", action="append", default=[],
-                       metavar="VAR=VALUE")
-        p.add_argument("--ring", help="target ring for the specialization")
-        for flag in extra:
-            p.add_argument(flag, type=int, dest=flag.lstrip("-"))
+    add("h", _cmd_h, "compute h of a complex", infile=True, check=True,
+        specialize=True)
+    add("euler", _cmd_euler, "compute euler of a complex", infile=True,
+        specialize=True)
+    p = add("jideals", _cmd_jideals, "compute jideals of a complex",
+            infile=True, check=True, specialize=True)
+    p.add_argument("--min", type=int)
+    p.add_argument("--max", type=int)
 
-    p = add("gamma", help="Gamma function values")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("gamma", _cmd_gamma, "Gamma function values", infile=True,
+            check=True)
     p.add_argument("--k", type=int, action="append", default=[])
-    p.add_argument("--min", type=int, dest="min")
-    p.add_argument("--max", type=int, dest="max")
+    p.add_argument("--min", type=int)
+    p.add_argument("--max", type=int)
 
-    p = add("sharp", help="unreduced mapping-cone model ranks")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("sharp", _cmd_sharp, "unreduced mapping-cone model ranks",
+            infile=True, specialize=True)
     p.add_argument("--twisted", action="store_true")
-    p.add_argument("--specialize", action="append", default=[],
-                   metavar="VAR=VALUE")
-    p.add_argument("--ring")
 
-    p = add("hat-presentation", help="module presentation of the hat theory")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--specialize", action="append", default=[],
-                   metavar="VAR=VALUE")
-    p.add_argument("--ring")
-
-    p = add("bn-presentation", help="theta-web base-changed presentation")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--specialize", action="append", default=[],
-                   metavar="VAR=VALUE")
-    p.add_argument("--ring")
+    add("hat-presentation", _cmd_presentation,
+        "module presentation of the hat theory", infile=True,
+        specialize=True)
+    p = add("bn-presentation", _cmd_presentation,
+            "theta-web base-changed presentation", infile=True,
+            specialize=True)
     p.add_argument("--target", default="bn", choices=["bn", "sharp"])
 
-    p = add("model-check", help="verify the small/large model equivalence")
-    p.add_argument("--in", dest="infile", required=True)
+    p = add("model-check", _cmd_model_check,
+            "verify the small/large model equivalence", infile=True,
+            check=True)
     p.add_argument("--truncation", type=int,
                    help="x-degree depth (default: $SCX_TRUNCATION, else 5;"
                    f" at most {TRUNCATION_LIMIT})")
 
-    p = add("batch", help="run commands from a file, one per line")
+    p = add("batch", _cmd_batch, "run commands from a file, one per line")
     p.add_argument("--file", required=True)
     return top
 
@@ -145,7 +162,8 @@ def _load_complex(path):
             doc = json.load(fh)
     except OSError as e:
         raise UsageError(f"cannot read {path}: {e}")
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
+        # a decode error, bytes that are not UTF-8, or nesting too deep
         raise UsageError(f"{path} is not JSON: {e}")
     return scomplex.from_dict(doc)
 
@@ -180,14 +198,30 @@ def _infer_target(src, mapping):
     return rings.laurent_T(src.base)
 
 
-def _apply_specialization(C, spec_args, ring_name):
+def _input_complex(args):
+    """The complex of ``--in``, the one way a verb reads it: parsed, then
+    refused unless it passes ``validate`` when the verb checks its input,
+    then specialized by ``--specialize``/``--ring`` when given."""
+    C = _load_complex(args.infile)
+    if args.check_input:
+        report = scomplex.validate(C)
+        if not report.ok:
+            raise SComplexError("not an S-complex: "
+                                + "; ".join(report.failures))
+    spec_args = getattr(args, "specialize", None)
+    ring_name = getattr(args, "ring", None)
     if not spec_args and not ring_name:
         return C
+    names = C.ring.variables()
     mapping = {}
     for item in spec_args:
         var, eq, val = item.partition("=")
         if not eq or not var:
             raise UsageError(f"bad --specialize argument {item!r}")
+        if var not in names:
+            raise UsageError(
+                f"--specialize {item}: ring {C.ring.tag} has no variable "
+                f"{var!r} (its variables: {', '.join(names) or 'none'})")
         mapping[var] = val
     if ring_name:
         try:
@@ -284,8 +318,7 @@ def _cmd_fixture(args, out, err):
 
 
 def _cmd_validate(args, out, err):
-    C = _load_complex(args.infile)
-    rep = scomplex.validate(C)
+    rep = scomplex.validate(_input_complex(args))
     payload = {"ok": rep.ok, "failures": rep.failures}
     lines = [f"ok\t{str(rep.ok).lower()}"]
     lines += [f"failure\t{f}" for f in rep.failures]
@@ -294,33 +327,25 @@ def _cmd_validate(args, out, err):
 
 
 def _cmd_tensor(args, out, err):
-    A = _load_complex(args.a)
-    B = _load_complex(args.b)
-    C = scomplex.tensor(A, B)
-    doc = scomplex.to_dict(C)
-    text = json.dumps(doc, indent=2)
-    _write_or_print(args.out, text, out)
+    C = scomplex.tensor(_load_complex(args.a), _load_complex(args.b))
+    _write_or_print(args.out, json.dumps(scomplex.to_dict(C), indent=2), out)
     return 0
 
 
 def _cmd_dual(args, out, err):
-    C = scomplex.dual(_load_complex(args.infile), grading=args.grading)
+    C = scomplex.dual(_input_complex(args), grading=args.grading)
     _write_or_print(args.out, json.dumps(scomplex.to_dict(C), indent=2), out)
     return 0
 
 
 def _cmd_h(args, out, err):
-    C = _apply_specialization(_load_complex(args.infile), args.specialize,
-                              args.ring)
-    h = equivariant.h_invariant(C)
+    h = equivariant.h_invariant(_input_complex(args))
     _emit({"h": h}, args.json, [str(h)], out)
     return 0
 
 
 def _cmd_euler(args, out, err):
-    C = _apply_specialization(_load_complex(args.infile), args.specialize,
-                              args.ring)
-    chi = scomplex.euler_characteristic(C)
+    chi = scomplex.euler_characteristic(_input_complex(args))
     _emit({"euler_characteristic": chi}, args.json, [str(chi)], out)
     return 0
 
@@ -340,9 +365,7 @@ def _check_range(lo, hi):
 
 def _cmd_jideals(args, out, err):
     _check_range(args.min, args.max)
-    C = _apply_specialization(_load_complex(args.infile), args.specialize,
-                              args.ring)
-    ideals = equivariant.j_ideals(C, args.min, args.max)
+    ideals = equivariant.j_ideals(_input_complex(args), args.min, args.max)
     payload = {"J": {str(i): [g.to_str() for g in gens]
                      for i, gens in sorted(ideals.items())}}
     lines = []
@@ -366,7 +389,7 @@ def _cmd_gamma(args, out, err):
         ks.extend(range(lo, hi + 1))
     if not ks:
         raise UsageError("gamma needs --k or --min/--max")
-    C = _load_complex(args.infile)
+    C = _input_complex(args)
     vals = {}
     for k in sorted(set(ks)):
         g = equivariant.gamma(C, k)
@@ -378,8 +401,7 @@ def _cmd_gamma(args, out, err):
 
 
 def _cmd_sharp(args, out, err):
-    C = _apply_specialization(_load_complex(args.infile), args.specialize,
-                              args.ring)
+    C = _input_complex(args)
     cone = scomplex.sharp_complex(C, twisted=args.twisted)
     payload = {"generators": len(cone.gens), "twisted": args.twisted}
     lines = [f"generators\t{len(cone.gens)}"]
@@ -398,30 +420,18 @@ def _cmd_sharp(args, out, err):
     return 0
 
 
-def _emit_presentation(pres, as_json, out):
+def _cmd_presentation(args, out, err):
+    pres = equivariant.hat_presentation(_input_complex(args))
+    if args.verb == "bn-presentation":
+        pres = equivariant.bn_presentation(pres, target=args.target)
     lines = ["generators\t" + ", ".join(pres.generators)]
     for j in range(pres.relations.cols):
         rel = "; ".join(
             f"{pres.generators[i]}: {pres.relations[i, j].to_str()}"
             for i in range(pres.relations.rows) if pres.relations[i, j])
         lines.append(f"relation[{j}]\t{rel}")
-    _emit(pres.to_dict(), as_json, lines, out)
+    _emit(pres.to_dict(), args.json, lines, out)
     return 0
-
-
-def _cmd_hat_presentation(args, out, err):
-    C = _apply_specialization(_load_complex(args.infile), args.specialize,
-                              args.ring)
-    pres = equivariant.hat_presentation(C)
-    return _emit_presentation(pres, args.json, out)
-
-
-def _cmd_bn_presentation(args, out, err):
-    C = _apply_specialization(_load_complex(args.infile), args.specialize,
-                              args.ring)
-    pres = equivariant.bn_presentation(equivariant.hat_presentation(C),
-                                       target=args.target)
-    return _emit_presentation(pres, args.json, out)
 
 
 def _cmd_model_check(args, out, err):
@@ -435,8 +445,7 @@ def _cmd_model_check(args, out, err):
     if depth > TRUNCATION_LIMIT:
         raise UsageError(f"truncation {depth} is above the limit "
                          f"{TRUNCATION_LIMIT}")
-    C = _load_complex(args.infile)
-    rep = equivariant.verify_model_equivalence(C, depth)
+    rep = equivariant.verify_model_equivalence(_input_complex(args), depth)
     payload = {"ok": rep.ok, "truncation": depth, "failures": rep.failures}
     lines = [f"ok\t{str(rep.ok).lower()}", f"truncation\t{depth}"]
     lines += [f"failure\t{f}" for f in rep.failures]
@@ -451,28 +460,21 @@ def _cmd_batch(args, out, err):
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as e:
+    except (OSError, ValueError) as e:
         raise UsageError(f"cannot read {args.file}: {e}")
     worst = 0
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        try:
+            argv = shlex.split(line)
+        except ValueError as e:
+            raise UsageError(f"{args.file}: {e} in {line!r}")
         out.write(f"### {line}\n")
-        code = run(shlex.split(line), out, err, args.batch_depth + 1)
+        code = run(argv, out, err, args.batch_depth + 1)
         worst = max(worst, code)
     return worst
-
-
-_HANDLERS = {
-    "two-bridge": _cmd_two_bridge, "lens": _cmd_lens, "torus": _cmd_torus,
-    "fixture": _cmd_fixture, "validate": _cmd_validate,
-    "tensor": _cmd_tensor, "dual": _cmd_dual, "h": _cmd_h,
-    "euler": _cmd_euler, "jideals": _cmd_jideals, "gamma": _cmd_gamma,
-    "sharp": _cmd_sharp, "hat-presentation": _cmd_hat_presentation,
-    "bn-presentation": _cmd_bn_presentation, "model-check": _cmd_model_check,
-    "batch": _cmd_batch,
-}
 
 
 def run(argv, out=None, err=None, batch_depth=0):
@@ -480,13 +482,15 @@ def run(argv, out=None, err=None, batch_depth=0):
     counts the batch files whose lines led to this call."""
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = _build_parser().parse_args(argv)
         if not args.verb:
             raise UsageError("a verb is required (try --help)")
         args.batch_depth = batch_depth
-        return _HANDLERS[args.verb](args, out, err)
+        return args.handler(args, out, err)
+    except _HelpShown:
+        return 0
     except UsageError as e:
         err.write(f"usage error: {e}\n")
         return 1

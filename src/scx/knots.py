@@ -299,26 +299,33 @@ def two_bridge_complex(p, q, ring="universal"):
     and every K(p, q) is available.
     """
     uring, m, grs, degs, entries, qn = _two_bridge_data(p, q)
-    if ring in (None, "universal") or ring == uring:
-        target, conv, keep_deg, t_killed = uring, (lambda e: e), True, False
+    if isinstance(ring, str):
+        try:
+            target = _RING_NAMES[ring.lower()] or uring
+        except KeyError:
+            raise KnotError(f"unknown ring name {ring!r}")
     else:
-        target, conv, t_killed = _entry_conversion(ring)
-        keep_deg = False
-    gens = [Generator(f"xi{i}", grs[i], degs[i] if keep_deg else None)
-            for i in range(1, m + 1)]
-    z = rings.zero(target)
+        target = ring or uring
+    if target != uring and target.udenom:
+        raise KnotError("generate directly at the desired U-denominator")
+    gens = [Generator(f"xi{i}", grs[i], degs[i]) for i in range(1, m + 1)]
+    z = rings.zero(uring)
     d = [[z] * m for _ in range(m)]
     for (i, j), e in entries.items():
         if i >= 1 and j >= 1:
-            d[j - 1][i - 1] = conv(e)
-    d1 = [[conv(entries.get((i, 0), rings.zero(uring)))
-           for i in range(1, m + 1)]]
-    d2 = [[conv(entries.get((0, j), rings.zero(uring)))]
-          for j in range(1, m + 1)]
-    trusted = True if t_killed else not _room_for_v(m, grs)
-    C = SComplex(target, gens, Matrix(target, d, cols=m),
-                 Matrix.zeros(target, m, m), Matrix(target, d1, cols=m),
-                 Matrix(target, d2, cols=1), v_trusted=trusted)
+            d[j - 1][i - 1] = e
+    d1 = [[entries.get((i, 0), z) for i in range(1, m + 1)]]
+    d2 = [[entries.get((0, j), z)] for j in range(1, m + 1)]
+    # where the specialization sends T to 1 the geometric v map vanishes
+    t_killed = "T" not in target.tvars and target.tag != "F4"
+    C = SComplex(uring, gens, Matrix(uring, d, cols=m),
+                 Matrix.zeros(uring, m, m), Matrix(uring, d1, cols=m),
+                 Matrix(uring, d2, cols=1),
+                 v_trusted=t_killed or not _room_for_v(m, grs))
+    if target != uring:
+        assignment = scomplex.standard_assignment(
+            uring, target, **({"T": "x"} if target.tag == "F4" else {}))
+        C = scomplex.base_change_complex(C, assignment, target, check=False)
     report = scomplex.validate(C)
     # With v stored as zero the only tolerable failure is the v relation,
     # and only when the gradings leave room for true v entries.
@@ -336,36 +343,6 @@ def two_bridge_complex(p, q, ring="universal"):
             f"delta2*delta1 != 0 for K({p},{q}) but the gradings leave no "
             "room for any v map")
     return C
-
-
-def _entry_conversion(ring):
-    """Target ring, entry map from the universal data, and whether the
-    specialization kills T (forcing the geometric v map to vanish)."""
-    if isinstance(ring, str):
-        try:
-            target = _RING_NAMES[ring.lower()]
-        except KeyError:
-            raise KnotError(f"unknown ring name {ring!r}")
-        if target is None:
-            raise KnotError("universal handled by the caller")
-    else:
-        target = ring
-    if target.udenom:
-        raise KnotError("generate directly at the desired U-denominator")
-    assign = {"U": rings.one(target)}
-    t_killed = False
-    if "T" in target.tvars:
-        assign["T"] = rings.var(target, "T")
-    elif target.tag == "F4":
-        assign["T"] = rings.var(target, "x")
-    else:
-        assign["T"] = rings.one(target)
-        t_killed = True
-
-    def conv(e):
-        return rings.base_change(e, assign, target)
-
-    return target, conv, t_killed
 
 
 # ---------------------------------------------------------------------------

@@ -971,11 +971,18 @@ def ring_to_dict(ring):
 
 
 def ring_from_dict(d):
+    """The ring a JSON descriptor names; RingError on a malformed one."""
+    if not isinstance(d, dict):
+        raise RingError(f"expected an object, not {type(d).__name__}")
     tag = d.get("tag")
     if tag == "POLY_X":
-        return poly_x(ring_from_dict(d["inner"]))
+        return poly_x(ring_from_dict(d.get("inner")))
     if tag == "UNIV":
-        return universal(int(d["denom"]))
-    if tag in _SIMPLE_TAGS:
+        denom = d.get("denom")
+        if type(denom) is not int:
+            raise RingError("UNIV denom must be an integer, not "
+                            f"{type(denom).__name__}")
+        return universal(denom)
+    if isinstance(tag, str) and tag in _SIMPLE_TAGS:
         return _SIMPLE_TAGS[tag]
     raise RingError(f"unknown ring tag {tag!r}")

@@ -482,7 +482,7 @@ def _frac_parse(s, path):
         return None
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
         raise SchemaError(f"{path}: bad rational {s!r}")
 
 
@@ -538,10 +538,12 @@ def from_dict(doc):
         path = f"generators[{k}]"
         if not isinstance(g, dict) or "name" not in g or "gr_mod4" not in g:
             raise SchemaError(f"{path}: need name and gr_mod4")
+        if not isinstance(g["name"], str):
+            raise SchemaError(f"{path}.name: expected a string")
         if g["name"] in seen:
             raise SchemaError(f"{path}: duplicate name {g['name']!r}")
         seen.add(g["name"])
-        if not isinstance(g["gr_mod4"], int):
+        if type(g["gr_mod4"]) is not int:
             raise SchemaError(f"{path}.gr_mod4: expected an integer")
         gens.append(Generator(g["name"], g["gr_mod4"],
                               _frac_parse(g.get("deg_I"), path + ".deg_I"),

@@ -1,5 +1,6 @@
 """Command-line behavior: verbs, exit codes, files, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -341,3 +342,226 @@ def test_fixture_verb(tmp_path):
     doc = json.loads(path.read_text())
     assert len(doc["generators"]) == 4
     assert doc["delta1"] == ["1", "-1", "0", "0"]
+
+
+# ---------------------------------------------------------------------------
+# the one front door: parser, input path, refusals
+
+
+def _trefoil(tmp_path, **changes):
+    path = tmp_path / "trefoil.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["h", "--specialize", "U=1", "--ring", "f2t"],
+    ["jideals", "--ring", "f2t"],
+    ["gamma", "--k", "1"],
+    ["model-check"]])
+def test_invariant_verbs_refuse_an_invalid_complex(tmp_path, argv):
+    # d*d = 1 != 0: validate rejects the file, so no invariant is defined
+    path = _trefoil(tmp_path, d=[["1"]], delta1=["0"])
+    code, out, err = run(argv + ["--in", path])
+    assert code == 2 and out == ""
+    assert err.startswith("refused: not an S-complex: d*d != 0")
+    assert err.count("\n") == 1
+
+
+def test_only_the_invariant_verbs_validate_first(tmp_path):
+    # K(13,5) over F2[T^+-1] stores v = 0, which fails the v relation;
+    # euler, dual and sharp still read it, h refuses it by that relation
+    path = str(tmp_path / "k13.json")
+    code, _, _ = run(["two-bridge", "--p", "13", "--q", "5", "--ring", "f2t",
+                      "--out", path])
+    assert code == 0
+    assert run(["validate", "--in", path])[0] == 2
+    assert run(["euler", "--in", path])[:2] == (0, "0\n")
+    assert run(["dual", "--in", path])[0] == 0
+    assert run(["sharp", "--in", path]) == (
+        2, "", "refused: cone differential does not square to zero\n")
+    code, out, err = run(["h", "--in", path])
+    assert (code, out) == (2, "")
+    assert err == "refused: not an S-complex: d*v - v*d - delta2*delta1 != 0\n"
+
+
+def _generator(**changes):
+    return [dict({"name": "xi1", "gr_mod4": 1, "deg_I": "1/3",
+                  "hol": None}, **changes)]
+
+
+@pytest.mark.parametrize("changes, prefix", [
+    ({"ring": "Z"}, "ring: "),
+    ({"ring": {"tag": "UNIV", "denom": "x"}}, "ring: "),
+    ({"ring": {"tag": "UNIV", "denom": 1.5}}, "ring: "),
+    ({"ring": {"tag": "POLY_X", "inner": "Z"}}, "ring: "),
+    ({"ring": {"tag": ["Z"]}}, "ring: "),
+    ({"generators": _generator(name=["a"])}, "generators[0].name: "),
+    ({"generators": _generator(gr_mod4=True)}, "generators[0].gr_mod4: "),
+    ({"generators": _generator(deg_I=["1/3"])}, "generators[0].deg_I: "),
+    ({"generators": _generator(deg_I=float("inf"))},
+     "generators[0].deg_I: ")])
+def test_hostile_documents_are_input_errors(tmp_path, changes, prefix):
+    path = _trefoil(tmp_path, **changes)
+    code, out, err = run(["validate", "--in", path])
+    assert (code, out) == (1, "")
+    assert err.startswith("input error: " + prefix)
+    assert err.count("\n") == 1
+
+
+def test_unreadable_files_are_usage_errors(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for path in (binary, deep):
+        code, out, err = run(["validate", "--in", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage error: {path} is not JSON: ")
+    script = tmp_path / "cmds.txt"
+    script.write_text("lens --p 9 --q 2\nh --in 'unclosed\n")
+    code, out, err = run(["batch", "--file", str(script)])
+    assert code == 1 and "total\t0" in out
+    assert err.startswith(f"usage error: {script}: No closing quotation")
+
+
+def test_specializing_a_missing_variable_is_a_usage_error(tmp_path):
+    path = _trefoil(tmp_path)
+    code, out, err = run(["h", "--in", path, "--specialize", "U=1",
+                          "--specialize", "t=1"])
+    assert (code, out) == (1, "")
+    assert err == ("usage error: --specialize t=1: ring UNIV has no "
+                   "variable 't' (its variables: U, T)\n")
+    code, out, _ = run(["h", "--in", path, "--specialize", "U=1",
+                        "--specialize", "T=1"])
+    assert (code, out) == (0, "0\n")
+
+
+def test_help_goes_to_out_and_a_batch_goes_on(tmp_path, capsys):
+    code, out, err = run(["--help"])
+    assert code == 0 and err == "" and out.startswith("usage: scx ")
+    code, out, err = run(["h", "--help"])
+    assert code == 0 and err == "" and out.startswith("usage: scx h ")
+    script = tmp_path / "cmds.txt"
+    script.write_text("lens --p 9 --q 2\nh --help\nlens --p 3 --q 1\n")
+    code, out, err = run(["batch", "--file", str(script)])
+    assert code == 0 and err == ""
+    assert "usage: scx h " in out
+    assert "lens\tL(9,2)" in out and "lens\tL(3,1)" in out
+    assert capsys.readouterr() == ("", "")
+
+
+def test_scx_help_is_printed_on_stdout():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scx.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scx.cli", "--help"], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+        timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # the description is the first two paragraphs of the cli docstring
+    assert proc.stdout.startswith(
+        "usage: scx [-h] VERB ...\n\n"
+        "Command-line front end. Verbs: two-bridge, lens, torus, fixture,"
+        " validate,\ntensor, dual, h, jideals, gamma, euler, sharp,"
+        " hat-presentation, bn-\npresentation, model-check, batch. Reports"
+        " are TSV tables by default and JSON\nwith ``--json``. Exit status 0"
+        " on success, 1 on usage or input errors, 2 on\nvalidation failures"
+        " and refused computations.\n\n")
+
+
+def test_the_parser_is_built_once(tmp_path):
+    path = _trefoil(tmp_path)
+    script = tmp_path / "cmds.txt"
+    script.write_text("lens --p 9 --q 2\ntorus --p 3 --q 5\n"
+                      f"h --in {shlex.quote(path)} --specialize U=1\n")
+    cli._build_parser.cache_clear()
+    for argv in (["lens", "--p", "9", "--q", "2"], ["h", "--in", path],
+                 ["batch", "--file", str(script)], ["gamma", "--in", path,
+                                                    "--k", "1"]):
+        assert run(argv)[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def test_values_do_not_leak_between_calls(tmp_path):
+    path = _trefoil(tmp_path)
+    calls = [["gamma", "--in", path, "--k", "1", "--k", "2"],
+             ["gamma", "--in", path, "--k", "0"],
+             ["h", "--in", path, "--specialize", "U=1", "--specialize",
+              "T=1", "--ring", "q"],
+             ["h", "--in", path, "--specialize", "U=1"],
+             ["h", "--in", path, "--specialize", "U=1", "--ring", "f2t"],
+             ["jideals", "--in", path, "--specialize", "U=1", "--min", "0"],
+             ["jideals", "--in", path, "--specialize", "U=1"]]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [run(argv) for argv in calls] == fresh
+    assert fresh[1] == (0, "gamma(0)\t0\n", "")
+    assert fresh[3] == (0, "1\n", "")
+
+
+_JSON = {"--json": ("json", False, False, None, None, "_StoreTrueAction")}
+_IN = {"--in": ("infile", True, None, None, None, "_StoreAction")}
+_SPECIALIZE = {
+    "--specialize": ("specialize", False, [], None, None, "_AppendAction"),
+    "--ring": ("ring", False, None, None, None, "_StoreAction")}
+_P_Q = {"--p": ("p", True, None, None, "int", "_StoreAction"),
+        "--q": ("q", True, None, None, "int", "_StoreAction")}
+_OUT = {"--out": ("out", False, None, None, None, "_StoreAction")}
+_RANGE = {"--min": ("min", False, None, None, "int", "_StoreAction"),
+          "--max": ("max", False, None, None, "int", "_StoreAction")}
+# option -> (dest, required, default, choices, type, action) of every
+# verb, in the order scx --help lists them, as recorded before each verb
+# was declared in one place
+VERB_OPTIONS = {
+    "two-bridge": {**_JSON, **_P_Q, **_OUT, "--ring": (
+        "ring", False, "universal", None, None, "_StoreAction")},
+    "lens": {**_JSON, **_P_Q},
+    "torus": {**_JSON, **_P_Q},
+    "fixture": {**_JSON, **_OUT, "--name": (
+        "name", True, None, ("trivial", "trefoil", "t34", "t35"), None,
+        "_StoreAction")},
+    "validate": {**_JSON, **_IN},
+    "tensor": {**_JSON, **_OUT,
+               "--a": ("a", True, None, None, None, "_StoreAction"),
+               "--b": ("b", True, None, None, None, "_StoreAction")},
+    "dual": {**_JSON, **_IN, **_OUT, "--grading": (
+        "grading", False, "reverse", ("reverse", "negate"), None,
+        "_StoreAction")},
+    "h": {**_JSON, **_IN, **_SPECIALIZE},
+    "euler": {**_JSON, **_IN, **_SPECIALIZE},
+    "jideals": {**_JSON, **_IN, **_SPECIALIZE, **_RANGE},
+    "gamma": {**_JSON, **_IN, **_RANGE, "--k": (
+        "k", False, [], None, "int", "_AppendAction")},
+    "sharp": {**_JSON, **_IN, **_SPECIALIZE, "--twisted": (
+        "twisted", False, False, None, None, "_StoreTrueAction")},
+    "hat-presentation": {**_JSON, **_IN, **_SPECIALIZE},
+    "bn-presentation": {**_JSON, **_IN, **_SPECIALIZE, "--target": (
+        "target", False, "bn", ("bn", "sharp"), None, "_StoreAction")},
+    "model-check": {**_JSON, **_IN, "--truncation": (
+        "truncation", False, None, None, "int", "_StoreAction")},
+    "batch": {**_JSON,
+              "--file": ("file", True, None, None, None, "_StoreAction")},
+}
+
+
+def test_every_verb_keeps_its_options():
+    top = cli._build_parser()
+    verbs = next(a for a in top._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(verbs) == list(VERB_OPTIONS)
+    for name, parser in verbs.items():
+        options = {}
+        for a in parser._actions:
+            if isinstance(a, argparse._HelpAction):
+                continue
+            assert len(a.option_strings) == 1, (name, a.option_strings)
+            options[a.option_strings[0]] = (
+                a.dest, a.required, a.default,
+                tuple(a.choices) if a.choices else None,
+                a.type.__name__ if a.type else None, type(a).__name__)
+        assert options == VERB_OPTIONS[name], name

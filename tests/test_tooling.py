@@ -59,3 +59,20 @@ def test_traced_product_counter_counts_nonzero_pairs():
     tracer = tracing.Tracer()
     tracing._after_matmul(tracer, (A, R.one(ring)), A * R.one(ring))
     assert tracer.counters == {}
+
+
+def test_complexes_are_read_through_one_input_path():
+    # every verb reading --in goes through _input_complex, which loads,
+    # validates and specializes; tensor alone loads its two operands
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    callers = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            callers += [fn.name for node in ast.walk(fn)
+                        if isinstance(node, ast.Name)
+                        and node.id == "_load_complex"]
+    assert sorted(callers) == ["_cmd_tensor", "_cmd_tensor", "_input_complex"]
+    # and nothing else in the package reaches for it
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "cli.py":
+            assert "_load_complex" not in path.read_text(encoding="utf-8")
