@@ -176,13 +176,6 @@ def _write_or_print(out, text, stream):
         stream.write(text + "\n")
 
 
-_SPECIALIZE_RINGS = {
-    "z": rings.Z, "q": rings.Q, "f2": rings.F2, "f4": rings.F4,
-    "zt": rings.ZT, "qt": rings.QT, "f2t": rings.F2T, "f4t": rings.F4T,
-    "sbn": rings.S_BN,
-}
-
-
 def _infer_target(src, mapping):
     """Guess the specialization target from the value strings: U=1 drops
     U, T=1 drops T, T=x lands in F4."""
@@ -192,10 +185,8 @@ def _infer_target(src, mapping):
         raise UsageError("specializations keeping U need an explicit --ring")
     if t_val == "x":
         return rings.F4
-    if t_val == "1":
-        return {"Z": rings.Z, "Q": rings.Q, "F2": rings.F2,
-                "F4": rings.F4}[src.base]
-    return rings.laurent_T(src.base)
+    # the ring over the same base, with T or without it
+    return rings.RING_NAMES[src.base.lower() + ("" if t_val == "1" else "t")]
 
 
 def _input_complex(args):
@@ -225,7 +216,8 @@ def _input_complex(args):
         mapping[var] = val
     if ring_name:
         try:
-            target = _SPECIALIZE_RINGS[ring_name.lower()]
+            # the specializing verbs also reach the theta-web ring
+            target = rings.named(ring_name, sbn=rings.S_BN)
         except KeyError:
             raise UsageError(f"unknown ring {ring_name!r}")
     else:

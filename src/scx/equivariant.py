@@ -13,6 +13,17 @@ R[x]-submodule when v is nilpotent; its top degree is minus the Froyshov
 invariant h, and its degree-(-i) leading coefficients form the nested
 ideal sequence J_i.  The Gamma function refines h by the minimal
 Chern-Simons level of a witnessing cycle.
+
+At each level k the three invariants read one pair (A_k, T_k), built by
+``_level_system``.  For k >= 1, A_k = [d; delta1; delta1 v; ...;
+delta1 v^(k-2)] (its kernel holds the cycles that delta1 v^i kills for
+i < k - 1) and T_k = delta1 v^(k-1).  For k <= 0, A_k = [d | -delta2 |
+-v delta2 | ... | -v^(-k) delta2] (its kernel holds the solutions of
+d(alpha) = sum_i v^i delta2(a_i)) and T_k reads the last unknown,
+a_(-k).  A witness at level k is a kernel vector of A_k that T_k does
+not kill: h is the largest k with one, J_k is generated by the entries
+of T_k K for a kernel basis K of A_k, and Gamma(k) is the least
+Chern-Simons level of a witness over the universal ring.
 """
 
 from __future__ import annotations
@@ -239,7 +250,24 @@ def verify_model_equivalence(C, depth):
 
 
 # ---------------------------------------------------------------------------
-# the Froyshov invariant
+# the level systems and the Froyshov invariant
+
+
+def _level_system(C, vp, k):
+    """The pair (A_k, T_k) of the module docstring.  ``vp`` is a list
+    from :func:`v_powers`; powers past its end are its last entry, which
+    is right once that entry is zero."""
+    def vpow(j):
+        return vp[min(j, len(vp) - 1)]
+
+    if k >= 1:
+        A = reduce(Matrix.vstack, [C.delta1 * vpow(j) for j in range(k - 1)],
+                   C.d)
+        return A, C.delta1 * vpow(k - 1)
+    A = reduce(Matrix.hstack, [-(vpow(j) * C.delta2) for j in range(1 - k)],
+               C.d)
+    return A, assemble(C.ring, 1, A.cols,
+                       [(0, A.cols - 1, Matrix.identity(C.ring, 1))])
 
 
 def _kernel_fn(ring):
@@ -263,11 +291,11 @@ def _search_bound(C, vp):
 def h_invariant(C, method="search"):
     """The Froyshov invariant of a complex with a trusted v map.
 
-    ``method="search"`` runs the two searches of the reinterpretation
-    (largest k with a cycle seen by delta1 v^(k-1), else the largest
-    non-positive k admitting d(alpha) = sum v^i delta2(a_i) with the top
-    coefficient nonzero).  ``method="ideals"`` instead reads off the top
-    nonzero index of the ideal sequence; the two routes must agree.
+    ``method="search"`` finds the largest k with a witness of the level
+    system (module docstring): for k >= 1 through nested kernels, its own
+    route, and for k <= 0 through (A_k, T_k).  ``method="ideals"``
+    instead reads off the top nonzero index of the ideal sequence; the
+    two routes must agree.
 
     Over Z solvability is taken over Z itself; over the non-Euclidean
     Laurent rings the searches run over the fraction field, which yields
@@ -300,12 +328,9 @@ def h_invariant(C, method="search"):
         if h > 0:
             return h
 
-    M = C.d
     for k in range(0, -(bound + 2), -1):
-        M = M.hstack(-(vp[-k] * C.delta2))
-        Kk = ker(M)
-        last = M.cols - 1
-        if any(Kk[last, j] for j in range(Kk.cols)):
+        A, T = _level_system(C, vp, k)
+        if not (T * ker(A)).is_zero():
             return k
     raise EquivariantError("h search failed to terminate within its bound")
 
@@ -347,7 +372,8 @@ def _reduce_generators(ring, gens):
 
 
 def j_ideals(C, i_min=None, i_max=None):
-    """The nested ideal sequence J_i as generator lists.
+    """The nested ideal sequence J_i as generator lists, read off the
+    level systems (module docstring).
 
     Over Z and the field Laurent rings every J_i is computed from kernel
     bases and collapsed to a single gcd generator.  Over Z[T-Laurent] the
@@ -376,22 +402,10 @@ def j_ideals(C, i_min=None, i_max=None):
         i_max = m
     out = {}
     for i in range(i_min, i_max + 1):
-        if i >= 1:
-            M = C.d
-            # v^j = v^m = 0 for j >= m
-            for j in range(i - 1):
-                M = M.vstack(C.delta1 * vp[min(j, m)])
-            K = linalg.kernel_basis(M)
-            row = (C.delta1 * vp[min(i - 1, m)]) * K
-            gens = [row[0, j] for j in range(row.cols)]
-        else:
-            M = C.d
-            for j in range(0, -i + 1):
-                M = M.hstack(-(vp[min(j, m)] * C.delta2))
-            K = linalg.kernel_basis(M)
-            last = M.cols - 1
-            gens = [K[last, j] for j in range(K.cols)]
-        out[i] = _reduce_generators(ring, gens)
+        A, T = _level_system(C, vp, i)
+        row = T * linalg.kernel_basis(A)
+        out[i] = _reduce_generators(ring, [row[0, j]
+                                           for j in range(row.cols)])
     return out
 
 
@@ -423,23 +437,29 @@ def _j_ideals_zt(C, i_min, i_max):
 # the Gamma function
 
 
-def _u_expanded_rows(ring, entries, shifts, ncols, zt):
-    """Split sum_g s_g U^(shift_g) entry_g = 0 into U-homogeneous
-    equations over Z[T-Laurent]; returns rows indexed by U-exponent."""
-    buckets = {}
-    for col, (e, s) in enumerate(zip(entries, shifts)):
-        if not e:
-            continue
-        for (x, u, ts), c in e.sorted_terms():
-            uu = u + s
-            row = buckets.setdefault(
-                uu, [rings.zero(zt) for _ in range(ncols)])
-            row[col] = row[col] + rings.monomial(zt, c, t=(ts[0],))
-    return buckets
+def _u_split(M, shifts):
+    """M over the universal ring, its column j read as U^shifts[j] times
+    an unknown over Z[T-Laurent], split into U-homogeneous equations: the
+    matrix over Z[T-Laurent] with one row per (row of M, U-exponent)."""
+    rows = {}
+    for i, j, e in M.nonzero_entries():
+        for (_x, u, ts), c in e.terms_dict().items():
+            rows.setdefault((i, u + shifts[j]), {}).setdefault(
+                j, {})[(0, 0, ts)] = c
+    zt = rings.ZT
+    dense = []
+    for key in sorted(rows):
+        row = [rings.zero(zt)] * M.cols
+        for j, terms in rows[key].items():
+            row[j] = rings.LaurentPoly(zt, terms)
+        dense.append(row)
+    return Matrix(zt, dense, cols=M.cols)
 
 
 def gamma(C, k):
-    """Chern-Simons level of the cheapest witness for h >= k.
+    """Chern-Simons level of the cheapest witness for h >= k: the least
+    level t at which the level system (module docstring), restricted to
+    unknowns at levels <= t, has a witness.
 
     Defined for I-graded level-0 complexes over the universal ring with a
     trusted nilpotent v.  Each stored pair (gr_mod4, deg_I) is read as
@@ -455,10 +475,8 @@ def gamma(C, k):
         raise EquivariantError("Gamma needs the instanton grading")
     _require_trusted(C, "Gamma")
     vp = v_powers(C, C.n)
-    m = nilpotency_index(C, vp)
-    if m is None:
+    if nilpotency_index(C, vp) is None:
         raise UnsupportedRingError("Gamma needs a nilpotent v map")
-    zt = rings.ZT
 
     target_gr = (2 * k - 1) % 4
     basis = []
@@ -469,66 +487,23 @@ def gamma(C, k):
                 basis.append((i, Fraction(shift), g.deg_I + shift))
     basis.sort(key=lambda t: t[2])
 
-    if k >= 1:
-        # v^j = v^m = 0 for j >= m
-        target = C.delta1 * vp[min(k - 1, m)]
-        maps = [C.d] + [C.delta1 * vp[min(j, m)] for j in range(k - 1)]
-        degrees = sorted({deg for _i, _s, deg in basis})
-        for t in degrees:
-            cols = [(i, s) for i, s, deg in basis if deg <= t]
-            if not cols:
-                continue
-            idxs = [i for i, _s in cols]
-            shifts = [s for _i, s in cols]
-            rows = []
-            for M in maps:
-                sub = M.columns_selected(idxs)
-                for r in range(M.rows):
-                    entries = [sub[r, j] for j in range(sub.cols)]
-                    rows.extend(_u_expanded_rows(
-                        ring, entries, shifts, len(cols), zt).values())
-            A = Matrix(zt, rows, cols=len(cols)) if rows \
-                else Matrix.zeros(zt, 0, len(cols))
-            K = linalg.kernel_fraction_field(A)
-            if K.cols == 0:
-                continue
-            sub_t = target.columns_selected(idxs)
-            trows = []
-            entries = [sub_t[0, j] for j in range(sub_t.cols)]
-            trows.extend(_u_expanded_rows(
-                ring, entries, shifts, len(cols), zt).values())
-            T = Matrix(zt, trows, cols=len(cols)) if trows \
-                else Matrix.zeros(zt, 0, len(cols))
-            if not (T * K).is_zero():
-                return t
-        return INFINITY
-
-    # k <= 0: unknowns are the cycle candidate plus the a_i with i = k mod 2
-    a_indices = [i for i in range(0, -k + 1) if (i - k) % 2 == 0]
-    vd2 = {i: vp[min(i, m)] * C.delta2 for i in a_indices}
-
-    degrees = [None] + sorted({deg for _i, _s, deg in basis})
-    for t in degrees:
-        cols = [(i, s) for i, s, deg in basis if t is not None and deg <= t]
-        idxs = [i for i, _s in cols]
-        shifts = [s for _i, s in cols]
-        ncols = len(cols) + len(a_indices)
-        rows = {}
-        sub = C.d.columns_selected(idxs) if cols else None
-        for r in range(C.n):
-            entries = [sub[r, j] for j in range(sub.cols)] if cols else []
-            entries += [-vd2[i][r, 0] for i in a_indices]
-            row_shifts = shifts + [Fraction(k + i, 2) for i in a_indices]
-            got = _u_expanded_rows(ring, entries, row_shifts, ncols, zt)
-            for uu, row in got.items():
-                key = (r, uu)
-                rows[key] = row
-        A = Matrix(zt, list(rows.values()), cols=ncols) if rows \
-            else Matrix.zeros(zt, 0, ncols)
-        K = linalg.kernel_fraction_field(A)
-        last = ncols - 1  # the a_(-k) column is forced last in a_indices
-        if any(K[last, j] for j in range(K.cols)):
-            return Fraction(0) if t is None else max(t, Fraction(0))
+    # the unknowns and their levels: the aligned translates, then for
+    # k <= 0 the a_i with i = k mod 2 at level 0, the last of them
+    # a_(-k), the column T_k reads
+    a_indices = range(k % 2, 1 - k, 2)
+    idxs = [i for i, _s, _deg in basis] + [C.n + i for i in a_indices]
+    shifts = ([s for _i, s, _deg in basis]
+              + [Fraction(k + i, 2) for i in a_indices])
+    levels = [deg for *_, deg in basis] + [Fraction(0)] * len(a_indices)
+    A, T = (_u_split(M.columns_selected(idxs), shifts)
+            for M in _level_system(C, vp, k))
+    for t in sorted(set(levels)):
+        if t < 0 and k <= 0:
+            continue  # no witness for k <= 0 is cheaper than the a_i
+        cols = [c for c, level in enumerate(levels) if level <= t]
+        K = linalg.kernel_fraction_field(A.columns_selected(cols))
+        if not (T.columns_selected(cols) * K).is_zero():
+            return t
     return INFINITY
 
 

@@ -273,13 +273,6 @@ def _room_for_v(m, grs):
                for i in range(1, m + 1) for j in range(1, m + 1))
 
 
-_RING_NAMES = {
-    "universal": None, "z": rings.Z, "q": rings.Q, "f2": rings.F2,
-    "f4": rings.F4, "zt": rings.ZT, "qt": rings.QT, "f2t": rings.F2T,
-    "f4t": rings.F4T,
-}
-
-
 def two_bridge_complex(p, q, ring="universal"):
     """The S-complex of the two-bridge knot K(p, q).
 
@@ -301,7 +294,7 @@ def two_bridge_complex(p, q, ring="universal"):
     uring, m, grs, degs, entries, qn = _two_bridge_data(p, q)
     if isinstance(ring, str):
         try:
-            target = _RING_NAMES[ring.lower()] or uring
+            target = rings.named(ring, universal=uring)
         except KeyError:
             raise KnotError(f"unknown ring name {ring!r}")
     else:

@@ -162,12 +162,16 @@ S_BN = Ring("S_BN", "F2", ("T1", "T2", "T3"))
 R_SHARP = Ring("R_SHARP", "F2", ("T0", "T1", "T2", "T3"))
 
 
-def laurent_T(base):
-    """The one-variable Laurent ring over the named base domain."""
-    try:
-        return {"Z": ZT, "Q": QT, "F2": F2T, "F4": F4T}[base]
-    except KeyError:
-        raise RingError(f"no Laurent T-ring over base {base!r}")
+# the one table of ring names; a verb may add names of its own
+RING_NAMES = {"z": Z, "q": Q, "f2": F2, "f4": F4,
+              "zt": ZT, "qt": QT, "f2t": F2T, "f4t": F4T}
+
+
+def named(name, **extra):
+    """The ring ``name`` picks, case-insensitively, from RING_NAMES and
+    the caller's ``extra`` names; KeyError when it picks none."""
+    name = name.lower()
+    return extra[name] if name in extra else RING_NAMES[name]
 
 
 def universal(n):
@@ -958,8 +962,7 @@ def parse(ring, s):
 # ring descriptor (de)serialization
 
 
-_SIMPLE_TAGS = {"Z": Z, "Q": Q, "F2": F2, "F4": F4, "ZT": ZT, "QT": QT,
-                "F2T": F2T, "F4T": F4T, "S_BN": S_BN, "R_SHARP": R_SHARP}
+_SIMPLE_TAGS = {r.tag: r for r in (*RING_NAMES.values(), S_BN, R_SHARP)}
 
 
 def ring_to_dict(ring):

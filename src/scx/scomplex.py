@@ -465,7 +465,12 @@ def sharp_complex(C, twisted=False):
             + [(name + "#", (gr + 2) % 4) for name, gr in names])
     cplx = ChainComplex(ring, gens, D)
     if not cplx.d_squared_is_zero():
-        raise SComplexError("cone differential does not square to zero")
+        # name the relations of C that break it
+        msg = "cone differential does not square to zero"
+        why = validate(C).failures
+        if not C.v_trusted:
+            why.append("this complex only assumes v")
+        raise SComplexError(f"{msg}: {'; '.join(why)}" if why else msg)
     return cplx
 
 

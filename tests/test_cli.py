@@ -382,7 +382,8 @@ def test_only_the_invariant_verbs_validate_first(tmp_path):
     assert run(["euler", "--in", path])[:2] == (0, "0\n")
     assert run(["dual", "--in", path])[0] == 0
     assert run(["sharp", "--in", path]) == (
-        2, "", "refused: cone differential does not square to zero\n")
+        2, "", "refused: cone differential does not square to zero: "
+        "d*v - v*d - delta2*delta1 != 0; this complex only assumes v\n")
     code, out, err = run(["h", "--in", path])
     assert (code, out) == (2, "")
     assert err == "refused: not an S-complex: d*v - v*d - delta2*delta1 != 0\n"
@@ -565,3 +566,33 @@ def test_every_verb_keeps_its_options():
                 tuple(a.choices) if a.choices else None,
                 a.type.__name__ if a.type else None, type(a).__name__)
         assert options == VERB_OPTIONS[name], name
+
+
+def test_every_ring_name_each_verb_accepts(tmp_path):
+    # one table of names in rings: the specializing verbs add sbn and
+    # two-bridge adds universal; names match in any case
+    path = _trefoil(tmp_path)
+    top = cli._build_parser()
+    verbs = next(a for a in top._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    specializing = [name for name, parser in verbs.items()
+                    if "--specialize" in parser._option_string_actions]
+    assert specializing == ["h", "euler", "jideals", "sharp",
+                            "hat-presentation", "bn-presentation"]
+    names = {**rings.RING_NAMES, "sbn": rings.S_BN}
+    for verb in specializing:
+        for name, ring in names.items():
+            for spelled in (name, name.upper()):
+                args = top.parse_args([verb, "--in", path, "--ring", spelled])
+                assert cli._input_complex(args).ring == ring, (verb, spelled)
+        assert run([verb, "--in", path, "--ring", "universal"]) == (
+            1, "", "usage error: unknown ring 'universal'\n")
+    names = {**rings.RING_NAMES, "universal": rings.universal(3)}
+    for name, ring in names.items():
+        for spelled in (name, name.upper()):
+            code, out, err = run(["two-bridge", "--p", "3", "--q", "1",
+                                  "--ring", spelled])
+            assert code == 0, err
+            assert out.splitlines()[1] == f"ring\t{ring.tag}"
+    assert run(["two-bridge", "--p", "3", "--q", "1", "--ring", "sbn"]) == (
+        2, "", "refused: unknown ring name 'sbn'\n")

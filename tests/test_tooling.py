@@ -61,18 +61,50 @@ def test_traced_product_counter_counts_nonzero_pairs():
     assert tracer.counters == {}
 
 
+def _top_level_names_using(path, found):
+    """The top-level functions of ``path`` holding a node ``found``
+    accepts, once per such node."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if found(node)]
+
+
 def test_complexes_are_read_through_one_input_path():
     # every verb reading --in goes through _input_complex, which loads,
     # validates and specializes; tensor alone loads its two operands
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    callers = []
-    for fn in tree.body:
-        if isinstance(fn, ast.FunctionDef):
-            callers += [fn.name for node in ast.walk(fn)
-                        if isinstance(node, ast.Name)
-                        and node.id == "_load_complex"]
+    callers = _top_level_names_using(
+        SRC / "cli.py",
+        lambda node: isinstance(node, ast.Name) and node.id == "_load_complex")
     assert sorted(callers) == ["_cmd_tensor", "_cmd_tensor", "_input_complex"]
     # and nothing else in the package reaches for it
     for path in sorted(SRC.glob("*.py")):
         if path.name != "cli.py":
             assert "_load_complex" not in path.read_text(encoding="utf-8")
+
+
+def test_level_systems_are_stacked_in_one_place():
+    # h, J_k and Gamma read (A_k, T_k) from _level_system; only it and the
+    # model check's sum of products stack matrices
+    users = _top_level_names_using(
+        SRC / "equivariant.py",
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in ("hstack", "vstack"))
+    assert sorted(set(users)) == ["_level_system", "_sum_of_products"]
+
+
+def test_ring_names_live_in_one_table():
+    # a dict literal whose values are ring constants (rings.Z, ZT, ...)
+    # is a table of ring names; rings.RING_NAMES is the only one
+    constants = {name for name, value in vars(R).items()
+                 if isinstance(value, R.Ring)}
+
+    def is_ring(node):
+        return (isinstance(node, ast.Attribute) and node.attr in constants
+                or isinstance(node, ast.Name) and node.id in constants)
+
+    tables = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Dict) and any(map(is_ring, node.values)):
+                tables.append((path.name, node.lineno))
+    assert [name for name, _line in tables] == ["rings.py"]
