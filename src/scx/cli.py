@@ -37,7 +37,7 @@ from .scomplex import SchemaError, SComplexError
 BATCH_NESTING_LIMIT = 8
 # gamma --k/--min/--max and jideals --min/--max lie within +-RANGE_LIMIT
 RANGE_LIMIT = 100
-# model-check --truncation (and SCX_TRUNCATION) is at most this deep
+# model-check --truncation (and SCX_TRUNCATION) lies within 1..this
 TRUNCATION_LIMIT = 100
 
 
@@ -145,7 +145,7 @@ def _build_parser():
             check=True)
     p.add_argument("--truncation", type=int,
                    help="x-degree depth (default: $SCX_TRUNCATION, else 5;"
-                   f" at most {TRUNCATION_LIMIT})")
+                   f" 1..{TRUNCATION_LIMIT})")
 
     p = add("batch", _cmd_batch, "run commands from a file, one per line")
     p.add_argument("--file", required=True)
@@ -434,9 +434,9 @@ def _cmd_model_check(args, out, err):
             depth = int(env)
         except ValueError:
             raise UsageError(f"SCX_TRUNCATION must be an integer, not {env!r}")
-    if depth > TRUNCATION_LIMIT:
-        raise UsageError(f"truncation {depth} is above the limit "
-                         f"{TRUNCATION_LIMIT}")
+    if not 1 <= depth <= TRUNCATION_LIMIT:
+        raise UsageError(f"truncation {depth} is outside the range "
+                         f"1..{TRUNCATION_LIMIT}")
     rep = equivariant.verify_model_equivalence(_input_complex(args), depth)
     payload = {"ok": rep.ok, "truncation": depth, "failures": rep.failures}
     lines = [f"ok\t{str(rep.ok).lower()}", f"truncation\t{depth}"]

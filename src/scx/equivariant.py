@@ -23,14 +23,18 @@ d(alpha) = sum_i v^i delta2(a_i)) and T_k reads the last unknown,
 a_(-k).  A witness at level k is a kernel vector of A_k that T_k does
 not kill: h is the largest k with one, J_k is generated by the entries
 of T_k K for a kernel basis K of A_k, and Gamma(k) is the least
-Chern-Simons level of a witness over the universal ring.
+Chern-Simons level of a witness over the universal ring.  Since A_(k+1)
+is [A_k; T_k] for k >= 1 and A_k without its last column for k <= 0
+(A_1 = d), a witness at k shows in the fraction-field ranks: it raises
+the rank from A_k to A_(k+1) for k >= 1, and leaves it unchanged for
+k <= 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 
 from . import linalg, rings, scomplex
 from .linalg import Matrix, assemble
@@ -270,12 +274,6 @@ def _level_system(C, vp, k):
                        [(0, A.cols - 1, Matrix.identity(C.ring, 1))])
 
 
-def _kernel_fn(ring):
-    if rings.is_euclidean(ring):
-        return linalg.kernel_basis
-    return linalg.kernel_fraction_field
-
-
 def _search_bound(C, vp):
     m = nilpotency_index(C, vp)
     if m is not None:
@@ -292,45 +290,36 @@ def h_invariant(C, method="search"):
     """The Froyshov invariant of a complex with a trusted v map.
 
     ``method="search"`` finds the largest k with a witness of the level
-    system (module docstring): for k >= 1 through nested kernels, its own
-    route, and for k <= 0 through (A_k, T_k).  ``method="ideals"``
-    instead reads off the top nonzero index of the ideal sequence; the
-    two routes must agree.
-
-    Over Z solvability is taken over Z itself; over the non-Euclidean
-    Laurent rings the searches run over the fraction field, which yields
-    the same integer.
+    system (module docstring) from the fraction-field ranks r(k) of the
+    A_k alone: for k >= 1 there is a witness exactly when r(k + 1) >
+    r(k), and for k <= 0 exactly when r(k) = r(k + 1).
+    ``method="ideals"`` instead reads off the top nonzero index of the
+    ideal sequence, from kernel bases; the two routes must agree.
     """
     _require_trusted(C, "the h invariant")
     if method == "ideals":
         return _h_via_ideals(C)
     if method != "search":
         raise ValueError("method must be 'search' or 'ideals'")
-    ker = _kernel_fn(C.ring)
     # the bound is at most n + 1 and the searches reach v^(bound + 1)
     vp = v_powers(C, C.n + 2)
     bound = _search_bound(C, vp)
 
-    K = ker(C.d)
-    if K.cols:
-        cur = K
-        h = 0
-        for k in range(1, bound + 1):
-            if cur.cols == 0:
-                break
-            w = (C.delta1 * vp[k - 1]) * cur
-            if w.is_zero():
-                # once delta1 v^(k-1) dies on the nested kernel it stays
-                # dead: v^(m-k) maps later witnesses back to level k
-                break
-            h = k
-            cur = cur * ker(w)
-        if h > 0:
-            return h
+    @cache
+    def r(k):
+        return linalg.rank(_level_system(C, vp, k)[0])
 
+    # once delta1 v^(k-1) dies on ker A_k it stays dead: v^(m-k) maps
+    # later witnesses back to level k
+    h = 0
+    for k in range(1, bound + 1):
+        if r(k + 1) == r(k):
+            break
+        h = k
+    if h > 0:
+        return h
     for k in range(0, -(bound + 2), -1):
-        A, T = _level_system(C, vp, k)
-        if not (T * ker(A)).is_zero():
+        if r(k) == r(k + 1):
             return k
     raise EquivariantError("h search failed to terminate within its bound")
 

@@ -151,15 +151,19 @@ def test_ranges_beyond_the_limit_are_usage_errors(tmp_path):
 def test_truncation_beyond_the_limit_is_a_usage_error(tmp_path, monkeypatch):
     path = tmp_path / "t.json"
     run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
-    deep = str(cli.TRUNCATION_LIMIT + 1)
-    expected = (f"usage error: truncation {deep} is above the limit "
-                f"{cli.TRUNCATION_LIMIT}\n")
-    code, out, err = run(["model-check", "--in", str(path),
-                          "--truncation", deep])
-    assert (code, out, err) == (1, "", expected)
-    monkeypatch.setenv("SCX_TRUNCATION", deep)
-    code, out, err = run(["model-check", "--in", str(path)])
-    assert (code, out, err) == (1, "", expected)
+
+    def expected(depth):
+        return (f"usage error: truncation {depth} is outside the range "
+                f"1..{cli.TRUNCATION_LIMIT}\n")
+
+    for depth in (str(cli.TRUNCATION_LIMIT + 1), "0", "-5"):
+        code, out, err = run(["model-check", "--in", str(path),
+                              "--truncation", depth])
+        assert (code, out, err) == (1, "", expected(depth))
+    for depth in (str(cli.TRUNCATION_LIMIT + 1), "0"):
+        monkeypatch.setenv("SCX_TRUNCATION", depth)
+        code, out, err = run(["model-check", "--in", str(path)])
+        assert (code, out, err) == (1, "", expected(depth))
     # an explicit --truncation within the limit wins over the variable
     code, out, _ = run(["model-check", "--in", str(path), "--truncation", "2"])
     assert code == 0 and "truncation\t2" in out

@@ -196,6 +196,35 @@ def test_h_torus_fixtures_over_q():
         assert E.h_invariant(CQ) == 1
 
 
+def _trefoil_power(k):
+    """trefoil^k over the universal ring, grouped T2 = T1 T1, T3 = T2 T1,
+    T4 = T2 T2."""
+    if k == 1:
+        return trefoil()
+    if k == 4:
+        return S.tensor(_trefoil_power(2), _trefoil_power(2))
+    return S.tensor(_trefoil_power(k - 1), trefoil())
+
+
+_UNIVERSAL_H = {"T1": 1, "T2": 2, "T3": 3, "T4": 4, "M12": -1, "M21": 1}
+
+
+@pytest.mark.parametrize("name", sorted(_UNIVERSAL_H))
+def test_h_over_universal_matches_qt(name):
+    # M<a><b> is trefoil^a tensor the dual of trefoil^b
+    if name.startswith("T"):
+        C = _trefoil_power(int(name[1]))
+    else:
+        C = S.tensor(_trefoil_power(int(name[1])),
+                     S.dual(_trefoil_power(int(name[2]))))
+    CQ = S.base_change_complex(
+        C, S.standard_assignment(C.ring, R.QT, U="1"), R.QT, check=False)
+    h = E.h_invariant(C)
+    assert h == _UNIVERSAL_H[name]
+    assert E.h_invariant(CQ) == h
+    assert E.h_invariant(CQ, method="ideals") == h
+
+
 def test_h_refuses_untrusted_v():
     C = knots.two_bridge_complex(5, -1)
     assert not C.v_trusted
@@ -217,7 +246,7 @@ def test_h_additivity_and_dual_negation_randomized():
 
 def test_h_two_code_paths_agree_randomized():
     rng = random.Random(1212)
-    for ring in (R.F2T, R.QT):
+    for ring in (R.F2T, R.QT, R.Z, R.Q, R.F2, R.F4T):
         for _ in range(30):
             C = helpers.random_scomplex(rng, ring, max_gens=8)
             assert E.h_invariant(C, method="search") == \
@@ -387,10 +416,7 @@ def test_gamma_finite_up_to_h_and_non_decreasing(factors):
     C = _law_factor(factors[0])
     for f in factors[1:]:
         C = S.tensor(C, _law_factor(f))
-    # h over Q[T^+-1] is the same integer, and far cheaper than over U
-    CQ = S.base_change_complex(C, S.standard_assignment(C.ring, R.QT), R.QT,
-                               check=False)
-    h = E.h_invariant(CQ)
+    h = E.h_invariant(C)
     ks = range(h - 2, h + 3)
     vals = [E.gamma(C, k) for k in ks]
     assert [v is not E.INFINITY for v in vals] == [k <= h for k in ks]

@@ -92,6 +92,16 @@ def test_level_systems_are_stacked_in_one_place():
     assert sorted(set(users)) == ["_level_system", "_sum_of_products"]
 
 
+def test_h_search_reads_only_ranks():
+    # the search route to h reads fraction-field ranks of the level
+    # systems; kernels belong to the ideal sequence and to Gamma
+    users = _top_level_names_using(
+        SRC / "equivariant.py",
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr.startswith("kernel"))
+    assert sorted(users) == ["gamma", "j_ideals"]
+
+
 def test_ring_names_live_in_one_table():
     # a dict literal whose values are ring constants (rings.Z, ZT, ...)
     # is a table of ring names; rings.RING_NAMES is the only one
