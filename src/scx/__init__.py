@@ -10,7 +10,7 @@ from .knots import (ModuliCertificate, TorusKnot, TwoBridgeKnot, count_N1N2,
                     fixture, lens_sasahira, solve_k1k2, torus_alexander,
                     torus_signature, two_bridge_complex,
                     two_bridge_signature_oracle, vanishing_check)
-from .linalg import Matrix, homology, kernel_basis, smith_normal_form, solve
+from .linalg import Matrix, homology, kernel_basis, smith_normal_form
 from .rings import LaurentPoly, Ring, base_change, divide, parse
 from .scomplex import (Generator, SComplex, SMorphism, base_change_complex,
                        check_morphism, dual, euler_characteristic,
@@ -23,7 +23,7 @@ __all__ = [
     "TwoBridgeKnot", "count_N1N2", "fixture", "lens_sasahira", "solve_k1k2",
     "torus_alexander", "torus_signature", "two_bridge_complex",
     "two_bridge_signature_oracle", "vanishing_check", "Matrix", "homology",
-    "kernel_basis", "smith_normal_form", "solve", "LaurentPoly", "Ring",
+    "kernel_basis", "smith_normal_form", "LaurentPoly", "Ring",
     "base_change", "divide", "parse", "Generator", "SComplex", "SMorphism",
     "base_change_complex", "check_morphism", "dual", "euler_characteristic",
     "sharp_complex", "tensor", "validate", "cli", "equivariant", "knots",

@@ -1,20 +1,20 @@
 """Exact matrix algebra over the supported rings.
 
 Matrices of :class:`~scx.rings.LaurentPoly` entries stored as row dicts
-of their nonzero entries (the algorithms here never visit a zero), Smith
-normal form with transform certificates over the Euclidean rings (Z,
-the constant fields, and one-variable Laurent rings over a field),
-kernels, exact linear solving, homology of composable pairs, and
-fraction-field rank/kernels over any of the integral domains."""
+of their nonzero entries (the algorithms here never visit a zero),
+diagonal Smith reduction with transform certificates over the Euclidean
+rings (Z, the constant fields, and one-variable Laurent rings over a
+field) and the invariant factors read from it, kernels, exact linear
+solving, homology of composable pairs, and fraction-field rank/kernels
+over any of the integral domains."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import rings
 from .rings import (LaurentPoly, RingMismatchError, divide,
-                    divmod_euclid, enorm, is_euclidean, normalizing_unit,
-                    one, zero)
+                    divmod_euclid, enorm, gcd, is_euclidean,
+                    normalize_associate, normalizing_unit, one, zero)
 
 
 class LinalgError(Exception):
@@ -245,7 +245,9 @@ def kron(A, B):
 
 @dataclass
 class SmithResult:
-    """U * M * V == D with U, V invertible and a diagonal divisibility chain."""
+    """U * M * V == D with U, V invertible and D diagonal: each diagonal
+    entry a normalized associate, zeros last.  The diagonal need not be a
+    divisibility chain; :meth:`invariant_factors` makes one from it."""
     D: Matrix
     U: Matrix
     V: Matrix
@@ -257,6 +259,23 @@ class SmithResult:
     def rank(self):
         return sum(1 for d in self.diagonal() if d)
 
+    def invariant_factors(self):
+        """The invariant factors d_1 | d_2 | ... of M as normalized
+        associates, from one pass over the nonzero diagonal of D: a pair
+        d_i, d_j (i < j) where d_i does not divide d_j becomes (gcd, lcm),
+        which keeps the product.  Values only: no certificate carries M
+        to the chain."""
+        d = [e for e in self.diagonal() if e]
+        for i in range(len(d)):
+            if d[i].is_unit():
+                continue
+            for j in range(i + 1, len(d)):
+                if d[j] != d[i] and divide(d[j], d[i]) is None:
+                    g = gcd(d[i], d[j])
+                    d[i], d[j] = g, normalize_associate(d[j]
+                                                        * divide(d[i], g))
+        return d
+
 
 @dataclass
 class HomologySummary:
@@ -267,8 +286,9 @@ class HomologySummary:
 def smith_normal_form(M):
     """Diagonalize M by invertible row/column operations.
 
-    Returns a :class:`SmithResult` whose diagonal entries are canonical
-    associates forming a divisibility chain, zeros last.
+    Returns a :class:`SmithResult` whose diagonal entries are normalized
+    associates, zeros last; the divisibility chain is not enforced here
+    but read by :meth:`SmithResult.invariant_factors`.
     """
     ring = M.ring
     if not is_euclidean(ring):
@@ -279,25 +299,13 @@ def smith_normal_form(M):
     U = [{i: one(ring)} for i in range(m)]
     V = [{i: one(ring)} for i in range(n)]
 
-    def row_axpy(i, q, t):
-        # row_i += q*row_t
-        _add_into(A[i], A[t], q)
-        _add_into(U[i], U[t], q)
-
-    def col_axpy(j, q, t):
-        # col_j += q*col_t
-        for r in A + V:
-            if t in r:
-                _add_into(r, {j: r[t]}, q)
-
     def col_swap(j, t):
         for r in A + V:
             if j in r or t in r:
                 a, b = r.pop(j, None), r.pop(t, None)
                 r.update((k, e) for k, e in ((t, a), (j, b)) if e is not None)
 
-    t = 0
-    while t < min(m, n):
+    for t in range(min(m, n)):
         # a pivot of minimal Euclidean norm, the first in (row, col) order
         best = min(((enorm(e), i, j) for i in range(t, m)
                     for j, e in A[i].items() if j >= t), default=None)
@@ -314,28 +322,21 @@ def smith_normal_form(M):
             i = next((i for i in range(t + 1, m) if t in A[i]), None)
             if i is not None:
                 q, r = divmod_euclid(A[i][t], A[t][t])
-                row_axpy(i, -q, t)
+                _add_into(A[i], A[t], -q)
+                _add_into(U[i], U[t], -q)
                 if r:
                     A[i], A[t], U[i], U[t] = A[t], A[i], U[t], U[i]
                 continue
             j = min((j for j in A[t] if j > t), default=None)
-            if j is not None:
-                q, r = divmod_euclid(A[t][j], A[t][t])
-                col_axpy(j, -q, t)
-                if r:
-                    col_swap(j, t)
-                continue
-            # pivot must divide the remaining submatrix for the chain; a
-            # unit divides everything
-            p = A[t][t]
-            offender = None if p.is_unit() else next(
-                (i for i in range(t + 1, m) if any(
-                    j > t and divide(e, p) is None
-                    for j, e in A[i].items())), None)
-            if offender is None:
+            if j is None:
                 break
-            row_axpy(t, None, offender)  # row_t += row_offender
-        t += 1
+            q, r = divmod_euclid(A[t][j], A[t][t])
+            # col_j -= q*col_t
+            for row in A + V:
+                if t in row:
+                    _add_into(row, {j: row[t]}, -q)
+            if r:
+                col_swap(j, t)
 
     for k in range(min(m, n)):
         if k in A[k]:
@@ -360,13 +361,6 @@ def kernel_basis(M):
     return snf.V.columns_selected(free)
 
 
-def solve(M, b):
-    """One solution of M x = b, or None when the system is unsolvable."""
-    if b.rows != M.rows or b.cols != 1:
-        raise LinalgError("right-hand side shape mismatch")
-    return solve_matrix(M, b)
-
-
 def solve_matrix(M, B):
     """Solve M X = B column-wise; None when any column is unsolvable."""
     snf = smith_normal_form(M)
@@ -385,7 +379,7 @@ def homology(d_in, d_out):
     """Homology at the middle of  R^m --d_in--> R^n --d_out--> R^p.
 
     free_rank is nullity(d_out) - rank(d_in); torsion lists the non-unit
-    invariant factors of d_in written in a kernel basis of d_out.
+    invariant factors of d_in.
     """
     if d_in.ring != d_out.ring:
         raise RingMismatchError("maps over different rings")
@@ -393,17 +387,12 @@ def homology(d_in, d_out):
         raise LinalgError("maps are not composable")
     if not (d_out * d_in).is_zero():
         raise LinalgError("d_out * d_in != 0")
-    K = kernel_basis(d_out)
-    X = solve_matrix(K, d_in)
-    if X is None:
-        raise LinalgError("image does not lie in the kernel")
-    snf = smith_normal_form(X)
-    r = snf.rank()
-    torsion = []
-    for d in snf.diagonal():
-        if d and not d.is_unit():
-            torsion.append(rings.normalize_associate(d))
-    return HomologySummary(K.cols - r, torsion)
+    # ker d_out is a direct summand of R^n holding im d_in, so the torsion
+    # of ker/im is that of coker d_in
+    factors = smith_normal_form(d_in).invariant_factors()
+    return HomologySummary(
+        d_out.cols - smith_normal_form(d_out).rank() - len(factors),
+        [d for d in factors if not d.is_unit()])
 
 
 def det(M):

@@ -888,15 +888,13 @@ class _Parser:
                 raise ParseError("expected ')'")
             return p
         if tok.isdigit():
-            n = int(tok)
+            n = self.digits(tok)
             if self.ring.base == "Q" and self.peek() == "/":
                 self.next()
-                d = self.next()
-                if not d.isdigit():
-                    raise ParseError("expected denominator digits")
-                if int(d) == 0:
+                d = self.digits(self.next())
+                if d == 0:
                     raise ParseError(f"zero denominator in {n}/{d}")
-                return monomial(self.ring, Fraction(n, int(d)))
+                return monomial(self.ring, Fraction(n, d))
             return from_int(self.ring, n)
         if tok[0].isalpha():
             exp = 1
@@ -910,39 +908,36 @@ class _Parser:
         raise ParseError(f"unexpected token {tok!r}")
 
     def exponent(self):
-        tok = self.next()
-        if tok == "{":
-            num = self.signed_int()
-            if self.peek() == "/":
-                self.next()
-                den = self.signed_int()
-                if den == 0:
-                    raise ParseError(f"zero denominator in exponent {num}/0")
-                val = Fraction(num, den)
-            else:
-                val = Fraction(num)
-            if self.next() != "}":
-                raise ParseError("expected '}'")
-            return val if val.denominator != 1 else val.numerator
-        if tok == "-":
-            d = self.next()
-            if not d.isdigit():
-                raise ParseError("expected digits after '-'")
-            return -int(d)
-        if tok.isdigit():
-            return int(tok)
-        raise ParseError(f"bad exponent token {tok!r}")
+        if self.peek() != "{":
+            return self.signed_int()
+        self.next()
+        num, den = self.signed_int(), 1
+        if self.peek() == "/":
+            self.next()
+            den = self.signed_int()
+            if den == 0:
+                raise ParseError(f"zero denominator in exponent {num}/0")
+        if self.next() != "}":
+            raise ParseError("expected '}'")
+        val = Fraction(num, den)
+        return val if val.denominator != 1 else val.numerator
 
     def signed_int(self):
         tok = self.next()
         if tok == "-":
-            tok = self.next()
-            if not tok.isdigit():
-                raise ParseError("expected digits")
-            return -int(tok)
+            return -self.digits(self.next())
+        return self.digits(tok)
+
+    @staticmethod
+    def digits(tok):
+        """The integer the digit token spells, within int()'s limit."""
         if not tok.isdigit():
             raise ParseError("expected digits")
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:
+            raise ParseError(f"integer of {len(tok)} digits is too long") \
+                from None
 
 
 def parse(ring, s):

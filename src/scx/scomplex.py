@@ -16,6 +16,7 @@ wire format shared with the command line.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -485,6 +486,10 @@ def _frac_str(f):
 def _frac_parse(s, path):
     if s is None:
         return None
+    # a string only in the form _frac_str writes: Fraction alone would
+    # also take decimal exponents, and "1e30000000" would not finish
+    if isinstance(s, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+        raise SchemaError(f"{path}: bad rational {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError):

@@ -408,7 +408,13 @@ def _generator(**changes):
     ({"generators": _generator(gr_mod4=True)}, "generators[0].gr_mod4: "),
     ({"generators": _generator(deg_I=["1/3"])}, "generators[0].deg_I: "),
     ({"generators": _generator(deg_I=float("inf"))},
-     "generators[0].deg_I: ")])
+     "generators[0].deg_I: "),
+    # Fraction would read the decimal exponent and not finish
+    ({"generators": _generator(deg_I="1e30000000")},
+     "generators[0].deg_I: "),
+    # integers longer than int() converts, as a coefficient and a power
+    ({"delta1": ["1" * 5000]}, "delta1[0]: "),
+    ({"delta1": ["T^" + "1" * 5000]}, "delta1[0]: ")])
 def test_hostile_documents_are_input_errors(tmp_path, changes, prefix):
     path = _trefoil(tmp_path, **changes)
     code, out, err = run(["validate", "--in", path])

@@ -1,6 +1,7 @@
 """Matrix products and v-powers, Smith normal form with certificates,
-kernels, solving, homology."""
+invariant factors, kernels, solving, homology."""
 
+import itertools
 import random
 
 import pytest
@@ -62,11 +63,11 @@ def test_kernel_examples():
 
 
 def test_solve_examples():
-    assert str(L.solve(zm([[2]]), zm([[4]]))[0, 0]) == "2"
-    assert L.solve(zm([[2]]), zm([[3]])) is None
+    assert str(L.solve_matrix(zm([[2]]), zm([[4]]))[0, 0]) == "2"
+    assert L.solve_matrix(zm([[2]]), zm([[3]])) is None
     t = R.var(R.QT, "T")
     p = t ** 2 - t ** -2
-    s = L.solve(L.Matrix(R.QT, [[p]]), L.Matrix(R.QT, [[p * p]]))
+    s = L.solve_matrix(L.Matrix(R.QT, [[p]]), L.Matrix(R.QT, [[p * p]]))
     assert s[0, 0] == p
 
 
@@ -91,7 +92,7 @@ def test_snf_certificates_randomized():
         M = zm([[rng.randint(-8, 8) for _ in range(n)] for _ in range(m)])
         s = L.smith_normal_form(M)
         assert s.U * M * s.V == s.D
-        diag = [d for d in s.diagonal() if d]
+        diag = s.invariant_factors()
         for a, b in zip(diag, diag[1:]):
             assert R.divide(b, a) is not None
         # off-diagonal must vanish
@@ -112,7 +113,7 @@ def test_snf_certificates_randomized_laurent():
                               for _ in range(n)] for _ in range(m)])
         s = L.smith_normal_form(M)
         assert s.U * M * s.V == s.D
-        diag = [d for d in s.diagonal() if d]
+        diag = s.invariant_factors()
         for a, b in zip(diag, diag[1:]):
             assert R.divide(b, a) is not None
         # Smith form stays the oracle for the elimination behind rank
@@ -131,6 +132,72 @@ def test_homology_matches_integer_oracle():
         torsion = sorted(d for d in diag if d > 1)
         assert H.free_rank == n - rank
         assert sorted(int(str(t)) for t in H.torsion) == torsion
+
+
+def _random_matrix(rng, ring, m, n):
+    """Random entries; or a product through a random inner size, whose
+    invariant factors are more often not units; or a diagonal matrix,
+    whose Smith diagonal need not be a divisibility chain."""
+    def draw(r, c):
+        return L.Matrix(ring, [[helpers.random_poly(rng, ring, allow_zero=True)
+                                for _ in range(c)] for _ in range(r)], cols=c)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return draw(m, n)
+    if kind == 1:
+        k = rng.randint(1, 4)
+        return draw(m, k) * draw(k, n)
+    # over Z small integers, elsewhere products of two random polynomials
+    diagonal = [R.from_int(ring, rng.randint(-12, 12)) if ring == R.Z
+                else helpers.random_poly(rng, ring, allow_zero=True)
+                * helpers.random_poly(rng, ring) for _ in range(min(m, n))]
+    return L.assemble(ring, m, n, [(i, i, L.Matrix(ring, [[d]]))
+                                   for i, d in enumerate(diagonal)])
+
+
+def test_invariant_factors_are_the_determinantal_divisors():
+    # d_1 * ... * d_k is, up to units, the gcd of the k x k minors
+    rng = random.Random(808)
+    for ring in (R.Z, R.F2T, R.QT):
+        for _ in range(30):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            M = _random_matrix(rng, ring, m, n)
+            factors = L.smith_normal_form(M).invariant_factors()
+            product = R.one(ring)
+            for k in range(1, min(m, n) + 1):
+                minors = R.zero(ring)
+                for rows in itertools.combinations(range(m), k):
+                    sub = M.rows_selected(rows)
+                    for cols in itertools.combinations(range(n), k):
+                        minors = R.gcd(minors,
+                                       L.det(sub.columns_selected(cols)))
+                if k > len(factors):
+                    assert minors.is_zero()
+                    continue
+                product = product * factors[k - 1]
+                assert minors == R.normalize_associate(product)
+
+
+def _homology_in_kernel_coordinates(d_in, d_out):
+    """d_in written in a kernel basis of d_out, and the invariant factors
+    of that matrix: homology's route before it read d_in alone."""
+    K = L.kernel_basis(d_out)
+    X = L.solve_matrix(K, d_in)
+    factors = L.smith_normal_form(X).invariant_factors()
+    return K.cols - len(factors), [d for d in factors if not d.is_unit()]
+
+
+def test_homology_matches_the_kernel_coordinate_route():
+    rng = random.Random(909)
+    for ring in (R.Z, R.F2T, R.QT):
+        for _ in range(30):
+            p, n, m = rng.randint(0, 3), rng.randint(1, 4), rng.randint(0, 4)
+            d_out = _random_matrix(rng, ring, p, n)
+            K = L.kernel_basis(d_out)
+            d_in = K * _random_matrix(rng, ring, K.cols, m)
+            H = L.homology(d_in, d_out)
+            assert (H.free_rank, H.torsion) \
+                == _homology_in_kernel_coordinates(d_in, d_out)
 
 
 def test_kernel_fraction_field_spans():

@@ -102,6 +102,32 @@ def test_h_search_reads_only_ranks():
     assert sorted(users) == ["gamma", "j_ideals"]
 
 
+def _functions_calling(name):
+    """(file, function) for every function of the package, methods and
+    inner functions included, that calls ``name`` as f(...) or x.f(...)."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and name in (getattr(node.func, "attr", None),
+                                 getattr(node.func, "id", None))
+                    for node in ast.walk(fn)):
+                found.add((path.name, fn.name))
+    return sorted(found)
+
+
+def test_the_divisibility_chain_is_read_in_one_place():
+    # Smith reduction only diagonalizes; the chain is the invariant
+    # factors, which homology alone reads, from d_in's Smith form
+    assert _functions_calling("invariant_factors") == [
+        ("linalg.py", "homology")]
+    assert ("linalg.py", "smith_normal_form") not in \
+        _functions_calling("divide")
+    for helper in ("kernel_basis", "solve_matrix"):
+        assert ("linalg.py", "homology") not in _functions_calling(helper)
+
+
 def test_ring_names_live_in_one_table():
     # a dict literal whose values are ring constants (rings.Z, ZT, ...)
     # is a table of ring names; rings.RING_NAMES is the only one
