@@ -24,7 +24,7 @@ import os
 import shlex
 import sys
 
-from . import equivariant, knots, rings, scomplex
+from . import equivariant, knots, linalg, rings, scomplex
 from .equivariant import (EquivariantError, INFINITY, UnsupportedRingError,
                           UntrustedVError)
 from .knots import InconsistentComplexError, KnotError
@@ -222,6 +222,12 @@ def _input_complex(args):
             raise UsageError(f"unknown ring {ring_name!r}")
     else:
         target = _infer_target(C.ring, mapping)
+    for var in [v for v in names if v in mapping]:
+        val = mapping[var]
+        try:
+            mapping[var] = rings.parse(target, val)
+        except ParseError as e:
+            raise UsageError(f"--specialize {var}={val}: {e}")
     assignment = scomplex.standard_assignment(C.ring, target, **mapping)
     try:
         return scomplex.base_change_complex(C, assignment, target,
@@ -394,15 +400,16 @@ def _cmd_gamma(args, out, err):
 
 def _cmd_sharp(args, out, err):
     C = _input_complex(args)
-    cone = scomplex.sharp_complex(C, twisted=args.twisted)
-    payload = {"generators": len(cone.gens), "twisted": args.twisted}
-    lines = [f"generators\t{len(cone.gens)}"]
+    gens, D = scomplex.sharp_complex(C, twisted=args.twisted)
+    payload = {"generators": len(gens), "twisted": args.twisted}
+    lines = [f"generators\t{len(gens)}"]
     if args.twisted or not rings.is_euclidean(C.ring):
-        r = cone.rank_over_fractions()
+        # total homology rank over the fraction field of the ring
+        r = len(gens) - 2 * linalg.rank(D)
         payload["rank_over_fractions"] = r
         lines.append(f"rank_over_fractions\t{r}")
     else:
-        H = cone.homology_summary()
+        H = linalg.homology(D)
         payload["free_rank"] = H.free_rank
         payload["torsion"] = [t.to_str() for t in H.torsion]
         lines.append(f"free_rank\t{H.free_rank}")

@@ -9,7 +9,8 @@ action is k1 k2 / p, and the parity of k1 k2 decides whether the matrix
 entry survives with monopole weight T^2 - T^-2 or cancels.  Everything
 else here is elementary number theory: torus-knot signatures by lattice
 counting, Alexander polynomials by exact division, and an independent
-Goeritz-style signature oracle from even continued fractions.
+Goeritz-style signature oracle: the signs of the continued-fraction
+pivots of the plumbing's Seifert form.
 """
 
 from __future__ import annotations
@@ -443,65 +444,37 @@ def vanishing_check(p, q):
 # signature oracle for two-bridge knots
 
 
-def _even_continued_fraction(p, qpp):
-    """p/q'' = 2b1 - 1/(2b2 - 1/(...)) with all quotients even."""
+def _even_continued_fraction_tails(p, qpp):
+    """The tails x_1 = p/q'', x_(k+1) = 1/(2b_k - x_k) of the continued
+    fraction p/q'' = 2b1 - 1/(2b2 - 1/(...)) with all quotients 2b_k
+    even.  The last tail equals its quotient, so no tail is zero."""
     x = Fraction(p, qpp)
-    terms = []
+    tails = []
     while True:
         lo = 2 * (x / 2).__floor__()
         e = lo if abs(x - lo) < 1 else lo + 2
         if abs(x - e) >= 1:
             raise CheckFailedError("no even quotient within distance one")
-        terms.append(int(e))
+        tails.append(x)
         rem = e - x
         if rem == 0:
-            return terms
+            return tails
         x = 1 / rem
-
-
-def _symmetric_signature(M):
-    """Signature of a symmetric matrix of Fractions, by congruence."""
-    M = [row[:] for row in M]
-    pos = neg = 0
-    while M:
-        n = len(M)
-        k = next((i for i in range(n) if M[i][i] != 0), None)
-        if k is None:
-            hit = next(((i, j) for i in range(n) for j in range(i + 1, n)
-                        if M[i][j] != 0), None)
-            if hit is None:
-                break
-            i, j = hit
-            for c in range(n):
-                M[i][c] += M[j][c]
-            for r in range(n):
-                M[r][i] += M[r][j]
-            k = i
-        a = M[k][k]
-        if a > 0:
-            pos += 1
-        else:
-            neg += 1
-        rest = [r for r in range(n) if r != k]
-        M = [[M[i][j] - M[i][k] * M[k][j] / a for j in rest] for i in rest]
-    return pos - neg
 
 
 def two_bridge_signature_oracle(p, q):
     """Knot signature of K(p, q) via the even continued fraction of the
     mirror parameter: the plumbing of bands along [2b1, ..., 2bm] has
-    symmetrized Seifert form tridiag(2b_i; 1)."""
+    symmetrized Seifert form tridiag(2b_i; 1), whose pivots from the
+    bottom up are the tails x_k, so by Sylvester's law of inertia the
+    signature is the sum of their signs."""
     knot = TwoBridgeKnot(p, q)
+    if p == 1:
+        return 0  # the unknot: the empty plumbing
     r = (-knot.q) % p
     qpp = r if r % 2 == 0 else r - p
-    terms = _even_continued_fraction(p, qpp)
-    n = len(terms)
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for i, a in enumerate(terms):
-        M[i][i] = Fraction(a)
-        if i + 1 < n:
-            M[i][i + 1] = M[i + 1][i] = Fraction(1)
-    return _symmetric_signature(M)
+    return sum(1 if x > 0 else -1
+               for x in _even_continued_fraction_tails(p, qpp))
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +507,6 @@ def fixture(name):
                 f"fixture {name} fails validation: {rep.failures}")
         return C
     raise KnotError(f"unknown fixture {name!r}")
-
-
-def tilde_homology(C):
-    """Invariant factors of the homology of the total complex."""
-    _names, dt = C.dtilde()
-    return linalg.homology(dt, dt)
 
 
 # ---------------------------------------------------------------------------

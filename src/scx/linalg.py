@@ -5,8 +5,8 @@ of their nonzero entries (the algorithms here never visit a zero),
 diagonal Smith reduction with transform certificates over the Euclidean
 rings (Z, the constant fields, and one-variable Laurent rings over a
 field) and the invariant factors read from it, kernels, exact linear
-solving, homology of composable pairs, and fraction-field rank/kernels
-over any of the integral domains."""
+solving, the homology of a differential from its Smith form, and
+fraction-field rank/kernels over any of the integral domains."""
 
 from __future__ import annotations
 
@@ -375,24 +375,21 @@ def solve_matrix(M, B):
     return snf.V * Matrix._trusted(M.ring, Y, B.cols)
 
 
-def homology(d_in, d_out):
-    """Homology at the middle of  R^m --d_in--> R^n --d_out--> R^p.
+def homology(D):
+    """Homology of the square differential D (D * D == 0) on R^n.
 
-    free_rank is nullity(d_out) - rank(d_in); torsion lists the non-unit
-    invariant factors of d_in.
+    free_rank is n - 2 * rank(D); torsion lists the non-unit invariant
+    factors of D.
     """
-    if d_in.ring != d_out.ring:
-        raise RingMismatchError("maps over different rings")
-    if d_out.cols != d_in.rows:
-        raise LinalgError("maps are not composable")
-    if not (d_out * d_in).is_zero():
-        raise LinalgError("d_out * d_in != 0")
-    # ker d_out is a direct summand of R^n holding im d_in, so the torsion
-    # of ker/im is that of coker d_in
-    factors = smith_normal_form(d_in).invariant_factors()
-    return HomologySummary(
-        d_out.cols - smith_normal_form(d_out).rank() - len(factors),
-        [d for d in factors if not d.is_unit()])
+    if D.rows != D.cols:
+        raise LinalgError(f"a {D.rows}x{D.cols} differential is not square")
+    if not (D * D).is_zero():
+        raise LinalgError("D * D != 0")
+    # ker D is a direct summand of R^n holding im D, so the torsion of
+    # ker/im is that of coker D, and rank(ker) = n - rank(D)
+    factors = smith_normal_form(D).invariant_factors()
+    return HomologySummary(D.cols - 2 * len(factors),
+                           [d for d in factors if not d.is_unit()])
 
 
 def det(M):

@@ -589,9 +589,9 @@ def base_change(p, assignment, target):
             term = term * _pow_rational(assignment["U"], u)
         for name, e in zip(src.tvars, ts):
             if e:
-                term = term * _pow_int(assignment[name], e)
+                term = term * assignment[name] ** e
         if x:
-            term = term * _pow_int(assignment["x"], x)
+            term = term * assignment["x"] ** x
         result = result + term
     return result
 
@@ -605,20 +605,12 @@ def _convert_scalar(c, src_base, target):
         return LaurentPoly(target, {(0, 0, (0,) * len(target.tvars)): c})
     if src_base == "F2" and target.base == "F4":
         return from_int(target, c)
-    if src_base == "Q" and target.base == "Q":
-        return LaurentPoly(target, {(0, 0, (0,) * len(target.tvars)): c})
     raise RingError(f"no coefficient map {src_base} -> {target.base}")
-
-
-def _pow_int(p, e):
-    if e >= 0:
-        return p ** e
-    return p.unit_inverse() ** (-e)
 
 
 def _pow_rational(p, fr):
     if fr.denominator == 1:
-        return _pow_int(p, fr.numerator)
+        return p ** fr.numerator
     if not p.is_monomial():
         raise RingError(
             f"cannot raise non-monomial to fractional power {fr}")

@@ -10,8 +10,9 @@ from the reducible line into degree -2.  The structure maps must satisfy
 
 with gradings as above.  This module provides construction, validation,
 tensor products, duals, morphism checking, Euler characteristics,
-coefficient base change, the unreduced mapping-cone model, and the JSON
-wire format shared with the command line.
+coefficient base change, the unreduced mapping-cone model (a
+(generators, differential) pair, like the total complex of ``dtilde``),
+and the JSON wire format shared with the command line.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg, rings
+from . import rings
 from .linalg import Matrix, assemble, kron
 from .rings import RingError, RingMismatchError
 
@@ -362,14 +363,11 @@ def euler_characteristic(C):
     return sum(_eps(g.gr_mod4) for g in C.gens)
 
 
-def base_change_complex(C, assignment, target, check=True,
-                        v_trusted=None):
+def base_change_complex(C, assignment, target, check=True):
     """Apply a coefficient base change entry-wise.
 
     deg_I survives only into rings that still carry U; hol only where a
-    T variable remains.  ``v_trusted`` is inherited unless the caller
-    knows better (e.g. the two-bridge generator promotes it for untwisted
-    targets, where the geometric v map vanishes).
+    T variable remains.  ``v_trusted`` is inherited.
     """
     def bc(p):
         return rings.base_change(p, assignment, target)
@@ -382,7 +380,7 @@ def base_change_complex(C, assignment, target, check=True,
                    C.v.map_entries(bc, target),
                    C.delta1.map_entries(bc, target),
                    C.delta2.map_entries(bc, target),
-                   v_trusted=C.v_trusted if v_trusted is None else v_trusted)
+                   C.v_trusted)
     if check:
         report = validate(out)
         if not report.ok:
@@ -415,35 +413,10 @@ def standard_assignment(src, target, **overrides):
 # the unreduced (mapping cone) model
 
 
-class ChainComplex:
-    """Plain finite chain complex: named Z/4-graded generators plus one
-    square differential matrix."""
-
-    __slots__ = ("ring", "gens", "D")
-
-    def __init__(self, ring, gens, D):
-        if D.rows != D.cols or D.rows != len(gens):
-            raise SComplexError("differential shape mismatch")
-        self.ring = ring
-        self.gens = list(gens)  # (name, gr_mod4)
-        self.D = D
-
-    def d_squared_is_zero(self):
-        return (self.D * self.D).is_zero()
-
-    def homology_summary(self):
-        """Invariant-factor homology over Euclidean rings, all gradings
-        merged."""
-        return linalg.homology(self.D, self.D)
-
-    def rank_over_fractions(self):
-        """Total homology rank over the fraction field of the ring."""
-        r = linalg.rank_fraction_field(self.D)
-        return len(self.gens) - 2 * r
-
-
 def sharp_complex(C, twisted=False):
-    """Mapping-cone model of the unreduced theory.
+    """Mapping-cone model of the unreduced theory, as the generators
+    [(name, gr_mod4)] and the square differential of the cone, like
+    :meth:`SComplex.dtilde`.
 
     Untwisted: the cone of twice the chi map on the total complex.
     Twisted: the two-by-two block differential with off-diagonal entries
@@ -462,17 +435,15 @@ def sharp_complex(C, twisted=False):
         w = (2 * t ** 2 + 2 * t ** -2 - rings.from_int(ring, 4))
         pieces.append((0, size, chi * w))
     D = assemble(ring, 2 * size, 2 * size, pieces)
-    gens = ([(name, gr) for name, gr in names]
-            + [(name + "#", (gr + 2) % 4) for name, gr in names])
-    cplx = ChainComplex(ring, gens, D)
-    if not cplx.d_squared_is_zero():
+    gens = names + [(name + "#", (gr + 2) % 4) for name, gr in names]
+    if not (D * D).is_zero():
         # name the relations of C that break it
         msg = "cone differential does not square to zero"
         why = validate(C).failures
         if not C.v_trusted:
             why.append("this complex only assumes v")
         raise SComplexError(f"{msg}: {'; '.join(why)}" if why else msg)
-    return cplx
+    return gens, D
 
 
 # ---------------------------------------------------------------------------

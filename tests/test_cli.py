@@ -48,6 +48,14 @@ def test_h_specialize_u_one(tmp_path):
     assert code == 0 and out.strip() == "1"
 
 
+def test_two_bridge_unknot():
+    # K(1, q) is the unknot: no generators, signature 0
+    code, out, err = run(["two-bridge", "--p", "1", "--q", "1"])
+    assert (code, err) == (0, "")
+    assert "invariant\tsignature_oracle\t0\n" in out
+    assert "invariant\th\t0\n" in out
+
+
 def test_torus_table():
     code, out, _ = run(["torus", "--p", "3", "--q", "5"])
     assert code == 0
@@ -446,6 +454,13 @@ def test_specializing_a_missing_variable_is_a_usage_error(tmp_path):
     assert (code, out) == (1, "")
     assert err == ("usage error: --specialize t=1: ring UNIV has no "
                    "variable 't' (its variables: U, T)\n")
+    # a value that does not parse is named with its argument
+    for value, why in (("@", "bad character at '@'"),
+                       ("1" * 5000, "integer of 5000 digits is too long")):
+        code, out, err = run(["h", "--in", path, "--specialize", "U=1",
+                              "--specialize", "T=" + value])
+        assert (code, out) == (1, "")
+        assert err == f"usage error: --specialize T={value}: {why}\n"
     code, out, _ = run(["h", "--in", path, "--specialize", "U=1",
                         "--specialize", "T=1"])
     assert (code, out) == (0, "0\n")

@@ -241,6 +241,19 @@ def test_signature_oracle_known_values():
     assert K.two_bridge_signature_oracle(7, -1) == -6   # T(2,7)
 
 
+def test_signature_oracle_matches_the_sign_sum():
+    # the signs of the continued-fraction pivots against an independent
+    # count: sigma(K(p, q)) is the sum over 0 < i < p of
+    # (-1)^floor(i q' / p), q' = q mod p made odd; p = 1 is the unknot
+    for p in range(1, 152, 2):
+        for q in range(1 - p, p):
+            if gcd(p, q) != 1:
+                continue
+            odd = q % p if q % p % 2 else q % p - p
+            assert K.two_bridge_signature_oracle(p, q) == sum(
+                (-1) ** (i * odd // p) for i in range(1, p)), (p, q)
+
+
 def test_euler_equals_half_signature_sweep():
     for p in range(3, 20, 2):
         for q in range(1, p):
@@ -255,8 +268,8 @@ def test_euler_equals_half_signature_sweep():
 
 
 def test_fixture_homology_ranks():
-    assert K.tilde_homology(K.fixture("t35")).free_rank == 7
-    assert K.tilde_homology(K.fixture("t34")).free_rank == 5
+    assert L.homology(K.fixture("t35").dtilde()[1]).free_rank == 7
+    assert L.homology(K.fixture("t34").dtilde()[1]).free_rank == 5
 
 
 def test_fixture_h_over_q():

@@ -119,13 +119,34 @@ def _functions_calling(name):
 
 def test_the_divisibility_chain_is_read_in_one_place():
     # Smith reduction only diagonalizes; the chain is the invariant
-    # factors, which homology alone reads, from d_in's Smith form
+    # factors, which homology alone reads, from its differential's Smith
+    # form
     assert _functions_calling("invariant_factors") == [
         ("linalg.py", "homology")]
     assert ("linalg.py", "smith_normal_form") not in \
         _functions_calling("divide")
     for helper in ("kernel_basis", "solve_matrix"):
         assert ("linalg.py", "homology") not in _functions_calling(helper)
+
+
+def test_each_differential_is_reduced_once():
+    # homology reads rank and torsion from one Smith form of its one
+    # differential, and a plain chain complex is a (generators, matrix)
+    # pair, as dtilde and sharp_complex return it: no class holds one
+    tree = ast.parse((SRC / "linalg.py").read_text(encoding="utf-8"))
+    homology = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "homology")
+    assert [arg.arg for arg in homology.args.args] == ["D"]
+    assert sum(isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "smith_normal_form"
+               for node in ast.walk(homology)) == 1
+    classes = [(path.name, node.name) for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(
+                   encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)
+               and node.name == "ChainComplex"]
+    assert classes == []
 
 
 def test_ring_names_live_in_one_table():
