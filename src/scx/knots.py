@@ -6,11 +6,14 @@ in boxes: a pair of positive integers (k1, k2) solving the congruence
 system with interior count 1 and boundary count 0 certifies a
 zero-dimensional instanton moduli point between flat connections, its
 action is k1 k2 / p, and the parity of k1 k2 decides whether the matrix
-entry survives with monopole weight T^2 - T^-2 or cancels.  Everything
-else here is elementary number theory: torus-knot signatures by lattice
-counting, Alexander polynomials by exact division, and an independent
-Goeritz-style signature oracle: the signs of the continued-fraction
-pivots of the plumbing's Seifert form.
+entry survives with monopole weight T^2 - T^-2 or cancels.  One sweep
+counts each box once, in ascending (k1 k2, k1) order; a box solves the
+congruences of at most one ordered pair (i, j), whose certificate is its
+first box with boundary count 0, or 2 for the report's one-dimensional
+moduli.  Everything else here is elementary number theory: torus-knot
+signatures by lattice counting, Alexander polynomials by exact
+division, and an independent Goeritz-style signature oracle: the signs
+of the continued-fraction pivots of the plumbing's Seifert form.
 """
 
 from __future__ import annotations
@@ -83,10 +86,6 @@ class ModuliCertificate:
     N1: int
     N2: int
 
-    @property
-    def action(self):
-        return Fraction(self.k1 * self.k2, 1)
-
 
 # ---------------------------------------------------------------------------
 # congruence counting
@@ -123,87 +122,88 @@ def count_N1N2(k1, k2, p, q):
     return n1, n2
 
 
-def _n_counts_accept(k1, k2, p, q, want_n2):
-    """(N1 == 1 and N2 == want_n2), with early abort."""
+def _n_counts_accept(k1, k2, p, q):
+    """N2 of a box with N1 == 1 and N2 <= 2, else None, with early abort
+    once N1 > 1 or N2 > 2.  N2 is even: the box is symmetric under
+    (a, b) -> (-a, -b), which fixes no edge point."""
     count = 0
     if k1 >= k2:
         for b in range(-k2 + 1, k2):
             c = (-q * b) % p
             count += _count_congruent_in_range(k1 - 1, c, p)
             if count > 1:
-                return False
+                return None
     else:
         qinv = pow(q % p, -1, p)
         for a in range(-k1 + 1, k1):
             c = (-qinv * a) % p
             count += _count_congruent_in_range(k2 - 1, c, p)
             if count > 1:
-                return False
+                return None
     if count != 1:
-        return False
+        return None
     n2 = 0
     for b in (-k2, k2):
         c = (-q * b) % p
         n2 += _count_congruent_in_range(k1 - 1, c, p)
-        if n2 > want_n2:
-            return False
+        if n2 > 2:
+            return None
     qinv = pow(q % p, -1, p)
     for a in (-k1, k1):
         c = (-qinv * a) % p
         n2 += _count_congruent_in_range(k2 - 1, c, p)
-        if n2 > want_n2:
-            return False
-    return n2 == want_n2
-
-
-def _candidate_pairs(p, q, i, j):
-    qinv = pow(q % p, -1, p)
-    residues = set()
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            r1 = (e1 * i + e2 * j) % p
-            r2 = (qinv * (-e1 * i + e2 * j)) % p
-            residues.add((r1 or p, r2 or p))
-    bound = SEARCH_MARGIN * p
-    pairs = set()
-    for r1, r2 in residues:
-        k1 = r1
-        while k1 * r2 <= bound:
-            k2 = r2
-            while k1 * k2 <= bound:
-                pairs.add((k1, k2))
-                k2 += p
-            k1 += p
-    return sorted(pairs, key=lambda t: (t[0] * t[1], t[0]))
-
-
-def solve_k1k2(p, q, i, j, boundary=0):
-    """First certificate (ascending action) for the pair (i, j), or None.
-
-    ``boundary=0`` asks for a moduli point (interior count 1, boundary
-    0); ``boundary=2`` asks for the one-dimensional case instead.
-    """
-    if i == j:
-        raise KnotError("indices must differ")
-    for k1, k2 in _candidate_pairs(p, q, i, j):
-        if _n_counts_accept(k1, k2, p, q, boundary):
-            if boundary == 0 and k1 * k2 >= 2 * p:
-                raise CheckFailedError(
-                    "accepted certificate exceeds the proven action bound")
-            n1, n2 = count_N1N2(k1, k2, p, q)
-            return ModuliCertificate(i, j, k1, k2, n1, n2)
-    return None
+        if n2 > 2:
+            return None
+    return n2
 
 
 @functools.lru_cache(maxsize=None)
 def _certificate_table(p, q):
+    """First certificates of the ordered pairs (i, j), i-major, None where
+    no box fits: ``{0: moduli points, 2: one-dimensional moduli}``.  A box
+    solves the congruences k1 = +-i +- j, q k2 = -+i +- j (mod p) of the
+    one pair i = +-(k1 - q k2)/2, j = +-(k1 + q k2)/2 reduced into 0..m.
+    """
+    TwoBridgeKnot(p, q)
     m = (p - 1) // 2
-    table = {}
-    for i in range(m + 1):
-        for j in range(m + 1):
-            if i != j:
-                table[(i, j)] = solve_k1k2(p, q, i, j)
-    return table
+    pairs = [(i, j) for i in range(m + 1) for j in range(m + 1) if i != j]
+    tables = {0: dict.fromkeys(pairs), 2: dict.fromkeys(pairs)}
+    half = (p + 1) // 2  # the inverse of 2 mod odd p
+    bound = SEARCH_MARGIN * p
+    boxes = sorted((k1 * k2, k1, k2) for k1 in range(1, bound + 1)
+                   for k2 in range(1, bound // k1 + 1))
+    for action, k1, k2 in boxes:
+        i, j = (k1 - q * k2) * half % p, (k1 + q * k2) * half % p
+        i, j = min(i, p - i), min(j, p - j)
+        pair = (i, j)
+        if i == j or (tables[0][pair] is not None
+                      and tables[2][pair] is not None):
+            continue
+        n2 = _n_counts_accept(k1, k2, p, q)
+        if n2 is None or tables[n2][pair] is not None:
+            continue
+        if n2 == 0 and action >= 2 * p:
+            raise CheckFailedError(
+                "accepted certificate exceeds the proven action bound")
+        tables[n2][pair] = ModuliCertificate(i, j, k1, k2, 1, n2)
+    return tables
+
+
+def solve_k1k2(p, q, i, j, boundary=0):
+    """First certificate (ascending action) for the pair (i, j), or None,
+    looked up in the sweep's tables.
+
+    ``boundary=0`` asks for a moduli point (interior count 1, boundary
+    0); ``boundary=2`` asks for the one-dimensional case instead.
+    """
+    m = (p - 1) // 2
+    if i == j:
+        raise KnotError("indices must differ")
+    if boundary not in (0, 2):
+        raise KnotError("the boundary count must be 0 or 2")
+    if not (0 <= i <= m and 0 <= j <= m):
+        raise KnotError(f"indices must lie in 0..{m}")
+    return _certificate_table(p, q % p)[boundary][(i, j)]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def _two_bridge_data(p, q):
         r = (-qinv * i * i) % p
         degs[i] = Fraction(r, p) if r else Fraction(1)
 
-    certs = _certificate_table(p, qn)
+    certs = _certificate_table(p, qn)[0]
     tt = rings.var(ring, "T")
     weight = tt ** 2 - tt ** -2
     entries = {}
@@ -372,6 +372,7 @@ def lens_sasahira(p, q):
 # torus knots
 
 
+@functools.cache
 def torus_signature(p, q):
     """Signature of the (p, q) torus knot by exact lattice counting; the
     closed forms for q = 2kp +- 2 and q = (2k+1)p +- 2 are checked
@@ -400,6 +401,7 @@ def torus_signature(p, q):
     return sigma
 
 
+@functools.cache
 def torus_alexander(p, q):
     """Symmetrized Alexander polynomial of the (p, q) torus knot and the
     sum of the absolute values of its coefficients."""
@@ -562,16 +564,10 @@ def two_bridge_report(p, q, C):
         rep.warnings.append(
             "v map is assumed zero but the gradings leave room for v "
             "entries; h, ideal and Gamma computations are refused")
-        parities = {}
-        m = (p - 1) // 2
-        qn = knot.q_normalized
-        for i in range(m + 1):
-            for j in range(m + 1):
-                if i != j:
-                    cert = solve_k1k2(p, qn, i, j, boundary=2)
-                    if cert is not None:
-                        parities[f"{i}->{j}"] = (
-                            "T^2,T^-2" if (cert.k1 * cert.k2) % 2 else "T^0")
+        parities = {f"{i}->{j}": "T^2,T^-2" if (c.k1 * c.k2) % 2 else "T^0"
+                    for (i, j), c in
+                    _certificate_table(p, knot.q_normalized)[2].items()
+                    if c is not None}
         if parities:
             rep.notes.append(
                 f"one-dimensional moduli monopole parities: {parities}")

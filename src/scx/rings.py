@@ -325,9 +325,6 @@ class LaurentPoly:
         return self._terms.get((0, 0, (0,) * nt),
                                _cfrom_int(self.ring.base, 0))
 
-    def coefficient(self, key):
-        return self._terms.get(key, _cfrom_int(self.ring.base, 0))
-
     def terms_dict(self):
         return dict(self._terms)
 
@@ -781,8 +778,8 @@ def normalizing_unit(p):
                   for i in range(len(ring.tvars)))
     shifted = LaurentPoly(ring, {(0, -umin, tuple(-m for m in tmins)):
                                  _cfrom_int(ring.base, 1)})
-    q = p * shifted
-    lead_c = q.sorted_terms()[0][1]
+    # a monomial shift keeps the term order, so p's leading term leads
+    lead_c = p._terms[max(keys)]
     cinv = _cinv(ring.base, lead_c)
     if cinv is not None:
         return shifted.scale(cinv)

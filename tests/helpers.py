@@ -103,8 +103,10 @@ def naive_counts(k1, k2, p, q):
     return n1, n2
 
 
-def naive_cert_search(p, q, i, j, bound_factor=4):
-    """Exhaustive (k1, k2) search using only naive_counts."""
+def naive_cert_search(p, q, i, j, bound_factor=4, boundary=0):
+    """Exhaustive (k1, k2) search using only naive_counts: the box of
+    least k1 k2, then least k1, with interior count 1 and boundary count
+    ``boundary``."""
     qinv = pow(q % p, -1, p)
     best = None
     for k1 in range(1, bound_factor * p + 1):
@@ -118,7 +120,7 @@ def naive_cert_search(p, q, i, j, bound_factor=4):
             if not ok:
                 continue
             n1, n2 = naive_counts(k1, k2, p, q)
-            if n1 == 1 and n2 == 0:
+            if n1 == 1 and n2 == boundary:
                 if best is None or k1 * k2 < best[0] * best[1]:
                     best = (k1, k2)
     return best

@@ -58,29 +58,68 @@ def test_solve_k1k2_none_case():
     assert K.solve_k1k2(5, -1, 2, 1) is None
 
 
+@pytest.mark.parametrize("i, j, boundary", [
+    (1, 1, 0), (1, 0, 1), (0, 1, 4), (3, 0, 0), (0, 3, 2), (-1, 0, 0)])
+def test_solve_k1k2_refusals(i, j, boundary):
+    # K(5, q) has indices 0..2; boundary counts other than 0 and 2 have
+    # no table
+    with pytest.raises(K.KnotError):
+        K.solve_k1k2(5, -1, i, j, boundary)
+
+
+def test_certificate_tables_match_the_naive_search():
+    # each box of the one sweep is credited to the one pair whose
+    # congruences it solves; the first box per pair and boundary count
+    # is the exhaustive search's
+    def box(cert):
+        return None if cert is None else (cert.k1, cert.k2)
+
+    for p in range(1, 14, 2):
+        m = (p - 1) // 2
+        for q in range(p):
+            if gcd(p, q) != 1:
+                continue
+            tables = K._certificate_table(p, q)
+            assert sorted(tables) == [0, 2]
+            for boundary, table in tables.items():
+                assert list(table) == [(i, j) for i in range(m + 1)
+                                       for j in range(m + 1) if i != j]
+                for (i, j), cert in table.items():
+                    want = helpers.naive_cert_search(p, q, i, j,
+                                                     boundary=boundary)
+                    assert box(cert) == want, (p, q, i, j, boundary)
+                    if cert is not None:
+                        assert (cert.i, cert.j, cert.N1, cert.N2) == \
+                            (i, j, 1, boundary)
+
+
 def test_certificate_action_bound():
     # accepted certificates stay below action 2p across a sweep
     for p in range(3, 22, 2):
         for q in range(1, p):
             if gcd(p, q) == 1:
-                for (i, j), cert in K._certificate_table(p, q).items():
+                for (i, j), cert in K._certificate_table(p, q)[0].items():
                     if cert is not None:
                         assert cert.k1 * cert.k2 < 2 * p
 
 
 def test_certificate_existence_mirror_symmetric():
     # flows are orientation-asymmetric: reversing a pair corresponds to
-    # reversing orientation, i.e. passing from q to -q, with equal action
+    # reversing orientation, i.e. passing from q to -q, with equal action;
+    # this holds for the moduli points and the one-dimensional moduli
     for p in range(3, 22, 2):
         for q in range(1, p):
             if gcd(p, q) == 1:
-                table = K._certificate_table(p, q)
-                mirror = K._certificate_table(p, (-q) % p)
-                for (i, j), cert in table.items():
-                    other = mirror[(j, i)]
-                    assert (cert is None) == (other is None), (p, q, i, j)
-                    if cert is not None:
-                        assert cert.k1 * cert.k2 == other.k1 * other.k2
+                tables = K._certificate_table(p, q)
+                mirrors = K._certificate_table(p, (-q) % p)
+                for boundary in (0, 2):
+                    mirror = mirrors[boundary]
+                    for (i, j), cert in tables[boundary].items():
+                        other = mirror[(j, i)]
+                        assert (cert is None) == (other is None), \
+                            (p, q, i, j, boundary)
+                        if cert is not None:
+                            assert cert.k1 * cert.k2 == other.k1 * other.k2
 
 
 def test_grading_well_defined_across_solution_choices():

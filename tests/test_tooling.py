@@ -149,6 +149,18 @@ def test_each_differential_is_reduced_once():
     assert classes == []
 
 
+def test_certificates_come_from_one_sweep():
+    # every box is classified once, in _certificate_table; solve_k1k2 and
+    # the report's one-dimensional moduli read its tables
+    assert _functions_calling("_n_counts_accept") == [
+        ("knots.py", "_certificate_table")]
+    assert "_candidate_pairs" not in (SRC / "knots.py").read_text(
+        encoding="utf-8")
+    for name in ("solve_k1k2", "_n_counts_accept"):
+        assert ("knots.py", "two_bridge_report") not in \
+            _functions_calling(name)
+
+
 def test_ring_names_live_in_one_table():
     # a dict literal whose values are ring constants (rings.Z, ZT, ...)
     # is a table of ring names; rings.RING_NAMES is the only one
