@@ -436,13 +436,10 @@ def _u_split(M, shifts):
             rows.setdefault((i, u + shifts[j]), {}).setdefault(
                 j, {})[(0, 0, ts)] = c
     zt = rings.ZT
-    dense = []
-    for key in sorted(rows):
-        row = [rings.zero(zt)] * M.cols
-        for j, terms in rows[key].items():
-            row[j] = rings.LaurentPoly(zt, terms)
-        dense.append(row)
-    return Matrix(zt, dense, cols=M.cols)
+    return Matrix.from_entries(zt, len(rows), M.cols, (
+        (r, j, rings.LaurentPoly(zt, terms))
+        for r, key in enumerate(sorted(rows))
+        for j, terms in rows[key].items()))
 
 
 def gamma(C, k):

@@ -266,7 +266,7 @@ def _two_bridge_data(p, q):
         raise InconsistentComplexError(
             f"directed cycle among moduli entries of K({p},{q}); "
             "sign normalization is not justified")
-    return ring, m, grs, degs, entries, qn
+    return ring, m, grs, degs, entries
 
 
 def _room_for_v(m, grs):
@@ -292,7 +292,7 @@ def two_bridge_complex(p, q, ring="universal"):
     signed lift.  Over characteristic-two targets the collisions cancel
     and every K(p, q) is available.
     """
-    uring, m, grs, degs, entries, qn = _two_bridge_data(p, q)
+    uring, m, grs, degs, entries = _two_bridge_data(p, q)
     if isinstance(ring, str):
         try:
             target = rings.named(ring, universal=uring)
@@ -303,18 +303,17 @@ def two_bridge_complex(p, q, ring="universal"):
     if target != uring and target.udenom:
         raise KnotError("generate directly at the desired U-denominator")
     gens = [Generator(f"xi{i}", grs[i], degs[i]) for i in range(1, m + 1)]
-    z = rings.zero(uring)
-    d = [[z] * m for _ in range(m)]
-    for (i, j), e in entries.items():
-        if i >= 1 and j >= 1:
-            d[j - 1][i - 1] = e
-    d1 = [[entries.get((i, 0), z) for i in range(1, m + 1)]]
-    d2 = [[entries.get((0, j), z)] for j in range(1, m + 1)]
+    # entry (i, j) runs from generator i to j; 0 is the reducible
+    cells = entries.items()
+    d = Matrix.from_entries(uring, m, m, [(j - 1, i - 1, e)
+                                          for (i, j), e in cells if i and j])
+    delta1 = Matrix.from_entries(uring, 1, m, [(0, i - 1, e)
+                                               for (i, j), e in cells if not j])
+    delta2 = Matrix.from_entries(uring, m, 1, [(j - 1, 0, e)
+                                               for (i, j), e in cells if not i])
     # where the specialization sends T to 1 the geometric v map vanishes
     t_killed = "T" not in target.tvars and target.tag != "F4"
-    C = SComplex(uring, gens, Matrix(uring, d, cols=m),
-                 Matrix.zeros(uring, m, m), Matrix(uring, d1, cols=m),
-                 Matrix(uring, d2, cols=1),
+    C = SComplex(uring, gens, d, Matrix.zeros(uring, m, m), delta1, delta2,
                  v_trusted=t_killed or not _room_for_v(m, grs))
     if target != uring:
         assignment = scomplex.standard_assignment(
@@ -347,14 +346,10 @@ def lens_sasahira(p, q):
     """Graded F2 ranks of the lens-space instanton homology of L(p, q),
     built from the mirror two-bridge data with unit weights."""
     knot = TwoBridgeKnot(p, -q)
-    _ring, m, grs, _degs, entries, _qn = _two_bridge_data(p, knot.q)
-    f2 = rings.F2
-    o, z = rings.one(f2), rings.zero(f2)
-    D = [[z] * m for _ in range(m)]
-    for (i, j), _e in entries.items():
-        if i >= 1 and j >= 1:
-            D[j - 1][i - 1] = o
-    M = Matrix(f2, D, cols=m)
+    _ring, m, grs, _degs, entries = _two_bridge_data(p, knot.q)
+    o = rings.one(rings.F2)
+    M = Matrix.from_entries(rings.F2, m, m, [(j - 1, i - 1, o)
+                                             for i, j in entries if i and j])
     if not (M * M).is_zero():
         raise InconsistentComplexError(
             f"Sasahira differential does not square to zero for L({p},{q})")
@@ -491,17 +486,14 @@ def fixture(name):
     if name == "trefoil":
         return two_bridge_complex(3, -1)
     if name in ("t34", "t35"):
-        ring = rings.Z
-        if name == "t34":
-            grs, d1 = [1, 1, 3], [1, -1, 0]
-        else:
-            grs, d1 = [1, 1, 3, 3], [1, -1, 0, 0]
+        ring, one = rings.Z, rings.one(rings.Z)
+        grs = [1, 1, 3] if name == "t34" else [1, 1, 3, 3]
         n = len(grs)
         gens = [Generator(f"a{k+1}", g) for k, g in enumerate(grs)]
         C = SComplex(ring, gens, Matrix.zeros(ring, n, n),
                      Matrix.zeros(ring, n, n),
-                     Matrix(ring, [[rings.from_int(ring, c) for c in d1]],
-                            cols=n),
+                     Matrix.from_entries(ring, 1, n, [(0, 0, one),
+                                                      (0, 1, -one)]),
                      Matrix.zeros(ring, n, 1), v_trusted=True)
         rep = scomplex.validate(C)
         if not rep.ok:

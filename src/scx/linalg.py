@@ -1,7 +1,9 @@
 """Exact matrix algebra over the supported rings.
 
 Matrices of :class:`~scx.rings.LaurentPoly` entries stored as row dicts
-of their nonzero entries (the algorithms here never visit a zero),
+of their nonzero entries (the algorithms here never visit a zero, and
+every matrix of the package is built from those entries by
+:meth:`Matrix.from_entries`, the block builders or the algorithms),
 diagonal Smith reduction with transform certificates over the Euclidean
 rings (Z, the constant fields, and one-variable Laurent rings over a
 field) and the invariant factors read from it, kernels, exact linear
@@ -47,20 +49,38 @@ class Matrix:
     """Immutable-by-convention matrix over a single ring, row i stored as
     the dict {column: nonzero entry}: no zero is ever stored, and a row
     dict is never changed once a matrix holds it, so matrices may share
-    rows.  ``Matrix(ring, rows)`` takes dense rows and drops their zeros.
+    rows.  :meth:`from_entries` builds one from its nonzero entries;
+    ``Matrix(ring, rows, cols=None)`` takes dense rows (for tests and
+    hand-written matrices), all ``cols`` long when it is given, and
+    drops their zeros.
     """
 
     __slots__ = ("ring", "rows", "cols", "_dicts", "_dense")
 
     def __init__(self, ring, data, cols=None):
         data = [list(row) for row in data]
-        cols = len(data[0]) if data else cols or 0
+        cols = (len(data[0]) if data else 0) if cols is None else cols
         if any(len(row) != cols for row in data):
-            raise LinalgError("ragged matrix rows")
+            raise LinalgError(f"a matrix row is not {cols} entries long")
         self.ring, self.rows, self.cols = ring, len(data), cols
         self._dense = None
         self._dicts = [{j: e for j, e in enumerate(row) if _nonzero(ring, e)}
                        for row in data]
+
+    @classmethod
+    def from_entries(cls, ring, rows, cols, entries):
+        """The rows x cols matrix over ``ring`` holding the (row, col,
+        entry) triples ``entries`` and zero elsewhere: the inverse of
+        :meth:`nonzero_entries`.  Each entry must belong to ``ring`` and
+        each position to the matrix; zero entries are dropped."""
+        dicts = [{} for _ in range(rows)]
+        for i, j, e in entries:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise LinalgError(f"entry at ({i}, {j}) outside a "
+                                  f"{rows}x{cols} matrix")
+            if _nonzero(ring, e):
+                dicts[i][j] = e
+        return cls._trusted(ring, dicts, cols)
 
     @classmethod
     def _trusted(cls, ring, dicts, cols):

@@ -458,12 +458,9 @@ class LaurentPoly:
             else:
                 negative = False
                 mag = c
-            if factors and mag == _cfrom_int(base, 1) and base != "F4":
-                coeff_str = None
-            elif factors and base == "F4" and mag == 1:
-                coeff_str = None
-            else:
-                coeff_str = _cstr(base, mag, in_product=bool(factors))
+            # a unit coefficient is 1 in every base, F4's included
+            coeff_str = None if factors and mag == 1 else _cstr(
+                base, mag, in_product=bool(factors))
             body = "*".join(([coeff_str] if coeff_str else []) + factors)
             if i == 0:
                 parts.append(("-" if negative else "") + body)

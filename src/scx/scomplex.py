@@ -253,11 +253,10 @@ def _eps(g):
 def _eps_matrix(C):
     """diag(eps(gr)) over the generators of C; in characteristic two
     -1 = 1 and it is the identity."""
-    ring, one = C.ring, rings.one(C.ring)
-    z = rings.zero(ring)
-    signs = [one if _eps(g.gr_mod4) > 0 else -one for g in C.gens]
-    return Matrix(ring, [[s if i == j else z for j in range(C.n)]
-                         for i, s in enumerate(signs)], cols=C.n)
+    one = rings.one(C.ring)
+    return Matrix.from_entries(C.ring, C.n, C.n, (
+        (i, i, one if _eps(g.gr_mod4) > 0 else -one)
+        for i, g in enumerate(C.gens)))
 
 
 def tensor(C, Cp):
@@ -434,15 +433,17 @@ def sharp_complex(C, twisted=False):
         t = rings.var(ring, ring.tvars[0])
         w = (2 * t ** 2 + 2 * t ** -2 - rings.from_int(ring, 4))
         pieces.append((0, size, chi * w))
-    D = assemble(ring, 2 * size, 2 * size, pieces)
-    gens = names + [(name + "#", (gr + 2) % 4) for name, gr in names]
-    if not (D * D).is_zero():
+    # D * D is dt * dt on the diagonal blocks and zero off them, since
+    # chi * chi = 0, chi * dt + dt * chi = 0 and the twist is a scalar
+    if not (dt * dt).is_zero():
         # name the relations of C that break it
         msg = "cone differential does not square to zero"
         why = validate(C).failures
         if not C.v_trusted:
             why.append("this complex only assumes v")
         raise SComplexError(f"{msg}: {'; '.join(why)}" if why else msg)
+    D = assemble(ring, 2 * size, 2 * size, pieces)
+    gens = names + [(name + "#", (gr + 2) % 4) for name, gr in names]
     return gens, D
 
 
@@ -530,39 +531,29 @@ def from_dict(doc):
                               _frac_parse(g.get("deg_I"), path + ".deg_I"),
                               _frac_parse(g.get("hol"), path + ".hol")))
     n = len(gens)
-    z = rings.zero(ring)
 
-    def entry(s, key, *idx):
-        # "0", most entries of the sparse maps, is read without a parse
-        if s == "0":
-            return z
-        return _parse_entry(ring, s, key + "".join(f"[{k}]" for k in idx))
+    def wire_row(raw, path):
+        """(position, entry) for the nonzero cells of one wire row of n
+        cells; "0", most cells of the sparse maps, is skipped unparsed."""
+        if not isinstance(raw, list) or len(raw) != n:
+            raise SchemaError(f"{path}: expected {n} entries")
+        return [(j, _parse_entry(ring, s, f"{path}[{j}]"))
+                for j, s in enumerate(raw) if s != "0"]
 
-    def matrix_of(key, rows, cols):
+    def square(key):
         raw = doc.get(key)
-        if not isinstance(raw, list) or len(raw) != rows:
-            raise SchemaError(f"{key}: expected {rows} rows")
-        data = []
-        for i, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != cols:
-                raise SchemaError(f"{key}[{i}]: expected {cols} entries")
-            data.append([entry(e, key, i, j) for j, e in enumerate(row)])
-        return Matrix(ring, data, cols=cols)
+        if not isinstance(raw, list) or len(raw) != n:
+            raise SchemaError(f"{key}: expected {n} rows")
+        return Matrix.from_entries(ring, n, n, (
+            (i, j, e) for i, row in enumerate(raw)
+            for j, e in wire_row(row, f"{key}[{i}]")))
 
-    d = matrix_of("d", n, n)
-    v = matrix_of("v", n, n)
-    raw_d1 = doc.get("delta1")
-    if not isinstance(raw_d1, list) or len(raw_d1) != n:
-        raise SchemaError(f"delta1: expected {n} entries")
-    delta1 = Matrix(ring, [[entry(e, "delta1", j)
-                            for j, e in enumerate(raw_d1)]], cols=n) \
-        if n else Matrix.zeros(ring, 1, 0)
-    raw_d2 = doc.get("delta2")
-    if not isinstance(raw_d2, list) or len(raw_d2) != n:
-        raise SchemaError(f"delta2: expected {n} entries")
-    delta2 = Matrix(ring, [[entry(e, "delta2", i)]
-                           for i, e in enumerate(raw_d2)], cols=1) \
-        if n else Matrix.zeros(ring, 0, 1)
+    d = square("d")
+    v = square("v")
+    delta1 = Matrix.from_entries(ring, 1, n, (
+        (0, j, e) for j, e in wire_row(doc.get("delta1"), "delta1")))
+    delta2 = Matrix.from_entries(ring, n, 1, (
+        (i, 0, e) for i, e in wire_row(doc.get("delta2"), "delta2")))
     v_trusted = doc.get("v_trusted", True)
     if not isinstance(v_trusted, bool):
         raise SchemaError("v_trusted: expected a boolean")

@@ -530,6 +530,45 @@ def test_explicit_zeros_give_the_same_matrix():
     assert (L.Matrix(ring, [], cols=4).cols, L.Matrix(ring, []).cols) == (4, 0)
 
 
+@pytest.mark.parametrize("ring", [R.Z, R.F2T, R.universal(3)],
+                         ids=lambda r: r.tag)
+def test_from_entries_inverts_nonzero_entries(ring):
+    rng = random.Random(1818)
+    for _ in range(20):
+        m, n = rng.randint(0, 5), rng.randint(0, 5)
+        M = _random_sparse(rng, ring, m, n)
+        assert L.Matrix.from_entries(ring, m, n, M.nonzero_entries()) == M
+        # every cell given, zeros included: the zeros are dropped
+        N = L.Matrix.from_entries(ring, m, n, [
+            (i, j, M[i, j]) for i in range(m) for j in range(n)])
+        assert N == M and _stores_no_zero(N)
+        assert list(N.nonzero_entries()) == list(M.nonzero_entries())
+
+
+def test_from_entries_checks_ring_and_position():
+    zt = R.ZT
+    t = R.var(zt, "T")
+    for e in (R.one(R.F2T), R.zero(R.F2T), 1):
+        with pytest.raises(R.RingMismatchError):
+            L.Matrix.from_entries(zt, 1, 2, [(0, 1, e)])
+    for i, j in ((1, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(L.LinalgError):
+            L.Matrix.from_entries(zt, 1, 2, [(i, j, t)])
+    assert L.Matrix.from_entries(zt, 1, 2, [(0, 1, t)]) == L.Matrix(
+        zt, [[R.zero(zt), t]])
+
+
+def test_dense_rows_must_have_the_given_length():
+    # cols, when given, is the length of every row
+    zt = R.ZT
+    t = R.var(zt, "T")
+    for rows, cols in (([[t]], 2), ([[t, t]], 1), ([[t], [t, t]], None)):
+        with pytest.raises(L.LinalgError):
+            L.Matrix(zt, rows, cols=cols)
+    M = L.Matrix(zt, [[t, R.zero(zt)]], cols=2)
+    assert (M.rows, M.cols) == (1, 2)
+
+
 def test_dense_view_is_read_only_and_built_once():
     ring = R.F2T
     t, z = R.var(ring, "T"), R.zero(ring)

@@ -298,6 +298,53 @@ def test_sharp_twisted_needs_t():
         S.sharp_complex(S.SComplex.trivial(R.Z), twisted=True)
 
 
+def _bumped(rng, C):
+    """C with one entry of one of its structure maps raised by 1."""
+    maps = {"d": C.d, "v": C.v, "delta1": C.delta1, "delta2": C.delta2}
+    label = rng.choice(sorted(maps))
+    M = maps[label]
+    maps[label] = M + L.Matrix.from_entries(C.ring, M.rows, M.cols, [
+        (rng.randrange(M.rows), rng.randrange(M.cols), R.one(C.ring))])
+    return S.SComplex(C.ring, C.gens, v_trusted=C.v_trusted, **maps)
+
+
+def _cone_square(C, twisted):
+    """D * D for the whole cone differential D, assembled here."""
+    _names, dt = C.dtilde()
+    chi, ring, size = C.chi_matrix(), C.ring, dt.rows
+    pieces = [(0, 0, dt), (size, 0, chi * R.from_int(ring, 2)),
+              (size, size, dt)]
+    if twisted:
+        t = R.var(ring, "T")
+        pieces.append((0, size, chi * (2 * t ** 2 + 2 * t ** -2
+                                       - R.from_int(ring, 4))))
+    D = L.assemble(ring, 2 * size, 2 * size, pieces)
+    return D * D
+
+
+def test_sharp_refuses_exactly_when_dtilde_does_not_square_to_zero():
+    # the cone squares to dt * dt on its diagonal blocks, twisted or not
+    rng = random.Random(1919)
+    refused = 0
+    for ring in (R.ZT, R.F2T, R.QT):
+        for k in range(20):
+            C = helpers.random_scomplex(rng, ring, max_gens=8)
+            if k % 2:
+                C = _bumped(rng, C)
+            _names, dt = C.dtilde()
+            broken = not (dt * dt).is_zero()
+            for twisted in (False, True):
+                assert broken == (not _cone_square(C, twisted).is_zero())
+                if not broken:
+                    S.sharp_complex(C, twisted)
+                    continue
+                refused += 1
+                with pytest.raises(S.SComplexError, match="^cone differential"
+                                   " does not square to zero"):
+                    S.sharp_complex(C, twisted)
+    assert refused >= 10
+
+
 def test_serialize_round_trip_and_determinism():
     C = trefoil()
     doc = S.to_dict(C)
@@ -338,6 +385,24 @@ def test_schema_error_paths():
     with pytest.raises(S.SchemaError) as err:
         S.from_dict(doc)
     assert "delta1[0]" in str(err.value)
+
+
+def test_wire_cell_that_parses_to_zero_loads_as_zero():
+    C = S.tensor(trefoil(), trefoil())
+    doc = S.to_dict(C)
+    zeros = 0
+    for key in ("d", "v", "delta1", "delta2"):
+        rows = doc[key] if key in ("d", "v") else [doc[key]]
+        for row in rows:
+            for j, cell in enumerate(row):
+                if cell == "0":
+                    row[j], zeros = "T - T", zeros + 1
+    assert zeros > 0
+    C2 = S.from_dict(doc)
+    for key in ("d", "v", "delta1", "delta2"):
+        M, M2 = getattr(C, key), getattr(C2, key)
+        assert M2 == M
+        assert list(M2.nonzero_entries()) == list(M.nonzero_entries())
 
 
 def test_broken_complex_loads_but_fails_validation():

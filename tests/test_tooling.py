@@ -1,6 +1,7 @@
 """Guards for readers of ``Matrix`` outside the algorithms: no module of
-``src/scx`` reads the dense ``.data`` view, and the benchmark's traced
-product counter, which does read it, still counts what it did."""
+``src/scx`` reads the dense ``.data`` view or, outside ``linalg``, builds
+a matrix from dense rows, and the benchmark's traced product counter,
+which does read the view, still counts what it did."""
 
 import ast
 import pathlib
@@ -24,6 +25,20 @@ def test_no_module_reads_the_dense_view():
             if isinstance(node, ast.Attribute) and node.attr == "data":
                 reads.append((path.name, node.lineno))
     assert reads == []
+
+
+def test_only_linalg_builds_dense_matrices():
+    # every matrix of the package is built from its nonzero entries
+    # (from_entries, zeros, identity, assemble, kron or an algorithm);
+    # the dense Matrix(ring, rows) is for tests and hand-written matrices
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "Matrix" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                calls.append((path.name, node.lineno))
+    assert {name for name, _line in calls} <= {"linalg.py"}
 
 
 def _tracing():
