@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import os
@@ -271,7 +272,7 @@ def _cmd_two_bridge(args, out, err):
     doc = scomplex.to_dict(C)
     if args.out:
         _write_or_print(args.out, json.dumps(doc, indent=2), out)
-    payload = {"report": rep.to_dict()}
+    payload = {"report": dataclasses.asdict(rep)}
     if not args.out:
         payload["complex"] = doc
     _emit(payload, args.json, _report_table(rep), out)

@@ -57,9 +57,6 @@ class _Infinity:
     def __repr__(self):
         return "infinity"
 
-    def __str__(self):
-        return "infinity"
-
 
 INFINITY = _Infinity()
 

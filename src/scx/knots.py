@@ -19,6 +19,7 @@ of the continued-fraction pivots of the plumbing's Seifert form.
 from __future__ import annotations
 
 import functools
+import graphlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -247,25 +248,15 @@ def _two_bridge_data(p, q):
 
     # sign normalization (+1 everywhere) is valid only without directed
     # cycles among the nonzero entries
-    adj = {}
-    for (i, j) in entries:
-        adj.setdefault(i, []).append(j)
-    state = {}
-
-    def cyclic(node):
-        state[node] = 1
-        for nxt in adj.get(node, ()):
-            if state.get(nxt) == 1:
-                return True
-            if state.get(nxt) is None and cyclic(nxt):
-                return True
-        state[node] = 2
-        return False
-
-    if any(state.get(v) is None and cyclic(v) for v in adj):
+    order = graphlib.TopologicalSorter()
+    for i, j in entries:
+        order.add(j, i)
+    try:
+        order.prepare()
+    except graphlib.CycleError:
         raise InconsistentComplexError(
             f"directed cycle among moduli entries of K({p},{q}); "
-            "sign normalization is not justified")
+            "sign normalization is not justified") from None
     return ring, m, grs, degs, entries
 
 
@@ -277,9 +268,10 @@ def _room_for_v(m, grs):
 def two_bridge_complex(p, q, ring="universal"):
     """The S-complex of the two-bridge knot K(p, q).
 
-    The canonical output lives over Z[U^(1/p)-Laurent, T-Laurent]; other
-    rings are reached by the standard specializations (U -> 1, and T -> 1
-    for the constant rings, T -> x for F4).  The v map is stored as zero;
+    ``ring`` is a ring name: "universal", the canonical
+    Z[U^(1/p)-Laurent, T-Laurent], or a name of ``rings.RING_NAMES``,
+    reached by the standard specializations (U -> 1, and T -> 1 for the
+    constant rings, T -> x for F4).  The v map is stored as zero;
     it is trusted when the gradings leave no room for v entries or the
     target ring kills T, untrusted otherwise, in which case the v
     relation may fail on the stored placeholder and v-dependent
@@ -293,15 +285,10 @@ def two_bridge_complex(p, q, ring="universal"):
     and every K(p, q) is available.
     """
     uring, m, grs, degs, entries = _two_bridge_data(p, q)
-    if isinstance(ring, str):
-        try:
-            target = rings.named(ring, universal=uring)
-        except KeyError:
-            raise KnotError(f"unknown ring name {ring!r}")
-    else:
-        target = ring or uring
-    if target != uring and target.udenom:
-        raise KnotError("generate directly at the desired U-denominator")
+    try:
+        target = rings.named(ring, universal=uring)
+    except KeyError:
+        raise KnotError(f"unknown ring name {ring!r}")
     gens = [Generator(f"xi{i}", grs[i], degs[i]) for i in range(1, m + 1)]
     # entry (i, j) runs from generator i to j; 0 is the reducible
     cells = entries.items()
@@ -516,14 +503,6 @@ class KnotInvariantReport:
     invariants: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-
-    def to_dict(self):
-        return {
-            "knot": self.knot, "ring": self.ring,
-            "generators": self.generators, "maps": self.maps,
-            "invariants": self.invariants, "warnings": self.warnings,
-            "notes": self.notes,
-        }
 
 
 def _map_summary(M, label):

@@ -6,15 +6,15 @@ the universal ring Z[U^(1/N) and its inverse, T, T^-1] with fractional
 U-exponents, the char-2 Laurent rings in T1,T2,T3 (and T0..T3), and the
 polynomial extension of any of these by a nonnegative-degree variable x.
 
-A value is an immutable :class:`LaurentPoly`: a ring descriptor together
-with a finite dictionary of terms keyed by the exponent triple
-``(x_exp, u_exp, t_exps)``.  No two terms share a key, no coefficient is
-zero, and U-exponent denominators divide the ring's bound N; a U-exponent
-is a plain int when it is integral and a Fraction only when it is not.
-These conditions are checked where a polynomial is built from outside
-data (``LaurentPoly(...)``, ``monomial``, ``var``, ``parse``), not again
-on arithmetic results.  All arithmetic is exact; nothing in this module
-touches floating point.
+A value is a :class:`LaurentPoly`, immutable by convention like a
+``Matrix``: a ring descriptor together with a finite dictionary of terms
+keyed by the exponent triple ``(x_exp, u_exp, t_exps)``.  No coefficient
+is zero, and U-exponent denominators divide the ring's bound N; a
+U-exponent is a plain int when it is integral and a Fraction only when
+it is not.  These conditions are checked where a polynomial is built
+from outside data (``LaurentPoly(...)``, ``monomial``, ``var``,
+``parse``), not again on arithmetic results.  All arithmetic is exact;
+nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ class ParseError(RingError):
 # Base coefficients are plain Python values: int for Z, Fraction for Q,
 # 0/1 for F2 and 0..3 for F4 (bit 0 is the 1-part, bit 1 the x-part,
 # with x^2 = x + 1).
-
-_BASES = ("Z", "Q", "F2", "F4")
-
-
-def _cadd(base, a, b):
-    if base == "Z" or base == "Q":
-        return a + b
-    return a ^ b
 
 
 def _cmul(base, a, b):
@@ -89,10 +81,6 @@ def _cdiv(base, a, b):
         return q if r == 0 else None
     inv = _cinv(base, b)
     return None if inv is None else _cmul(base, a, inv)
-
-
-def _cis_unit(base, a):
-    return _cinv(base, a) is not None
 
 
 def _cfrom_int(base, n):
@@ -221,7 +209,8 @@ def _int_exponent(e, name):
 
 
 class LaurentPoly:
-    """Immutable exact polynomial over one of the supported rings.
+    """Exact polynomial over one of the supported rings, immutable by
+    convention, like ``Matrix``.
 
     >>> t = var(ZT, "T")
     >>> p = t**2 - t**-2
@@ -229,7 +218,7 @@ class LaurentPoly:
     'T^4 - 2 + T^-4'
     """
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring, terms):
         cleaned = {}
@@ -261,16 +250,10 @@ class LaurentPoly:
                 raise RingError("x-exponents must be nonnegative")
             if len(ts) != nt:
                 raise RingError(f"expected {nt} T-exponents, got {len(ts)}")
-            k = (x, u, tuple(ts))
-            if k in cleaned:
-                c = _cadd(ring.base, cleaned[k], c)
-                if c == 0:
-                    del cleaned[k]
-                    continue
-            cleaned[k] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_hash", None)
+            # each exponent keeps its value, so distinct keys stay distinct
+            cleaned[(x, u, tuple(ts))] = c
+        self.ring = ring
+        self._terms = cleaned
 
     @classmethod
     def _trusted(cls, ring, terms):
@@ -278,13 +261,9 @@ class LaurentPoly:
         checked operands, whose keys are canonical and coefficients
         nonzero.  The dictionary is taken over, not copied."""
         p = object.__new__(cls)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_hash", None)
+        p.ring = ring
+        p._terms = terms
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- inspection ---------------------------------------------------------
 
@@ -309,7 +288,7 @@ class LaurentPoly:
         if len(self._terms) != 1:
             return False
         (x, _u, _ts), c = next(iter(self._terms.items()))
-        return x == 0 and _cis_unit(self.ring.base, c)
+        return x == 0 and _cinv(self.ring.base, c) is not None
 
     def unit_inverse(self):
         if not self.is_unit():
@@ -437,11 +416,8 @@ class LaurentPoly:
                 and self._terms == other._terms)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.ring, tuple(self.sorted_terms())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        # an int and an integral Fraction of one value hash alike
+        return hash((self.ring, frozenset(self._terms.items())))
 
     # -- printing -----------------------------------------------------------
 
@@ -523,13 +499,6 @@ def monomial(ring, coeff=1, u=0, t=None, x=0):
     return LaurentPoly(ring, {(x, u, tuple(t)): coeff})
 
 
-def f4_scalar(ring, bits):
-    """The F4 constant with the given bit value 0..3 (2 means x)."""
-    if ring.base != "F4":
-        raise RingError("f4_scalar needs an F4-based ring")
-    return LaurentPoly(ring, {(0, 0, (0,) * len(ring.tvars)): bits})
-
-
 def var(ring, name, exp=1):
     """The variable ``name`` of ``ring`` raised to an integer power.
 
@@ -551,7 +520,9 @@ def var(ring, name, exp=1):
                 raise RingError("x-exponents must be nonnegative")
             return monomial(ring, 1, x=exp)
         if ring.base == "F4":
-            return f4_scalar(ring, 2) ** _int_exponent(exp, "x")
+            # bit value 2 is the generator x of F4
+            gen = LaurentPoly(ring, {(0, 0, (0,) * len(ring.tvars)): 2})
+            return gen ** _int_exponent(exp, "x")
     raise RingError(f"{ring} has no variable {name!r}")
 
 
@@ -594,8 +565,6 @@ def _convert_scalar(c, src_base, target):
     if src_base == "Z":
         return from_int(target, c)
     if src_base == target.base:
-        if c == 0:
-            return zero(target)
         return LaurentPoly(target, {(0, 0, (0,) * len(target.tvars)): c})
     if src_base == "F2" and target.base == "F4":
         return from_int(target, c)
@@ -657,6 +626,7 @@ def _divide_general(a, b):
     # coordinate by coordinate over x, U and each T (the rings are integral
     # domains), so a term outside it means b does not divide a, and the
     # strictly falling terms can visit the box's points at most once each.
+    # U-exponents of a and b, and so their differences, are multiples of 1/N.
     ring = a.ring
     base = ring.base
     z_or_q = base == "Z" or base == "Q"
@@ -678,8 +648,6 @@ def _divide_general(a, b):
         ts = tuple(p - qq for p, qq in zip(rkey[2], bkey[2]))
         if x < 0 or not all(
                 low <= e <= high for low, e, high in zip(lo, (x, u) + ts, hi)):
-            return None
-        if ring.udenom and ring.udenom % u.denominator:
             return None
         c = _cdiv(base, r[rkey], bc)
         if c is None:

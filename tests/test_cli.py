@@ -205,6 +205,16 @@ def test_euler_sharp_and_presentations(tmp_path):
     assert "T1*T2*T3" in out and "T1^2 + T1^-2" in out
 
 
+def test_hat_presentation_over_the_universal_ring(tmp_path):
+    # the presentation ring adjoins x to the universal ring of the file
+    path = tmp_path / "t.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
+    code, out, err = run(["hat-presentation", "--in", str(path), "--json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ring"] == {
+        "tag": "POLY_X", "inner": {"tag": "UNIV", "denom": 3}}
+
+
 def test_model_check(tmp_path):
     path = tmp_path / "t.json"
     run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])

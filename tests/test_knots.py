@@ -191,6 +191,27 @@ def test_sign_colliding_knot_refused_over_z_available_over_f2():
     assert (C.delta1 * C.d).is_zero()
 
 
+def test_directed_cycle_of_entries_is_refused(monkeypatch):
+    # a 2-cycle (1, 2), (2, 1) of surviving (odd k1*k2) moduli entries
+    # leaves the +1 sign normalization unjustified
+    table = K._certificate_table
+
+    def with_cycle(p, q):
+        tables = table(p, q)
+        moduli = dict(tables[0])
+        moduli[(1, 2)] = K.ModuliCertificate(1, 2, 1, 1, 1, 0)
+        moduli[(2, 1)] = K.ModuliCertificate(2, 1, 1, 3, 1, 0)
+        return {**tables, 0: moduli}
+
+    monkeypatch.setattr(K, "_certificate_table", with_cycle)
+    K._two_bridge_data.cache_clear()
+    try:
+        with pytest.raises(K.InconsistentComplexError, match="directed cycle"):
+            K.two_bridge_complex(7, 2)
+    finally:
+        K._two_bridge_data.cache_clear()
+
+
 def test_q_normalization_recorded():
     rep = K.two_bridge_report(3, -1, K.two_bridge_complex(3, -1))
     assert any("normalized" in n for n in rep.notes)

@@ -223,6 +223,21 @@ def test_gcd_euclidean():
         or g == R.normalize_associate(t ** 2 - t ** -2)
 
 
+def test_equal_polynomials_hash_alike():
+    # a U-exponent written as a fraction and an int coefficient against
+    # a Fraction one: equal values, one hash, one member of a set
+    U3 = R.universal(3)
+    pairs = [(R.parse(U3, "U^{3/3}"), R.var(U3, "U"))]
+    for ring in (R.Q, R.ZT, R.F2T):
+        nt = len(ring.tvars)
+        for n in (2, 3):
+            pairs.append((R.LaurentPoly(ring, {(0, 0, (0,) * nt): n}),
+                          R.from_int(ring, n)))
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+
 def test_ring_descriptor_round_trip():
     import json
     for ring in (R.Z, R.Q, R.F2, R.F4, R.ZT, R.QT, R.F2T, R.F4T, R.S_BN,

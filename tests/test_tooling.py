@@ -192,3 +192,12 @@ def test_ring_names_live_in_one_table():
             if isinstance(node, ast.Dict) and any(map(is_ring, node.values)):
                 tables.append((path.name, node.lineno))
     assert [name for name, _line in tables] == ["rings.py"]
+
+
+def test_laurent_poly_is_a_plain_two_slot_value():
+    # immutable by convention, like Matrix: no assignment guard, no hash
+    # cache, and none of the helpers of the deleted unreachable branches
+    assert R.LaurentPoly.__slots__ == ("ring", "_terms")
+    assert "__setattr__" not in R.LaurentPoly.__dict__
+    for name in ("_cadd", "_cis_unit", "f4_scalar", "_BASES"):
+        assert not hasattr(R, name), name
