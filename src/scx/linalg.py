@@ -457,7 +457,7 @@ def _eliminate(M):
         cands = [i for i in range(r, m) if c in A[i]]
         if not cands:
             continue
-        best = min(cands, key=lambda i: len(A[i][c].terms_dict()))
+        best = min(cands, key=lambda i: len(A[i][c]))
         A[r], A[best] = A[best], A[r]
         p = A[r][c]
         for i in range(m):

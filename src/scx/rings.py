@@ -8,13 +8,16 @@ polynomial extension of any of these by a nonnegative-degree variable x.
 
 A value is a :class:`LaurentPoly`, immutable by convention like a
 ``Matrix``: a ring descriptor together with a finite dictionary of terms
-keyed by the exponent triple ``(x_exp, u_exp, t_exps)``.  No coefficient
-is zero, and U-exponent denominators divide the ring's bound N; a
-U-exponent is a plain int when it is integral and a Fraction only when
-it is not.  These conditions are checked where a polynomial is built
-from outside data (``LaurentPoly(...)``, ``monomial``, ``var``,
-``parse``), not again on arithmetic results.  All arithmetic is exact;
-nothing in this module touches floating point.
+keyed by the int triple ``(x_exp, n, t_exps)``.  The U-slot ``n`` is the
+U-exponent in units of 1/N, where N is the ring's bound ``udenom``, so
+U^u is stored as n = N*u (and n is 0 in rings without U); products and
+quotients add and subtract plain ints.  No coefficient is zero.  U is
+read in value units where a polynomial is built from outside data
+(``LaurentPoly(...)``, ``monomial``, ``var``, ``parse``), which check
+once that N*u is an integer, and is given back in value units by
+``terms_dict``, ``sorted_terms`` and printing; arithmetic results are
+not checked again.  All arithmetic is exact; nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
@@ -202,10 +205,34 @@ def inner_ring(ring):
 
 def _int_exponent(e, name):
     """``e`` as an int; it may be an integral Fraction, nothing else."""
+    if e.__class__ is int:
+        return e
     e = Fraction(e)
     if e.denominator != 1:
         raise RingError(f"{name}-exponent {e} is not an integer")
     return e.numerator
+
+
+def _u_slot(ring, u):
+    """The stored U-slot N*u of the U-exponent ``u`` (value units), checked
+    to be an integer."""
+    u = Fraction(u)
+    if u and not ring.udenom:
+        raise RingError(f"{ring} has no U variable")
+    n = u * ring.udenom
+    if n.denominator != 1:
+        raise RingError(f"U-exponent {u} not a multiple of 1/{ring.udenom}")
+    return n.numerator
+
+
+def _u_value(ring, n):
+    """The U-exponent n/N of the stored U-slot ``n``: an int when it is
+    integral, a Fraction when it is not."""
+    N = ring.udenom
+    if N < 2:
+        return n
+    q, r = divmod(n, N)
+    return Fraction(n, N) if r else q
 
 
 class LaurentPoly:
@@ -221,8 +248,11 @@ class LaurentPoly:
     __slots__ = ("ring", "_terms")
 
     def __init__(self, ring, terms):
+        """``terms`` maps ``(x, u, ts)`` to coefficients, with the
+        U-exponent u in value units (an int or a Fraction)."""
         cleaned = {}
         nt = len(ring.tvars)
+        N = ring.udenom
         for key, c in terms.items():
             x, u, ts = key
             if ring.base == "F2":
@@ -231,27 +261,19 @@ class LaurentPoly:
                 c &= 3
             if c == 0:
                 continue
-            if not isinstance(u, int):
-                u = Fraction(u)
-                if u.denominator == 1:
-                    u = u.numerator
-            if u and not ring.udenom:
-                raise RingError(f"{ring} has no U variable")
-            if ring.udenom and ring.udenom % u.denominator:
-                raise RingError(
-                    f"U-exponent {u} not a multiple of 1/{ring.udenom}")
-            if not isinstance(x, int):
-                x = _int_exponent(x, "x")
-            if not all(isinstance(t, int) for t in ts):
-                ts = tuple(_int_exponent(t, "T") for t in ts)
+            # the int fast path; _u_slot converts and checks the rest
+            n = u * N if u.__class__ is int and (N or not u) \
+                else _u_slot(ring, u)
+            x = _int_exponent(x, "x")
+            ts = tuple(_int_exponent(t, "T") for t in ts)
             if x and not ring.has_x:
                 raise RingError(f"{ring} has no x variable")
             if x < 0:
                 raise RingError("x-exponents must be nonnegative")
             if len(ts) != nt:
                 raise RingError(f"expected {nt} T-exponents, got {len(ts)}")
-            # each exponent keeps its value, so distinct keys stay distinct
-            cleaned[(x, u, tuple(ts))] = c
+            # N*u is one-to-one, so distinct keys stay distinct
+            cleaned[(x, n, ts)] = c
         self.ring = ring
         self._terms = cleaned
 
@@ -268,14 +290,21 @@ class LaurentPoly:
     # -- inspection ---------------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in canonical order: lexicographic on (x, u, ts), descending."""
-        return sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True)
+        """Terms in canonical order: lexicographic on (x, u, ts), descending,
+        with u in value units."""
+        ring = self.ring
+        return [((x, _u_value(ring, n), ts), c) for (x, n, ts), c
+                in sorted(self._terms.items(), reverse=True)]
 
     def is_zero(self):
         return not self._terms
 
     def __bool__(self):
         return bool(self._terms)
+
+    def __len__(self):
+        """The number of terms."""
+        return len(self._terms)
 
     def is_one(self):
         return self == one(self.ring)
@@ -293,10 +322,10 @@ class LaurentPoly:
     def unit_inverse(self):
         if not self.is_unit():
             raise RingError(f"{self} is not a unit")
-        (x, u, ts), c = next(iter(self._terms.items()))
+        (x, n, ts), c = next(iter(self._terms.items()))
         inv = _cinv(self.ring.base, c)
         return LaurentPoly._trusted(self.ring,
-                                    {(x, -u, tuple(-e for e in ts)): inv})
+                                    {(x, -n, tuple(-e for e in ts)): inv})
 
     def const_value(self):
         """Coefficient of the constant term (all exponents zero)."""
@@ -305,7 +334,12 @@ class LaurentPoly:
                                _cfrom_int(self.ring.base, 0))
 
     def terms_dict(self):
-        return dict(self._terms)
+        """The terms keyed by ``(x, u, ts)``, with u in value units."""
+        ring = self.ring
+        if ring.udenom < 2:
+            return dict(self._terms)
+        return {(x, _u_value(ring, n), ts): c
+                for (x, n, ts), c in self._terms.items()}
 
     def t_span(self):
         """max - min of the T-exponent (one-variable Laurent rings only)."""
@@ -355,8 +389,6 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = from_int(self.ring, other)
         self._check(other)
         ring = self.ring
         base = ring.base
@@ -365,9 +397,9 @@ class LaurentPoly:
         out = {}
         get = out.get
         right = list(other._terms.items())
-        for (x1, u1, t1), c1 in self._terms.items():
-            for (x2, u2, t2), c2 in right:
-                k = (x1 + x2, u1 + u2,
+        for (x1, n1, t1), c1 in self._terms.items():
+            for (x2, n2, t2), c2 in right:
+                k = (x1 + x2, n1 + n2,
                      (t1[0] + t2[0],) if one_t else tuple(map(add, t1, t2)))
                 if z_or_q:
                     out[k] = get(k, 0) + c1 * c2
@@ -375,13 +407,8 @@ class LaurentPoly:
                     out[k] = get(k, 0) ^ c1 & c2
                 else:
                     out[k] = get(k, 0) ^ _cmul(base, c1, c2)
-        if ring.udenom > 1:
-            # a sum of fractional U-exponents may be integral
-            out = {(x, u.numerator if u.denominator == 1 else u, ts): c
-                   for (x, u, ts), c in out.items() if c}
-        else:
-            out = {k: c for k, c in out.items() if c}
-        return LaurentPoly._trusted(ring, out)
+        return LaurentPoly._trusted(ring,
+                                    {k: c for k, c in out.items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -416,7 +443,6 @@ class LaurentPoly:
                 and self._terms == other._terms)
 
     def __hash__(self):
-        # an int and an integral Fraction of one value hash alike
         return hash((self.ring, frozenset(self._terms.items())))
 
     # -- printing -----------------------------------------------------------
@@ -505,24 +531,33 @@ def var(ring, name, exp=1):
     For U a Fraction exponent is accepted.  In F4-based rings the name
     ``x`` denotes the field generator.
     """
+    key = _var_key(ring, name, exp)
+    if key is None:
+        # bit value 2 is the generator x of F4
+        gen = LaurentPoly._trusted(ring, {(0, 0, (0,) * len(ring.tvars)): 2})
+        return gen ** _int_exponent(exp, "x")
+    return LaurentPoly._trusted(ring, {key: _cfrom_int(ring.base, 1)})
+
+
+def _var_key(ring, name, exp):
+    """The checked stored key of the monomial ``name``^``exp``, or None
+    for F4's generator x, which is a coefficient, not a monomial."""
+    nt = len(ring.tvars)
     if name == "U":
         if not ring.udenom:
             raise RingError(f"{ring} has no U variable")
-        return monomial(ring, 1, u=exp)
+        return (0, _u_slot(ring, exp), (0,) * nt)
     if name in ring.tvars:
-        idx = ring.tvars.index(name)
-        t = [0] * len(ring.tvars)
-        t[idx] = exp
-        return monomial(ring, 1, t=tuple(t))
+        ts = [0] * nt
+        ts[ring.tvars.index(name)] = _int_exponent(exp, "T")
+        return (0, 0, tuple(ts))
     if name == "x":
         if ring.has_x:
             if exp < 0:
                 raise RingError("x-exponents must be nonnegative")
-            return monomial(ring, 1, x=exp)
+            return (_int_exponent(exp, "x"), 0, (0,) * nt)
         if ring.base == "F4":
-            # bit value 2 is the generator x of F4
-            gen = LaurentPoly(ring, {(0, 0, (0,) * len(ring.tvars)): 2})
-            return gen ** _int_exponent(exp, "x")
+            return None
     raise RingError(f"{ring} has no variable {name!r}")
 
 
@@ -548,10 +583,10 @@ def base_change(p, assignment, target):
             raise RingMismatchError(
                 f"image of {name!r} lies in {val.ring}, not {target}")
     result = zero(target)
-    for (x, u, ts), c in p._terms.items():
+    for (x, n, ts), c in p._terms.items():
         term = _convert_scalar(c, src.base, target)
-        if u:
-            term = term * _pow_rational(assignment["U"], u)
+        if n:
+            term = term * _pow_rational(assignment["U"], _u_value(src, n))
         for name, e in zip(src.tvars, ts):
             if e:
                 term = term * assignment[name] ** e
@@ -577,11 +612,11 @@ def _pow_rational(p, fr):
     if not p.is_monomial():
         raise RingError(
             f"cannot raise non-monomial to fractional power {fr}")
-    (x, u, ts), c = next(iter(p._terms.items()))
+    (x, n, ts), c = next(iter(p._terms.items()))
     if c != _cfrom_int(p.ring.base, 1):
         raise RingError(
             f"fractional power of monomial with coefficient {c!r}")
-    nu = u * fr
+    nu = _u_value(p.ring, n) * fr
     nts = []
     for e in ts:
         s = Fraction(e) * fr
@@ -626,7 +661,6 @@ def _divide_general(a, b):
     # coordinate by coordinate over x, U and each T (the rings are integral
     # domains), so a term outside it means b does not divide a, and the
     # strictly falling terms can visit the box's points at most once each.
-    # U-exponents of a and b, and so their differences, are multiples of 1/N.
     ring = a.ring
     base = ring.base
     z_or_q = base == "Z" or base == "Q"
@@ -642,20 +676,18 @@ def _divide_general(a, b):
     while r:
         rkey = max(r)
         x = rkey[0] - bkey[0]
-        u = rkey[1] - bkey[1]
-        if u.__class__ is not int and u.denominator == 1:
-            u = u.numerator
+        n = rkey[1] - bkey[1]
         ts = tuple(p - qq for p, qq in zip(rkey[2], bkey[2]))
         if x < 0 or not all(
-                low <= e <= high for low, e, high in zip(lo, (x, u) + ts, hi)):
+                low <= e <= high for low, e, high in zip(lo, (x, n) + ts, hi)):
             return None
         c = _cdiv(base, r[rkey], bc)
         if c is None:
             return None
-        q_terms[(x, u, ts)] = c
-        # r -= c * X^x U^u T^ts * b
-        for (bx, bu, bts), d in right:
-            k = (x + bx, u + bu, tuple(map(add, ts, bts)))
+        q_terms[(x, n, ts)] = c
+        # r -= c * X^x U^(n/N) T^ts * b
+        for (bx, bn, bts), d in right:
+            k = (x + bx, n + bn, tuple(map(add, ts, bts)))
             if z_or_q:
                 s = r.get(k, 0) - c * d
             else:
@@ -668,9 +700,9 @@ def _divide_general(a, b):
 
 
 def _exponent_box(p):
-    """Coordinate-wise minima and maxima of the exponents (x, u, *ts) of
-    the nonzero polynomial p."""
-    points = [(x, u) + ts for x, u, ts in p._terms]
+    """Coordinate-wise minima and maxima of the stored exponents
+    (x, n, *ts) of the nonzero polynomial p."""
+    points = [(x, n) + ts for x, n, ts in p._terms]
     return ([min(col) for col in zip(*points)],
             [max(col) for col in zip(*points)])
 
@@ -738,11 +770,12 @@ def normalizing_unit(p):
     if p.is_zero():
         return one(ring)
     keys = list(p._terms)
-    umin = min(k[1] for k in keys) if ring.udenom else 0
+    nmin = min(k[1] for k in keys)
     tmins = tuple(min(k[2][i] for k in keys)
                   for i in range(len(ring.tvars)))
-    shifted = LaurentPoly(ring, {(0, -umin, tuple(-m for m in tmins)):
-                                 _cfrom_int(ring.base, 1)})
+    # the keys are stored ones, so the shift is built as stored
+    shifted = LaurentPoly._trusted(
+        ring, {(0, -nmin, tuple(-m for m in tmins)): _cfrom_int(ring.base, 1)})
     # a monomial shift keeps the term order, so p's leading term leads
     lead_c = p._terms[max(keys)]
     cinv = _cinv(ring.base, lead_c)
@@ -828,13 +861,34 @@ class _Parser:
         return p
 
     def term(self):
-        p = self.factor()
-        while self.peek() == "*":
+        # numbers and plain variables multiply into one coefficient and
+        # one stored key; only parenthesised factors and F4's x are
+        # polynomials to multiply by
+        ring = self.ring
+        base = ring.base
+        c = _cfrom_int(base, 1)
+        x, n, ts = 0, 0, (0,) * len(ring.tvars)
+        polys = []
+        while True:
+            f = self.factor()
+            if isinstance(f, LaurentPoly):
+                polys.append(f)
+            else:
+                fc, (fx, fn, fts) = f
+                c = _cmul(base, c, fc)
+                x, n, ts = x + fx, n + fn, tuple(map(add, ts, fts))
+            if self.peek() != "*":
+                break
             self.next()
-            p = p * self.factor()
+        p = LaurentPoly._trusted(ring, {(x, n, ts): c}) if c else zero(ring)
+        for f in polys:
+            p = p * f
         return p
 
     def factor(self):
+        """A polynomial, or a (coefficient, stored key) pair for a number
+        or a plain variable."""
+        ring = self.ring
         tok = self.next()
         if tok == "(":
             p = self.expr()
@@ -843,22 +897,26 @@ class _Parser:
             return p
         if tok.isdigit():
             n = self.digits(tok)
-            if self.ring.base == "Q" and self.peek() == "/":
+            c = _cfrom_int(ring.base, n)
+            if ring.base == "Q" and self.peek() == "/":
                 self.next()
                 d = self.digits(self.next())
                 if d == 0:
                     raise ParseError(f"zero denominator in {n}/{d}")
-                return monomial(self.ring, Fraction(n, d))
-            return from_int(self.ring, n)
+                c = Fraction(n, d)
+            return c, (0, 0, (0,) * len(ring.tvars))
         if tok[0].isalpha():
             exp = 1
             if self.peek() == "^":
                 self.next()
                 exp = self.exponent()
             try:
-                return var(self.ring, tok, exp)
+                key = _var_key(ring, tok, exp)
+                if key is None:
+                    return var(ring, tok, exp)
             except RingError as e:
                 raise ParseError(str(e))
+            return _cfrom_int(ring.base, 1), key
         raise ParseError(f"unexpected token {tok!r}")
 
     def exponent(self):

@@ -201,6 +201,37 @@ def test_parse_rejects_fractional_exponents_zero_denominators_deep_nesting():
     assert R.parse(R.poly_x(R.ZT), "x^{2/1}").to_str() == "x^2"
 
 
+def test_parse_error_messages():
+    # the parser builds each monomial's key itself, with the texts that
+    # var and the constructor give; the first bad factor is the one named
+    for ring, text, message in [
+        (R.ZT, "T^{1/2}", "T-exponent 1/2 is not an integer"),
+        (R.ZT, "U", "Ring(ZT) has no U variable"),
+        (R.ZT, "Q", "Ring(ZT) has no variable 'Q'"),
+        (R.ZT, "T^{1/2}*Q", "T-exponent 1/2 is not an integer"),
+        (R.ZT, "T^{1/2}*T^{1/2}", "T-exponent 1/2 is not an integer"),
+        (R.poly_x(R.ZT), "x^-1", "x-exponents must be nonnegative"),
+        (R.universal(2), "U^{1/3}", "U-exponent 1/3 not a multiple of 1/2"),
+        (R.Q, "3/0", "zero denominator in 3/0"),
+    ]:
+        with pytest.raises(R.ParseError) as info:
+            R.parse(ring, text)
+        assert str(info.value) == message, (ring, text)
+
+
+def test_parse_products_of_numbers_and_variables():
+    u6 = R.universal(6)
+    assert R.parse(u6, "U^{1/6}*2*U^{1/3}*T*3*T^-3") \
+        == R.monomial(u6, 6, u=Fraction(1, 2), t=-2)
+    assert R.parse(u6, "U^{1/2}*U^{1/2}").to_str() == "U"
+    assert R.parse(R.Q, "2/3*3/4") == R.monomial(R.Q, Fraction(1, 2))
+    assert R.parse(R.F2T, "2*T").is_zero()
+    assert R.parse(R.ZT, "0*T^3") == R.zero(R.ZT)
+    # parenthesised factors and F4's generator stay polynomials
+    assert R.parse(R.F4T, "x*T*x").to_str() == "(x+1)*T"
+    assert R.parse(R.ZT, "2*(T + 1)*T").to_str() == "2*T^2 + 2*T"
+
+
 def test_laurent_poly_exponents_are_integers():
     assert R.LaurentPoly(R.ZT, {(0, 0, (Fraction(4, 2),)): 1}) \
         == R.var(R.ZT, "T", 2)

@@ -159,6 +159,57 @@ def test_quotients_agree_with_sympy(ab, cd):
             assert _sympy_poly(ours, 20) == q
 
 
+U1 = R.universal(1)
+
+
+def _stored_u_slots_are_ints(p):
+    return all(type(n) is int for _x, n, _ts in p._terms)
+
+
+@PROPERTY
+@given(polys(U3), polys(U3), st.integers(-6, 6), st.integers(-4, 4),
+       st.sampled_from((1, -1)))
+def test_stored_u_slots_stay_ints(a, b, n, t, sign):
+    # a key stores N*u: ints after every operation, never a Fraction
+    unit = R.monomial(U3, sign, u=Fraction(n, 3), t=t)
+    results = [a * b, a + b, a - b, -a, a * unit, unit.unit_inverse(),
+               unit ** -2, R.normalize_associate(a),
+               R.normalizing_unit(a + unit)]
+    if b:
+        results += [q for q in (R.divide(a * b, b), R.divide(a, b))
+                    if q is not None]
+    for _src, target, assignment in _homomorphisms()[4:]:
+        results.append(R.base_change(a, assignment, target))
+    for p in results:
+        assert _stored_u_slots_are_ints(p), p
+
+
+def _to_u1(p):
+    """The isomorphism universal(3) -> universal(1), U^(1/3) -> U."""
+    return R.base_change(p, {"U": R.var(U1, "U", 3), "T": R.var(U1, "T")},
+                         U1)
+
+
+@PROPERTY
+@given(polys(U3), polys(U3), polys(U3, max_terms=2))
+def test_relabelling_u_thirds_commutes_with_arithmetic(a, b, c):
+    # stored key n -> n, so universal(1) is a second route for the sums,
+    # products, quotients and associates of universal(3)
+    for p in (a, b, c):
+        assert _to_u1(p)._terms == p._terms
+    assert _to_u1(a + b) == _to_u1(a) + _to_u1(b)
+    assert _to_u1(a * b) == _to_u1(a) * _to_u1(b)
+    assert _to_u1(R.normalize_associate(a)) \
+        == R.normalize_associate(_to_u1(a))
+    assume(b)
+    for num in (a, a * b, (a + c) * b):
+        q = R.divide(num, b)
+        q1 = R.divide(_to_u1(num), _to_u1(b))
+        assert (q is None) == (q1 is None)
+        if q is not None:
+            assert _to_u1(q) == q1
+
+
 def test_integral_u_exponents_are_int_keys():
     third = R.var(U3, "U", Fraction(1, 3))
     two_thirds = R.var(U3, "U", Fraction(2, 3))

@@ -4,9 +4,12 @@ a matrix from dense rows, and the benchmark's traced product counter,
 which does read the view, still counts what it did."""
 
 import ast
+import inspect
 import pathlib
 import random
 import sys
+
+import pytest
 
 from scx import linalg as L
 from scx import rings as R
@@ -201,3 +204,19 @@ def test_laurent_poly_is_a_plain_two_slot_value():
     assert "__setattr__" not in R.LaurentPoly.__dict__
     for name in ("_cadd", "_cis_unit", "f4_scalar", "_BASES"):
         assert not hasattr(R, name), name
+
+
+def test_ring_hot_path_has_no_fraction_keys():
+    # U-exponents are stored as ints in units of 1/N; products, sums and
+    # quotients add plain ints and never build or normalize a Fraction
+    for fn in (R.LaurentPoly.__mul__, R.LaurentPoly.__add__,
+               R._divide_general):
+        assert "Fraction" not in inspect.getsource(fn), fn.__name__
+
+
+def test_laurent_poly_times_int_is_refused_on_the_left():
+    # only int * LaurentPoly, through __rmul__, is supported
+    t = R.var(R.ZT, "T")
+    assert 3 * t == R.monomial(R.ZT, 3, t=1)
+    with pytest.raises(TypeError):
+        t * 3
