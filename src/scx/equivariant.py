@@ -23,18 +23,19 @@ d(alpha) = sum_i v^i delta2(a_i)) and T_k reads the last unknown,
 a_(-k).  A witness at level k is a kernel vector of A_k that T_k does
 not kill: h is the largest k with one, J_k is generated by the entries
 of T_k K for a kernel basis K of A_k, and Gamma(k) is the least
-Chern-Simons level of a witness over the universal ring.  Since A_(k+1)
-is [A_k; T_k] for k >= 1 and A_k without its last column for k <= 0
-(A_1 = d), a witness at k shows in the fraction-field ranks: it raises
-the rank from A_k to A_(k+1) for k >= 1, and leaves it unchanged for
-k <= 0.
+Chern-Simons level of a witness over the universal ring.  A witness
+exists exactly when rank [A_k; T_k] > rank A_k over the fraction field;
+[A_k; T_k] is A_(k+1) for k >= 1, and for k <= 0 A_(k+1) is A_k without
+the column T_k reads (A_1 = d).  So h and Gamma read prefix ranks
+(``linalg.prefix_ranks``) of one or two matrices; only J_k needs kernels.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import reduce
 
 from . import linalg, rings, scomplex
 from .linalg import Matrix, assemble
@@ -283,51 +284,30 @@ def _search_bound(C, vp):
         f"v is not nilpotent and {C.ring} is not a field")
 
 
-def h_invariant(C, method="search"):
-    """The Froyshov invariant of a complex with a trusted v map.
-
-    ``method="search"`` finds the largest k with a witness of the level
-    system (module docstring) from the fraction-field ranks r(k) of the
-    A_k alone: for k >= 1 there is a witness exactly when r(k + 1) >
-    r(k), and for k <= 0 exactly when r(k) = r(k + 1).
-    ``method="ideals"`` instead reads off the top nonzero index of the
-    ideal sequence, from kernel bases; the two routes must agree.
-    """
+def h_invariant(C):
+    """The Froyshov invariant of a complex with a trusted v map, from the
+    row profile of A_(b + 1) and, when no k >= 1 has a witness, the column
+    profile of A_(-b - 1), b the search bound (module docstring).  The
+    tests check it against the top nonzero index of :func:`j_ideals`."""
     _require_trusted(C, "the h invariant")
-    if method == "ideals":
-        return _h_via_ideals(C)
-    if method != "search":
-        raise ValueError("method must be 'search' or 'ideals'")
     # the bound is at most n + 1 and the searches reach v^(bound + 1)
     vp = v_powers(C, C.n + 2)
     bound = _search_bound(C, vp)
-
-    @cache
-    def r(k):
-        return linalg.rank(_level_system(C, vp, k)[0])
-
+    # r[n + k - 1] is the rank of A_k: its first n + k - 1 rows for k >= 1
+    r = linalg.prefix_ranks(_level_system(C, vp, bound + 1)[0].transpose())
     # once delta1 v^(k-1) dies on ker A_k it stays dead: v^(m-k) maps
     # later witnesses back to level k
     h = 0
-    for k in range(1, bound + 1):
-        if r(k + 1) == r(k):
-            break
-        h = k
+    while h < bound and r[C.n + h + 1] > r[C.n + h]:
+        h += 1
     if h > 0:
         return h
+    # r[n + 1 - k] is the rank of A_k: its first n + 1 - k columns for k <= 1
+    r = linalg.prefix_ranks(_level_system(C, vp, -bound - 1)[0])
     for k in range(0, -(bound + 2), -1):
-        if r(k) == r(k + 1):
+        if r[C.n + 1 - k] == r[C.n - k]:
             return k
     raise EquivariantError("h search failed to terminate within its bound")
-
-
-def _h_via_ideals(C):
-    bound = _search_bound(C, v_powers(C, C.n))
-    ideals = j_ideals(C, -(bound + 1), bound)
-    for i in sorted(ideals, reverse=True):
-        if ideals[i]:
-            return i
-    raise EquivariantError("ideal sequence is empty below the bound")
 
 
 # ---------------------------------------------------------------------------
@@ -423,26 +403,31 @@ def _j_ideals_zt(C, i_min, i_max):
 # the Gamma function
 
 
-def _u_split(M, shifts):
-    """M over the universal ring, its column j read as U^shifts[j] times
-    an unknown over Z[T-Laurent], split into U-homogeneous equations: the
-    matrix over Z[T-Laurent] with one row per (row of M, U-exponent)."""
+def _u_split(M, unknowns):
+    """M over the universal ring on the columns of ``unknowns``, a list of
+    (column, U-shift, level), the j-th read as U^shift times an unknown
+    over Z[T-Laurent], split into U-homogeneous equations: the matrix
+    over Z[T-Laurent] with one row per (row of M, U-exponent), and the
+    row of M behind each of its rows."""
     rows = {}
+    M = M.columns_selected([j for j, _s, _t in unknowns])
     for i, j, e in M.nonzero_entries():
         for (_x, u, ts), c in e.terms_dict().items():
-            rows.setdefault((i, u + shifts[j]), {}).setdefault(
+            rows.setdefault((i, u + unknowns[j][1]), {}).setdefault(
                 j, {})[(0, 0, ts)] = c
+    keys = sorted(rows)
     zt = rings.ZT
-    return Matrix.from_entries(zt, len(rows), M.cols, (
+    return Matrix.from_entries(zt, len(keys), M.cols, (
         (r, j, rings.LaurentPoly(zt, terms))
-        for r, key in enumerate(sorted(rows))
-        for j, terms in rows[key].items()))
+        for r, key in enumerate(keys)
+        for j, terms in rows[key].items())), [i for i, _u in keys]
 
 
 def gamma(C, k):
     """Chern-Simons level of the cheapest witness for h >= k: the least
-    level t at which the level system (module docstring), restricted to
-    unknowns at levels <= t, has a witness.
+    level t at which rank [A_k; T_k] > rank A_k (module docstring) on the
+    unknowns at levels <= t, read from the prefix ranks of one U-split
+    with the unknowns sorted by level.
 
     Defined for I-graded level-0 complexes over the universal ring with a
     trusted nilpotent v.  Each stored pair (gr_mod4, deg_I) is read as
@@ -451,8 +436,7 @@ def gamma(C, k):
     deg_I + a.  Returns a Fraction (0 included) or INFINITY; finite
     exactly for k <= h.
     """
-    ring = C.ring
-    if ring.tag != "UNIV":
+    if C.ring.tag != "UNIV":
         raise UnsupportedRingError("Gamma needs the universal ring")
     if not C.is_I_graded():
         raise EquivariantError("Gamma needs the instanton grading")
@@ -461,31 +445,34 @@ def gamma(C, k):
     if nilpotency_index(C, vp) is None:
         raise UnsupportedRingError("Gamma needs a nilpotent v map")
 
-    target_gr = (2 * k - 1) % 4
-    basis = []
+    # the unknowns (column, U-shift, level): the aligned translates, then
+    # for k <= 0 the a_i with i = k mod 2 at level 0, a_(-k) among them
+    unknowns = []
     for i, g in enumerate(C.gens):
-        if g.gr_mod4 % 4 == target_gr:
-            shift = Fraction(2 * k - 1 - g.gr_mod4, 4)
-            if shift.denominator == 1:
-                basis.append((i, Fraction(shift), g.deg_I + shift))
-    basis.sort(key=lambda t: t[2])
-
-    # the unknowns and their levels: the aligned translates, then for
-    # k <= 0 the a_i with i = k mod 2 at level 0, the last of them
-    # a_(-k), the column T_k reads
-    a_indices = range(k % 2, 1 - k, 2)
-    idxs = [i for i, _s, _deg in basis] + [C.n + i for i in a_indices]
-    shifts = ([s for _i, s, _deg in basis]
-              + [Fraction(k + i, 2) for i in a_indices])
-    levels = [deg for *_, deg in basis] + [Fraction(0)] * len(a_indices)
-    A, T = (_u_split(M.columns_selected(idxs), shifts)
-            for M in _level_system(C, vp, k))
+        shift = Fraction(2 * k - 1 - g.gr_mod4, 4)
+        if shift.denominator == 1:
+            unknowns.append((i, shift, g.deg_I + shift))
+    unknowns += [(C.n + i, Fraction(k + i, 2), Fraction(0))
+                 for i in range(k % 2, 1 - k, 2)]
+    unknowns.sort(key=lambda u: u[2])
+    levels = [t for *_, t in unknowns]
+    # r_t: rank [A_k; T_k], from the split of A_(k+1) for k >= 1, or of A_k
+    # for k <= 0, where T_k reads a_(-k) alone and adds one to the others'
+    S, origin = _u_split(_level_system(C, vp, k + 1 if k >= 1 else k)[0],
+                         unknowns)
+    if k >= 1:  # A_k is A_(k+1) without its last row, T_k
+        r_t = linalg.prefix_ranks(S)
+        r_a = linalg.prefix_ranks(S.rows_selected(
+            [r for r, i in enumerate(origin) if i < C.n + k - 1]))
+    else:  # every cut below holds a_(-k), a level-0 unknown
+        r_a = linalg.prefix_ranks(S)
+        r_t = [0] + [1 + r for r in linalg.prefix_ranks(S.columns_selected(
+            [c for c, u in enumerate(unknowns) if u[0] != C.n - k]))]
     for t in sorted(set(levels)):
         if t < 0 and k <= 0:
             continue  # no witness for k <= 0 is cheaper than the a_i
-        cols = [c for c, level in enumerate(levels) if level <= t]
-        K = linalg.kernel_fraction_field(A.columns_selected(cols))
-        if not (T.columns_selected(cols) * K).is_zero():
+        c = bisect_right(levels, t)
+        if r_t[c] > r_a[c]:
             return t
     return INFINITY
 

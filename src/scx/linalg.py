@@ -8,11 +8,12 @@ diagonal Smith reduction with transform certificates over the Euclidean
 rings (Z, the constant fields, and one-variable Laurent rings over a
 field) and the invariant factors read from it, kernels, exact linear
 solving, the homology of a differential from its Smith form, and
-fraction-field rank/kernels over any of the integral domains."""
+fraction-field ranks, rank profiles and kernels over any integral domain."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .rings import (LaurentPoly, RingMismatchError, divide,
                     divmod_euclid, enorm, gcd, is_euclidean,
@@ -476,9 +477,21 @@ def rank(M):
     return len(_eliminate(M)[1])
 
 
+def prefix_ranks(M):
+    """[r_0, ..., r_cols]: r_c is the rank of the first c columns of M over
+    the fraction field.  Row operations keep the linear relations among
+    the columns, and :func:`_eliminate` pivots in column order, so column
+    c pivots exactly when it is outside the span of the columns before
+    it, and r_c counts the pivot columns below c."""
+    pivots = {c for _r, c in _eliminate(M)[1]}
+    return list(accumulate((c in pivots for c in range(M.cols)), initial=0))
+
+
+# kept because bench tracing wraps it by name
 rank_fraction_field = rank
 
 
+# no invariant calls it; kept because bench tracing wraps it by name
 def kernel_fraction_field(M):
     """Columns spanning ker M over Frac(ring), with entries cleared into
     the ring.  Works over any supported integral domain."""

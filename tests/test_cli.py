@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import scx
-from scx import cli, equivariant, linalg, rings
+from scx import cli, equivariant, knots, linalg, rings, scomplex
 
 
 def run(argv):
@@ -290,7 +290,7 @@ def test_linalg_error_is_a_refusal(tmp_path, monkeypatch):
     path = tmp_path / "t.json"
     run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
 
-    def failing(C, method="search"):
+    def failing(C):
         raise linalg.LinalgError("Smith form rank disagrees")
 
     monkeypatch.setattr(equivariant, "h_invariant", failing)
@@ -364,6 +364,27 @@ def test_fixture_verb(tmp_path):
     doc = json.loads(path.read_text())
     assert len(doc["generators"]) == 4
     assert doc["delta1"] == ["1", "-1", "0", "0"]
+    # without --out the document goes to stdout
+    code, out, err = run(["fixture", "--name", "trefoil"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(scomplex.to_dict(knots.fixture("trefoil")),
+                             indent=2) + "\n"
+
+
+def test_specialize_t_to_x_lands_in_f4(tmp_path, monkeypatch):
+    path = tmp_path / "trefoil_f2t.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--ring", "f2t",
+         "--out", str(path)])
+    seen, h_invariant = [], equivariant.h_invariant
+
+    def recording(C):
+        seen.append(C.ring)
+        return h_invariant(C)
+
+    monkeypatch.setattr(equivariant, "h_invariant", recording)
+    code, out, err = run(["h", "--in", str(path), "--specialize", "T=x"])
+    assert (code, out, err) == (0, "1\n", "")
+    assert seen == [rings.F4]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ theta-web presentations."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -206,6 +207,14 @@ def _trefoil_power(k):
     return S.tensor(_trefoil_power(k - 1), trefoil())
 
 
+def _h_from_ideals(C):
+    """h by the second route: the top nonzero index of the ideal sequence
+    over the range of the h search, read from kernel bases."""
+    bound = E._search_bound(C, E.v_powers(C, C.n))
+    ideals = E.j_ideals(C, -(bound + 1), bound)
+    return max(i for i, gens in ideals.items() if gens)
+
+
 _UNIVERSAL_H = {"T1": 1, "T2": 2, "T3": 3, "T4": 4, "M12": -1, "M21": 1}
 
 
@@ -222,7 +231,7 @@ def test_h_over_universal_matches_qt(name):
     h = E.h_invariant(C)
     assert h == _UNIVERSAL_H[name]
     assert E.h_invariant(CQ) == h
-    assert E.h_invariant(CQ, method="ideals") == h
+    assert _h_from_ideals(CQ) == h
 
 
 def test_h_refuses_untrusted_v():
@@ -249,8 +258,7 @@ def test_h_two_code_paths_agree_randomized():
     for ring in (R.F2T, R.QT, R.Z, R.Q, R.F2, R.F4T):
         for _ in range(30):
             C = helpers.random_scomplex(rng, ring, max_gens=8)
-            assert E.h_invariant(C, method="search") == \
-                E.h_invariant(C, method="ideals")
+            assert E.h_invariant(C) == _h_from_ideals(C)
 
 
 def test_h_insensitive_to_fraction_field():
@@ -274,6 +282,49 @@ def test_h_insensitive_to_fraction_field():
         A = helpers.random_scomplex(rng, R.Z, max_gens=8)
         AQ = S.base_change_complex(A, S.standard_assignment(R.Z, R.Q), R.Q)
         assert E.h_invariant(A) == E.h_invariant(AQ)
+
+
+def test_h_and_gamma_eliminate_at_most_twice(monkeypatch):
+    # h reads one row profile, and a column profile only when h <= 0;
+    # Gamma(k) reads two profiles of one U-split
+    sizes, eliminate = [], L._eliminate
+
+    def counted(M):
+        sizes.append(M.cols)
+        return eliminate(M)
+
+    monkeypatch.setattr(L, "_eliminate", counted)
+    for C, h in ((trefoil("qt"), 1), (S.dual(_trefoil_power(2)), -2)):
+        assert E.h_invariant(C) == h
+        assert len(sizes) == (1 if h > 0 else 2)
+        sizes.clear()
+    T2 = _trefoil_power(2)
+    for k in range(-3, 7):
+        E.gamma(T2, k)
+        assert len(sizes) == 2
+        sizes.clear()
+
+
+def _swap_complex(ring):
+    """a at grading 1 and b at grading 3, d = 0, v swapping them (so v is
+    not nilpotent), delta1 = (1, 0) and delta2 = 0."""
+    one, z = R.one(ring), R.zero(ring)
+    return S.SComplex(ring, [S.Generator("a", 1), S.Generator("b", 3)],
+                      L.Matrix.zeros(ring, 2, 2),
+                      L.Matrix(ring, [[z, one], [one, z]]),
+                      L.Matrix(ring, [[one, z]]), L.Matrix.zeros(ring, 2, 1))
+
+
+def test_h_bound_over_a_field_when_v_is_not_nilpotent():
+    # a witnesses level 1, b level 2 (delta1 v b = delta1 a = 1), and
+    # [d; delta1; delta1 v] has no kernel, so no level 3 witness
+    C = _swap_complex(R.Q)
+    assert S.validate(C).ok
+    assert E.nilpotency_index(C) is None
+    assert E.h_invariant(C) == 2
+    # over Q[T^+-1] the search has no bound and is refused
+    with pytest.raises(E.UnsupportedRingError):
+        E.h_invariant(_swap_complex(R.QT))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +473,62 @@ def test_gamma_finite_up_to_h_and_non_decreasing(factors):
     assert [v is not E.INFINITY for v in vals] == [k <= h for k in ks]
     finite = [v for v in vals if v is not E.INFINITY]
     assert finite == sorted(finite)
+
+
+def _gamma_by_kernels(C, k):
+    """Gamma(k) level by level: the least level t at which a fraction-field
+    kernel vector of A_k on the unknowns at levels <= t is not killed by
+    T_k (for k <= 0, only from level 0 on)."""
+    unknowns = [(i, shift, g.deg_I + shift) for i, g in enumerate(C.gens)
+                if (shift := Fraction(2 * k - 1 - g.gr_mod4, 4)).denominator
+                == 1]
+    unknowns += [(C.n + i, Fraction(k + i, 2), Fraction(0))
+                 for i in range(k % 2, 1 - k, 2)]
+    A, T = (E._u_split(M, unknowns)[0]
+            for M in E._level_system(C, E.v_powers(C, C.n), k))
+    for t in sorted({level for *_, level in unknowns}):
+        if t < 0 and k <= 0:
+            continue
+        cols = [c for c, u in enumerate(unknowns) if u[2] <= t]
+        K = L.kernel_fraction_field(A.columns_selected(cols))
+        if not (T.columns_selected(cols) * K).is_zero():
+            return t
+    return E.INFINITY
+
+
+def _gamma_oracle_cases():
+    yield from ("T1", "T2", "T3", "T4", "T4xT1")
+    for group in _LAW_GROUPS:
+        yield from group
+        yield from (f"{a}x{b}" for a in group for b in group)
+
+
+@pytest.mark.parametrize("name", _gamma_oracle_cases())
+def test_gamma_matches_the_kernel_oracle(name):
+    # the mixed trefoil products are included: gamma must keep their
+    # (audited) values until the bigrading is settled
+    C = reduce(S.tensor, [_trefoil_power(int(f[1])) if f[0] == "T"
+                          else _law_factor(f) for f in name.split("x")])
+    for k in range(-3, 7):
+        assert E.gamma(C, k) == _gamma_by_kernels(C, k), k
+
+
+def test_gamma_matches_the_kernel_oracle_on_two_bridge_complexes():
+    from math import gcd
+    checked = 0
+    for p in range(3, 40, 2):
+        for q in range(1 - p, p):
+            if not q or gcd(p, q) != 1:
+                continue
+            try:
+                C = knots.two_bridge_complex(p, q)
+            except knots.InconsistentComplexError:
+                continue
+            if C.v_trusted:
+                checked += 1
+                for k in range(-3, 7):
+                    assert E.gamma(C, k) == _gamma_by_kernels(C, k), (p, q)
+    assert checked >= 8
 
 
 def test_gamma_needs_instanton_grading():

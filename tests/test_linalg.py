@@ -230,6 +230,40 @@ def test_kernel_fraction_field_spans():
                     == [j2 == j for j2 in range(K.cols)]
 
 
+def test_prefix_ranks_are_the_ranks_of_the_column_prefixes():
+    rng = random.Random(1818)
+    ran_out = 0
+    for ring in (R.Z, R.ZT, R.F2T, R.QT, R.universal(3)):
+        for _ in range(40):
+            m, n = rng.randint(0, 4), rng.randint(0, 7)
+            cols = []
+            for j in range(n):
+                if j and rng.random() < 0.3:
+                    # a multiple of an earlier column, which never pivots
+                    s = helpers.random_poly(rng, ring)
+                    cols.append([s * e for e in rng.choice(cols)])
+                else:
+                    cols.append([helpers.random_poly(rng, ring,
+                                                     allow_zero=True)
+                                 for _ in range(m)])
+            M = L.Matrix(ring, [[col[i] for col in cols]
+                                for i in range(m)], cols=n)
+            ranks = L.prefix_ranks(M)
+            # every cut, 0 and M.cols included
+            assert ranks == [L.rank(M.columns_selected(range(c)))
+                             for c in range(n + 1)]
+            assert ranks[-1] == L.rank(M)
+            # the rows run out before the last column
+            ran_out += 0 < m == ranks[-1] and ranks.index(m) < n
+    assert ran_out >= 20
+    # one row: elimination stops after column 0, and the later prefixes
+    # keep rank 1
+    assert L.prefix_ranks(zm([[2, 1, 0, 3]])) == [0, 1, 1, 1, 1]
+    assert L.prefix_ranks(zm([[0, 1], [0, 2]])) == [0, 0, 1]
+    assert L.prefix_ranks(L.Matrix.zeros(R.Z, 3, 0)) == [0]
+    assert L.prefix_ranks(L.Matrix.zeros(R.Z, 0, 2)) == [0, 0, 0]
+
+
 def test_fraction_field_elimination_work_on_a_sparse_cone(monkeypatch):
     """The twisted cone of trefoil^3 over Q[T^+-1] is 54x54 with 94
     nonzero entries; elimination that multiplies zeros, or that picks

@@ -111,13 +111,14 @@ def test_level_systems_are_stacked_in_one_place():
 
 
 def test_h_search_reads_only_ranks():
-    # the search route to h reads fraction-field ranks of the level
-    # systems; kernels belong to the ideal sequence and to Gamma
+    # h and Gamma read rank profiles of the level systems; kernels
+    # belong to the ideal sequence alone
     users = _top_level_names_using(
         SRC / "equivariant.py",
         lambda node: isinstance(node, ast.Attribute)
         and node.attr.startswith("kernel"))
-    assert sorted(users) == ["gamma", "j_ideals"]
+    assert sorted(users) == ["j_ideals"]
+    assert _functions_calling("kernel_fraction_field") == []
 
 
 def _functions_calling(name):
