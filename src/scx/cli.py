@@ -111,8 +111,8 @@ def _build_parser():
 
     p = add("dual", _cmd_dual, "dual complex", infile=True)
     p.add_argument("--out")
-    p.add_argument("--grading", default="reverse",
-                   choices=["reverse", "negate"])
+    # one convention is left; "reverse" still parses for existing decks
+    p.add_argument("--grading", default="reverse", choices=["reverse"])
 
     add("h", _cmd_h, "compute h of a complex", infile=True, check=True,
         specialize=True)
@@ -332,7 +332,7 @@ def _cmd_tensor(args, out, err):
 
 
 def _cmd_dual(args, out, err):
-    C = scomplex.dual(_input_complex(args), grading=args.grading)
+    C = scomplex.dual(_input_complex(args))
     _write_or_print(args.out, json.dumps(scomplex.to_dict(C), indent=2), out)
     return 0
 

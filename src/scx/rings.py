@@ -531,34 +531,26 @@ def var(ring, name, exp=1):
     For U a Fraction exponent is accepted.  In F4-based rings the name
     ``x`` denotes the field generator.
     """
-    key = _var_key(ring, name, exp)
-    if key is None:
-        # bit value 2 is the generator x of F4
-        gen = LaurentPoly._trusted(ring, {(0, 0, (0,) * len(ring.tvars)): 2})
-        return gen ** _int_exponent(exp, "x")
-    return LaurentPoly._trusted(ring, {key: _cfrom_int(ring.base, 1)})
-
-
-def _var_key(ring, name, exp):
-    """The checked stored key of the monomial ``name``^``exp``, or None
-    for F4's generator x, which is a coefficient, not a monomial."""
     nt = len(ring.tvars)
     if name == "U":
         if not ring.udenom:
             raise RingError(f"{ring} has no U variable")
-        return (0, _u_slot(ring, exp), (0,) * nt)
-    if name in ring.tvars:
+        key = (0, _u_slot(ring, exp), (0,) * nt)
+    elif name in ring.tvars:
         ts = [0] * nt
         ts[ring.tvars.index(name)] = _int_exponent(exp, "T")
-        return (0, 0, tuple(ts))
-    if name == "x":
-        if ring.has_x:
-            if exp < 0:
-                raise RingError("x-exponents must be nonnegative")
-            return (_int_exponent(exp, "x"), 0, (0,) * nt)
-        if ring.base == "F4":
-            return None
-    raise RingError(f"{ring} has no variable {name!r}")
+        key = (0, 0, tuple(ts))
+    elif name == "x" and ring.has_x:
+        if exp < 0:
+            raise RingError("x-exponents must be nonnegative")
+        key = (_int_exponent(exp, "x"), 0, (0,) * nt)
+    elif name == "x" and ring.base == "F4":
+        # bit value 2 is the generator x of F4
+        gen = LaurentPoly._trusted(ring, {(0, 0, (0,) * nt): 2})
+        return gen ** _int_exponent(exp, "x")
+    else:
+        raise RingError(f"{ring} has no variable {name!r}")
+    return LaurentPoly._trusted(ring, {key: _cfrom_int(ring.base, 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -861,34 +853,13 @@ class _Parser:
         return p
 
     def term(self):
-        # numbers and plain variables multiply into one coefficient and
-        # one stored key; only parenthesised factors and F4's x are
-        # polynomials to multiply by
-        ring = self.ring
-        base = ring.base
-        c = _cfrom_int(base, 1)
-        x, n, ts = 0, 0, (0,) * len(ring.tvars)
-        polys = []
-        while True:
-            f = self.factor()
-            if isinstance(f, LaurentPoly):
-                polys.append(f)
-            else:
-                fc, (fx, fn, fts) = f
-                c = _cmul(base, c, fc)
-                x, n, ts = x + fx, n + fn, tuple(map(add, ts, fts))
-            if self.peek() != "*":
-                break
+        p = self.factor()
+        while self.peek() == "*":
             self.next()
-        p = LaurentPoly._trusted(ring, {(x, n, ts): c}) if c else zero(ring)
-        for f in polys:
-            p = p * f
+            p = p * self.factor()
         return p
 
     def factor(self):
-        """A polynomial, or a (coefficient, stored key) pair for a number
-        or a plain variable."""
-        ring = self.ring
         tok = self.next()
         if tok == "(":
             p = self.expr()
@@ -897,26 +868,22 @@ class _Parser:
             return p
         if tok.isdigit():
             n = self.digits(tok)
-            c = _cfrom_int(ring.base, n)
-            if ring.base == "Q" and self.peek() == "/":
+            if self.ring.base == "Q" and self.peek() == "/":
                 self.next()
                 d = self.digits(self.next())
                 if d == 0:
                     raise ParseError(f"zero denominator in {n}/{d}")
-                c = Fraction(n, d)
-            return c, (0, 0, (0,) * len(ring.tvars))
+                return monomial(self.ring, Fraction(n, d))
+            return from_int(self.ring, n)
         if tok[0].isalpha():
             exp = 1
             if self.peek() == "^":
                 self.next()
                 exp = self.exponent()
             try:
-                key = _var_key(ring, tok, exp)
-                if key is None:
-                    return var(ring, tok, exp)
+                return var(self.ring, tok, exp)
             except RingError as e:
                 raise ParseError(str(e))
-            return _cfrom_int(ring.base, 1), key
         raise ParseError(f"unexpected token {tok!r}")
 
     def exponent(self):

@@ -149,9 +149,11 @@ def _entry_levels_ok(report, label, M, src_deg, dst_deg, strict):
     # Chern-Simons filtration check, path-normalized: an entry monomial
     # U^u from level a to level b has integer defect n = u - (a - b) and
     # its image sits at level n + b, which must not exceed a.
+    # The verdict depends on u alone, so each U-exponent of an entry is
+    # judged once, in term order.
     for i, j, e in M.nonzero_entries():
         a, b = src_deg[j], dst_deg[i]
-        for (x, u, ts), _c in e.sorted_terms():
+        for u in dict.fromkeys(u for (_x, u, _ts), _c in e.sorted_terms()):
             defect = u - (a - b)
             if defect.denominator != 1:
                 report.add(f"{label}[{i},{j}]: U^{u} incompatible with "
@@ -332,21 +334,16 @@ def tensor(C, Cp):
 # duals
 
 
-def dual(C, grading="reverse"):
+def dual(C):
     """Dual S-complex: d* = (S d)^T with S = diag(eps(gr)), v* = v^T,
     delta1* = delta2^T and delta2* = -delta1^T.
 
-    ``grading="reverse"`` places the dual of a grading-i generator in
-    grading 3-i (mod 4), the orientation-reversal convention; this is the
-    unique choice compatible with the structure-map gradings.  The
-    alternate flag ``grading="negate"`` uses plain -i, which violates the
+    The dual of a grading-i generator sits in grading 3-i (mod 4), the
+    orientation-reversal convention; this is the unique choice compatible
+    with the structure-map gradings.  Plain -i would violate the
     delta-map grading constraints whenever delta1 or delta2 is nonzero.
     """
-    if grading not in ("reverse", "negate"):
-        raise ValueError("grading must be 'reverse' or 'negate'")
-    shift = 3 if grading == "reverse" else 0
-    gens = [Generator(g.name + "*", (shift - g.gr_mod4) % 4)
-            for g in C.gens]
+    gens = [Generator(g.name + "*", (3 - g.gr_mod4) % 4) for g in C.gens]
     return SComplex(C.ring, gens, (_eps_matrix(C) * C.d).transpose(),
                     C.v.transpose(), C.delta2.transpose(),
                     -C.delta1.transpose(), v_trusted=C.v_trusted)
@@ -491,13 +488,18 @@ def to_dict(C):
     }
 
 
-def _parse_entry(ring, s, path):
+def _parse_entry(ring, s, path, parsed):
+    """The polynomial of the wire cell ``s`` at ``path``.  ``parsed`` maps
+    each cell string already read in this document to its polynomial, so
+    a string is parsed once and equal cells share one immutable value."""
     if not isinstance(s, str):
         raise SchemaError(f"{path}: expected a polynomial string")
-    try:
-        return rings.parse(ring, s)
-    except (rings.ParseError, RingError) as e:
-        raise SchemaError(f"{path}: {e}")
+    if s not in parsed:
+        try:
+            parsed[s] = rings.parse(ring, s)
+        except (rings.ParseError, RingError) as e:
+            raise SchemaError(f"{path}: {e}")
+    return parsed[s]
 
 
 def from_dict(doc):
@@ -531,13 +533,14 @@ def from_dict(doc):
                               _frac_parse(g.get("deg_I"), path + ".deg_I"),
                               _frac_parse(g.get("hol"), path + ".hol")))
     n = len(gens)
+    parsed = {}
 
     def wire_row(raw, path):
         """(position, entry) for the nonzero cells of one wire row of n
         cells; "0", most cells of the sparse maps, is skipped unparsed."""
         if not isinstance(raw, list) or len(raw) != n:
             raise SchemaError(f"{path}: expected {n} entries")
-        return [(j, _parse_entry(ring, s, f"{path}[{j}]"))
+        return [(j, _parse_entry(ring, s, f"{path}[{j}]", parsed))
                 for j, s in enumerate(raw) if s != "0"]
 
     def square(key):

@@ -587,7 +587,7 @@ VERB_OPTIONS = {
                "--a": ("a", True, None, None, None, "_StoreAction"),
                "--b": ("b", True, None, None, None, "_StoreAction")},
     "dual": {**_JSON, **_IN, **_OUT, "--grading": (
-        "grading", False, "reverse", ("reverse", "negate"), None,
+        "grading", False, "reverse", ("reverse",), None,
         "_StoreAction")},
     "h": {**_JSON, **_IN, **_SPECIALIZE},
     "euler": {**_JSON, **_IN, **_SPECIALIZE},

@@ -432,6 +432,23 @@ def test_assemble_places_blocks():
         L.assemble(ring, 2, 2, [(0, 0, L.Matrix.identity(R.F2T, 2))])
 
 
+def test_assemble_later_piece_overwrites_earlier():
+    # the later block wins on the overlap, its zeros included; entries
+    # of the earlier block outside the overlap stay
+    ring = R.ZT
+    t = R.var(ring, "T")
+    z, o = R.zero(ring), R.one(ring)
+    full = L.Matrix(ring, [[t, t, t], [t, t, t]])
+    later = L.Matrix(ring, [[o, z], [z, 2 * o]])
+    M = L.assemble(ring, 2, 3, [(0, 0, full), (0, 1, later)])
+    assert M == L.Matrix(ring, [[t, o, z], [t, z, 2 * o]])
+    assert [(i, j) for i, j, _e in M.nonzero_entries()] == [
+        (0, 0), (0, 1), (1, 0), (1, 2)]
+    M = L.assemble(ring, 2, 3, [(0, 0, full),
+                                (0, 0, L.Matrix.zeros(ring, 2, 2))])
+    assert M == L.Matrix(ring, [[z, z, t], [z, z, t]])
+
+
 # ---------------------------------------------------------------------------
 # powers of v
 

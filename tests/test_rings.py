@@ -202,8 +202,8 @@ def test_parse_rejects_fractional_exponents_zero_denominators_deep_nesting():
 
 
 def test_parse_error_messages():
-    # the parser builds each monomial's key itself, with the texts that
-    # var and the constructor give; the first bad factor is the one named
+    # the texts that var and the constructors give, since the parser
+    # builds no term keys of its own; the first bad factor is the one named
     for ring, text, message in [
         (R.ZT, "T^{1/2}", "T-exponent 1/2 is not an integer"),
         (R.ZT, "U", "Ring(ZT) has no U variable"),

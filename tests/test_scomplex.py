@@ -50,6 +50,22 @@ def test_validate_reports_broken_relation():
     assert not rep.ok and any(f.startswith("d*d") for f in rep.failures)
 
 
+def _trefoil_at_level(deg_I):
+    doc = S.to_dict(trefoil())
+    doc["generators"][0]["deg_I"] = deg_I
+    return S.from_dict(doc)
+
+
+def test_level_failures_are_reported_once_per_u_exponent():
+    # delta1 = U^{1/3}(T^2 - T^-2) has two terms with one U-exponent;
+    # each failing (entry, U-exponent) is one line
+    assert S.validate(_trefoil_at_level("1/7")).failures == [
+        "delta1[0,0]: U^1/3 incompatible with levels 1/7 -> 0"]
+    assert S.validate(_trefoil_at_level("-2/3")).failures == [
+        "delta1[0,0]: monomial U^1/3 lands at level 1, not below -2/3"]
+    assert S.validate(_trefoil_at_level("1/3")).ok
+
+
 def test_tensor_unit_and_rank_count():
     C = trefoil()
     triv = S.SComplex.trivial(C.ring)
@@ -78,8 +94,8 @@ def test_tensor_dual_validate_randomized():
             assert S.validate(S.dual(A)).ok
 
 
-# sha256 over json.dumps(to_dict(.)) of tensor(A, B), dual(A) and
-# dual(A, "negate") for 30 seeded pairs per ring, recorded when tensor
+# sha256 over json.dumps(to_dict(.)) of tensor(A, B), dual(A) and the
+# negated dual of A for 30 seeded pairs per ring, recorded when tensor
 # and dual were written out entry by entry
 _TENSOR_DUAL_DIGESTS = {
     "Z": "446ec3b85d6de183e80e158fb56a31138755b0c15d331cf7e974855dd2f02a33",
@@ -91,10 +107,19 @@ _TENSOR_DUAL_DIGESTS = {
 }
 
 
+def _negated_dual(A):
+    """dual(A) with each grading i negated to -i instead of reversed to
+    3-i: a second convention that the recorded digests include."""
+    D = S.dual(A)
+    gens = [S.Generator(g.name + "*", (-g.gr_mod4) % 4) for g in A.gens]
+    return S.SComplex(D.ring, gens, D.d, D.v, D.delta1, D.delta2,
+                      D.v_trusted)
+
+
 def _tensor_dual_digest(pairs):
     h = hashlib.sha256()
     for A, B in pairs:
-        for C in (S.tensor(A, B), S.dual(A), S.dual(A, "negate")):
+        for C in (S.tensor(A, B), S.dual(A), _negated_dual(A)):
             h.update(json.dumps(S.to_dict(C)).encode())
     return h.hexdigest()
 
@@ -138,15 +163,6 @@ def test_double_dual_is_isomorphic_via_minus_identity():
                           L.Matrix.zeros(C.ring, 1, n),
                           L.Matrix.zeros(C.ring, n, 1))
         assert S.check_morphism(iso).ok
-
-
-def test_dual_negate_convention_flag():
-    C = trefoil()
-    D = S.dual(C, grading="negate")
-    assert D.gens[0].gr_mod4 == (-1) % 4
-    # pure negation breaks the delta grading constraint as soon as the
-    # dual delta2 is nonzero
-    assert not S.validate(D).ok
 
 
 def test_identity_morphism_passes():
@@ -387,6 +403,67 @@ def test_schema_error_paths():
     assert "delta1[0]" in str(err.value)
 
 
+def _trefoil_fourth_power():
+    T2 = S.tensor(trefoil(), trefoil())
+    return S.tensor(T2, T2)
+
+
+def _wire_cells(doc):
+    """(path, (map, row, col), cell string) of every cell of the four
+    maps of ``doc``, in document order."""
+    for key in ("d", "v"):
+        for i, row in enumerate(doc[key]):
+            for j, cell in enumerate(row):
+                yield f"{key}[{i}][{j}]", (key, i, j), cell
+    yield from ((f"delta1[{j}]", ("delta1", 0, j), cell)
+                for j, cell in enumerate(doc["delta1"]))
+    yield from ((f"delta2[{i}]", ("delta2", i, 0), cell)
+                for i, cell in enumerate(doc["delta2"]))
+
+
+def test_from_dict_parses_each_distinct_cell_once(monkeypatch):
+    doc = S.to_dict(_trefoil_fourth_power())
+    nonzero = [cell for _p, _at, cell in _wire_cells(doc) if cell != "0"]
+    assert len(nonzero) == 82 and len(set(nonzero)) == 2
+    calls = []
+    parse = R.parse
+
+    def counting_parse(ring, s):
+        calls.append(s)
+        return parse(ring, s)
+
+    monkeypatch.setattr(R, "parse", counting_parse)
+    C = S.from_dict(doc)
+    assert sorted(calls) == sorted(set(nonzero))
+    # equal cells share one polynomial
+    entries = [e for M in (C.d, C.v, C.delta1, C.delta2)
+               for _i, _j, e in M.nonzero_entries()]
+    assert len(entries) == 82 and len({id(e) for e in entries}) == 2
+
+
+def test_repeated_bad_cell_is_reported_at_its_first_path():
+    doc = S.to_dict(S.tensor(trefoil(), trefoil()))
+    doc["v"][2][1] = doc["d"][1][0] = "T^{1/2}"
+    with pytest.raises(S.SchemaError) as err:
+        S.from_dict(doc)
+    assert str(err.value) == "d[1][0]: T-exponent 1/2 is not an integer"
+
+
+def test_every_loaded_entry_equals_a_fresh_parse_of_its_cell():
+    rng = random.Random(1818)
+    complexes = [_trefoil_fourth_power(),
+                 knots.two_bridge_complex(151, 3, "universal"),
+                 knots.two_bridge_complex(13, 5, "f2t")]
+    complexes += [helpers.random_scomplex(rng, ring, max_gens=10)
+                  for ring in (R.ZT, R.QT, R.F4T, R.universal(3))]
+    for C in complexes:
+        doc = S.to_dict(C)
+        loaded = S.from_dict(doc)
+        for path, (key, i, j), cell in _wire_cells(doc):
+            assert getattr(loaded, key)[i, j] \
+                == R.parse(loaded.ring, cell), path
+
+
 def test_wire_cell_that_parses_to_zero_loads_as_zero():
     C = S.tensor(trefoil(), trefoil())
     doc = S.to_dict(C)
@@ -419,7 +496,7 @@ def test_wire_format_round_trips_byte_identically():
         for _ in range(10):
             A = helpers.random_scomplex(rng, ring, max_gens=6)
             B = helpers.random_scomplex(rng, ring, max_gens=4)
-            for C in (S.tensor(A, B), S.dual(A), S.dual(A, "negate")):
+            for C in (S.tensor(A, B), S.dual(A), _negated_dual(A)):
                 text = json.dumps(S.to_dict(C), indent=2)
                 C2 = S.from_dict(json.loads(text))
                 assert json.dumps(S.to_dict(C2), indent=2) == text

@@ -221,3 +221,16 @@ def test_laurent_poly_times_int_is_refused_on_the_left():
     assert 3 * t == R.monomial(R.ZT, 3, t=1)
     with pytest.raises(TypeError):
         t * 3
+
+
+def test_parser_builds_polynomials_through_the_constructors():
+    # the parser multiplies polynomials made by var, from_int and
+    # monomial; it builds no term keys or coefficients of its own
+    called = set()
+    for node in ast.walk(ast.parse(inspect.getsource(R._Parser))):
+        if isinstance(node, ast.Call):
+            called.add(getattr(node.func, "id", None)
+                       or getattr(node.func, "attr", None))
+    assert {"var", "from_int", "monomial"} <= called
+    assert not called & {"_cmul", "_trusted", "_cfrom_int", "LaurentPoly"}
+    assert not hasattr(R, "_var_key")
