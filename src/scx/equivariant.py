@@ -511,15 +511,12 @@ def hat_presentation(C):
             "small-model differential is nonzero; the chain module is not "
             "the homology, presentation refused")
     rx = rings.poly_x(C.ring)
-    lift_assign = scomplex.standard_assignment(C.ring, rx)
-
-    def lift(M):
-        return M.map_entries(lambda p: rings.base_change(p, lift_assign, rx),
-                             rx)
-
+    lift = rings.homomorphism(C.ring, scomplex.standard_assignment(C.ring, rx),
+                              rx)
+    v, delta1 = C.v.map_entries(lift, rx), C.delta1.map_entries(lift, rx)
     n = C.n
-    x_minus_v = Matrix.identity(rx, n) * rings.var(rx, "x") - lift(C.v)
-    rel = assemble(rx, n + 1, n, [(0, 0, x_minus_v), (n, 0, -lift(C.delta1))])
+    x_minus_v = Matrix.identity(rx, n) * rings.var(rx, "x") - v
+    rel = assemble(rx, n + 1, n, [(0, 0, x_minus_v), (n, 0, -delta1)])
     return ModulePresentation(rx, [g.name for g in C.gens] + ["e0"], rel)
 
 
@@ -551,10 +548,7 @@ def bn_presentation(pres, target="bn"):
     if src.base != "F2" or not src.has_x or src.tvars != ("T",):
         raise UnsupportedRingError(
             "the theta base change starts from F2[T-Laurent][x]")
-    assignment = {"T": t_image, "x": bn_p_element(tring)}
-
-    def bc(p):
-        return rings.base_change(p, assignment, tring)
-
+    hom = rings.homomorphism(src, {"T": t_image, "x": bn_p_element(tring)},
+                             tring)
     return ModulePresentation(tring, list(pres.generators),
-                              pres.relations.map_entries(bc, tring))
+                              pres.relations.map_entries(hom, tring))

@@ -207,13 +207,13 @@ class Matrix:
         return Matrix._trusted(self.ring, [self._dicts[i] for i in idxs],
                                self.cols)
 
-    def map_entries(self, f, target_ring=None):
-        """Apply f to every stored entry.  Zero entries are not stored, so
-        f must send 0 to 0: every caller passes a ring homomorphism such
-        as :func:`~scx.rings.base_change`."""
-        ring = target_ring if target_ring is not None else self.ring
-        return Matrix._trusted(ring, [
-            {j: y for j, e in row.items() if _nonzero(ring, y := f(e))}
+    def map_entries(self, f, target_ring):
+        """Apply f, a map into ``target_ring``, to every stored entry.
+        Zero entries are not stored, so f must send 0 to 0: every caller
+        passes one ring map built by :func:`~scx.rings.homomorphism`,
+        whose memoized monomial images all the entries share."""
+        return Matrix._trusted(target_ring, [
+            {j: y for j, e in row.items() if _nonzero(target_ring, y := f(e))}
             for row in self._dicts], self.cols)
 
     def __repr__(self):

@@ -558,15 +558,21 @@ def var(ring, name, exp=1):
 
 
 def base_change(p, assignment, target):
-    """Apply a ring homomorphism determined by a variable assignment.
+    """The image of ``p`` under :func:`homomorphism` of its ring."""
+    return homomorphism(p.ring, assignment, target)(p)
 
-    ``assignment`` maps every variable name of ``p``'s ring to a
-    LaurentPoly of ``target``; coefficients are carried along the unique
-    map of base domains (Z to anything, Q to Q, F2 into F2 or F4, F4 to
-    F4).  Fractional U-exponents require the image of U to be 1 or an
-    exact N-th power; x must land where nonnegative degrees make sense.
+
+def homomorphism(src, assignment, target):
+    """The ring map ``src`` -> ``target`` sending each variable to its
+    image in ``assignment``, a LaurentPoly of ``target``, as a function.
+
+    Coefficients go along the unique map of base domains (Z to anything,
+    Q to Q, F2 into F2 or F4, F4 to F4), refused at the first nonzero
+    term when there is none; a fractional U-exponent needs the image of U
+    to be 1 or an exact N-th power.  The assignment is checked once, and
+    each stored monomial's image is computed the first time it is met
+    (even under a coefficient that vanishes in the target) and kept.
     """
-    src = p.ring
     for name in src.variables():
         if name not in assignment:
             raise RingError(f"assignment misses variable {name!r}")
@@ -574,28 +580,32 @@ def base_change(p, assignment, target):
         if isinstance(val, LaurentPoly) and val.ring != target:
             raise RingMismatchError(
                 f"image of {name!r} lies in {val.ring}, not {target}")
-    result = zero(target)
-    for (x, n, ts), c in p._terms.items():
-        term = _convert_scalar(c, src.base, target)
-        if n:
-            term = term * _pow_rational(assignment["U"], _u_value(src, n))
-        for name, e in zip(src.tvars, ts):
-            if e:
-                term = term * assignment[name] ** e
-        if x:
-            term = term * assignment["x"] ** x
-        result = result + term
-    return result
+    sb, tb = src.base, target.base
+    # an F2 coefficient is 1, which is 1 in F4 too
+    has_map = sb in ("Z", tb) or (sb, tb) == ("F2", "F4")
+    images = {}
 
+    def apply(p):
+        if p and not has_map:
+            raise RingError(f"no coefficient map {sb} -> {tb}")
+        result = zero(target)
+        for key, c in p._terms.items():
+            img = images.get(key)
+            if img is None:
+                x, n, ts = key
+                img = one(target)
+                for name, e in (("U", _u_value(src, n)), *zip(src.tvars, ts),
+                                ("x", x)):
+                    if e:
+                        img = img * _pow_rational(assignment[name], e)
+                images[key] = img
+            if c != 1:
+                c = _cfrom_int(tb, c) if sb == "Z" else c
+                img = img.scale(c) if c else zero(target)
+            result = result + img
+        return result
 
-def _convert_scalar(c, src_base, target):
-    if src_base == "Z":
-        return from_int(target, c)
-    if src_base == target.base:
-        return LaurentPoly(target, {(0, 0, (0,) * len(target.tvars)): c})
-    if src_base == "F2" and target.base == "F4":
-        return from_int(target, c)
-    raise RingError(f"no coefficient map {src_base} -> {target.base}")
+    return apply
 
 
 def _pow_rational(p, fr):
@@ -609,16 +619,14 @@ def _pow_rational(p, fr):
         raise RingError(
             f"fractional power of monomial with coefficient {c!r}")
     nu = _u_value(p.ring, n) * fr
-    nts = []
-    for e in ts:
-        s = Fraction(e) * fr
+    nts = [Fraction(e) * fr for e in ts]
+    for s in nts:
         if s.denominator != 1:
             raise RingError(f"fractional power leaves T-exponent {s}")
-        nts.append(s.numerator)
     nx = Fraction(x) * fr
     if nx.denominator != 1 or nx < 0:
         raise RingError(f"fractional power leaves x-exponent {nx}")
-    return LaurentPoly(p.ring, {(int(nx), nu, tuple(nts)): c})
+    return LaurentPoly(p.ring, {(int(nx), nu, tuple(map(int, nts))): c})
 
 
 # ---------------------------------------------------------------------------

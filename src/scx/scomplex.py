@@ -365,17 +365,15 @@ def base_change_complex(C, assignment, target, check=True):
     deg_I survives only into rings that still carry U; hol only where a
     T variable remains.  ``v_trusted`` is inherited.
     """
-    def bc(p):
-        return rings.base_change(p, assignment, target)
-
+    hom = rings.homomorphism(C.ring, assignment, target)
     keep_deg = bool(target.udenom)
     keep_hol = bool(target.tvars)
     gens = [Generator(g.name, g.gr_mod4, g.deg_I if keep_deg else None,
                       g.hol if keep_hol else None) for g in C.gens]
-    out = SComplex(target, gens, C.d.map_entries(bc, target),
-                   C.v.map_entries(bc, target),
-                   C.delta1.map_entries(bc, target),
-                   C.delta2.map_entries(bc, target),
+    out = SComplex(target, gens, C.d.map_entries(hom, target),
+                   C.v.map_entries(hom, target),
+                   C.delta1.map_entries(hom, target),
+                   C.delta2.map_entries(hom, target),
                    C.v_trusted)
     if check:
         report = validate(out)

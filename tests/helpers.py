@@ -184,6 +184,45 @@ def naive_integer_diagonal(rows):
     return out
 
 
+def reference_base_change(p, assignment, target):
+    """``rings.base_change`` as it was before ``rings.homomorphism``: the
+    assignment is checked on every call, and every term converts its
+    coefficient and raises its variables' images from scratch.  Kept as
+    the oracle the one-map-per-assignment version is compared against."""
+    src = p.ring
+    for name in src.variables():
+        if name not in assignment:
+            raise rings.RingError(f"assignment misses variable {name!r}")
+    for name, val in assignment.items():
+        if isinstance(val, rings.LaurentPoly) and val.ring != target:
+            raise rings.RingMismatchError(
+                f"image of {name!r} lies in {val.ring}, not {target}")
+    result = rings.zero(target)
+    for (x, n, ts), c in p._terms.items():
+        term = _convert_scalar(c, src.base, target)
+        if n:
+            term = term * rings._pow_rational(assignment["U"],
+                                              rings._u_value(src, n))
+        for name, e in zip(src.tvars, ts):
+            if e:
+                term = term * assignment[name] ** e
+        if x:
+            term = term * assignment["x"] ** x
+        result = result + term
+    return result
+
+
+def _convert_scalar(c, src_base, target):
+    if src_base == "Z":
+        return rings.from_int(target, c)
+    if src_base == target.base:
+        return rings.LaurentPoly(target,
+                                 {(0, 0, (0,) * len(target.tvars)): c})
+    if src_base == "F2" and target.base == "F4":
+        return rings.from_int(target, c)
+    raise rings.RingError(f"no coefficient map {src_base} -> {target.base}")
+
+
 def int_matrix(ring, rows, cols=None):
     return Matrix(ring, [[rings.from_int(ring, v) for v in row]
                          for row in rows], cols=cols)

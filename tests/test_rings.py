@@ -154,6 +154,124 @@ def test_base_change_is_ring_hom_randomized():
         assert f(a + b) == f(a) + f(b)
 
 
+def _random_terms(rng, ring, max_terms=5):
+    """A polynomial of ``ring`` with random fractional U-exponents,
+    T-exponents of both signs, x-powers and coefficients (even ones among
+    them, which vanish mod 2)."""
+    N = ring.udenom
+    coeffs = {"Z": (1, -1, 2, -2, 3, -4), "F2": (1,), "F4": (1, 2, 3),
+              "Q": (Fraction(1), Fraction(-1), Fraction(2, 3),
+                    Fraction(-3, 2))}[ring.base]
+    return R.LaurentPoly(ring, {
+        (rng.randint(0, 2) if ring.has_x else 0,
+         Fraction(rng.randint(-2 * N, 2 * N), N) if N else 0,
+         tuple(rng.randint(-3, 3) for _ in ring.tvars)): rng.choice(coeffs)
+        for _ in range(rng.randint(0, max_terms))})
+
+
+def _specializations():
+    """(name, source, target, assignment, refusals expected)."""
+    from scx.equivariant import bn_p_element
+    U3, U2, t = R.universal(3), R.universal(2), R.var(R.ZT, "T")
+    return [
+        ("ZT->F4, T->x", R.ZT, R.F4, {"T": R.var(R.F4, "x")}, False),
+        ("UNIV(3)->ZT, U->1", U3, R.ZT, {"U": R.one(R.ZT), "T": t}, False),
+        ("UNIV(3)->ZT, U->T^3", U3, R.ZT, {"U": t ** 3, "T": t}, False),
+        ("UNIV(3)->ZT, U->T", U3, R.ZT, {"U": t, "T": t}, True),
+        ("UNIV(3)->ZT, U->2", U3, R.ZT,
+         {"U": R.from_int(R.ZT, 2), "T": t}, True),
+        # even coefficients vanish in F2T, yet their monomials are refused
+        ("UNIV(3)->F2T, U->T", U3, R.F2T,
+         {"U": R.var(R.F2T, "T"), "T": R.var(R.F2T, "T")}, True),
+        ("UNIV(2)->QT", U2, R.QT,
+         {"U": R.one(R.QT), "T": R.var(R.QT, "T")}, False),
+        ("Z->Q", R.Z, R.Q, {}, False),
+        ("F2T->F2", R.F2T, R.F2, {"T": R.one(R.F2)}, False),
+        ("POLY_X(F2T)->S_BN, x->P", R.poly_x(R.F2T), R.S_BN,
+         {"T": R.var(R.S_BN, "T1"), "x": bn_p_element(R.S_BN)}, False),
+        ("Q->Z", R.Q, R.Z, {}, True),
+    ]
+
+
+def _outcome(f, *args):
+    """f(*args), with a polynomial as its terms in stored order, or the
+    type and text of the RingError it raises."""
+    try:
+        y = f(*args)
+    except R.RingError as e:
+        return type(e), str(e)
+    if isinstance(y, R.LaurentPoly):
+        return y.ring, list(y._terms.items())
+    return y
+
+
+def test_homomorphism_agrees_with_per_term_base_change():
+    # one map per assignment against the old per-term loop: equal values
+    # (terms in the same order) or the same refusal, on polynomials and
+    # on matrices, whether each call builds its map or one map serves all
+    from scx import linalg as L
+    rng = random.Random(1919)
+    for name, src, target, assignment, refusing in _specializations():
+        hom = R.homomorphism(src, assignment, target)
+
+        def oracle(p):
+            return helpers.reference_base_change(p, assignment, target)
+
+        refused = 0
+        for _ in range(80):
+            p = _random_terms(rng, src)
+            want = _outcome(oracle, p)
+            assert _outcome(R.base_change, p, assignment, target) == want, \
+                (name, p)
+            assert _outcome(hom, p) == want, (name, p)
+            refused += isinstance(want[0], type)
+        assert bool(refused) == refusing, name
+        for _ in range(10):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            M = L.Matrix.from_entries(src, m, n, [
+                (i, j, _random_terms(rng, src, 3))
+                for i in range(m) for j in range(n) if rng.random() < 0.6])
+            assert _outcome(M.map_entries, hom, target) == \
+                _outcome(M.map_entries, oracle, target), name
+    # an assignment that misses a variable or lands elsewhere is refused
+    # alike
+    for src, assignment, target in (
+            (R.universal(3), {"T": R.one(R.ZT)}, R.ZT),
+            (R.ZT, {"T": R.var(R.QT, "T")}, R.ZT)):
+        assert _outcome(R.base_change, R.one(src), assignment, target) == \
+            _outcome(helpers.reference_base_change, R.one(src), assignment,
+                     target)
+    # Q -> Z maps zero and refuses the rest
+    q_to_z = R.homomorphism(R.Q, {}, R.Z)
+    assert q_to_z(R.zero(R.Q)) == R.zero(R.Z)
+    with pytest.raises(R.RingError, match="no coefficient map Q -> Z"):
+        q_to_z(R.one(R.Q))
+
+
+def test_one_homomorphism_serves_many_polynomials():
+    # the entries of a matrix share one map's memoized monomial images:
+    # results equal those of fresh maps, including terms whose
+    # coefficient vanishes in the target, and an earlier result never
+    # changes when the map is applied again
+    U3 = R.universal(3)
+    rng = random.Random(2020)
+    keys = [(0, Fraction(k, 3), (t,)) for k in (-1, 0, 1, 2)
+            for t in (-2, 0, 2)]
+    polys = [R.LaurentPoly(U3, {key: rng.choice((1, -1, 2, 3, -2))
+                                for key in rng.sample(keys, rng.randint(1, 4))})
+             for _ in range(60)]
+    polys += [R.from_int(U3, 2) * p for p in polys[:5]] + polys[:5]
+    for target in (R.ZT, R.F2T):
+        assignment = {"U": R.one(target), "T": R.var(target, "T")}
+        hom = R.homomorphism(U3, assignment, target)
+        results = [hom(p) for p in polys]
+        kept = [dict(y._terms) for y in results]
+        for p, y in zip(polys, results):
+            assert hom(p) == y == R.homomorphism(U3, assignment, target)(p)
+        assert [dict(y._terms) for y in results] == kept
+        assert any(not y for y in results[60:65]) == target.char_two
+
+
 def test_normalization_idempotent():
     rng = random.Random(303)
     for ring in (R.ZT, R.F2T, R.QT):

@@ -234,3 +234,27 @@ def test_parser_builds_polynomials_through_the_constructors():
     assert {"var", "from_int", "monomial"} <= called
     assert not called & {"_cmul", "_trusted", "_cfrom_int", "LaurentPoly"}
     assert not hasattr(R, "_var_key")
+
+
+def test_specializations_build_one_ring_map():
+    # base change is one homomorphism per assignment: outside rings no
+    # module reaches for the per-polynomial base_change, and each
+    # specialization builds its map once, for all of its matrices
+    refs = [(path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if "base_change" in (getattr(node, "id", None),
+                                 getattr(node, "attr", None))]
+    assert {name for name, _line in refs} <= {"rings.py"}
+    for module, fn in (("scomplex.py", "base_change_complex"),
+                       ("equivariant.py", "hat_presentation"),
+                       ("equivariant.py", "bn_presentation")):
+        builds = _top_level_names_using(
+            SRC / module, lambda node: isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "homomorphism")
+        assert builds.count(fn) == 1, fn
+    # base_change is the map of its polynomial's ring, applied once
+    body = ast.parse(inspect.getsource(R.base_change)).body[0].body
+    assert len(body) == 2 and isinstance(body[1], ast.Return)
+    assert not hasattr(R, "_convert_scalar")
+    assert inspect.signature(L.Matrix.map_entries).parameters[
+        "target_ring"].default is inspect.Parameter.empty
