@@ -6,10 +6,10 @@ from . import equivariant, knots, linalg, rings, scomplex
 from .equivariant import (INFINITY, ModulePresentation, bn_presentation,
                           gamma, h_invariant, hat_presentation, j_ideals,
                           verify_model_equivalence)
-from .knots import (ModuliCertificate, TorusKnot, TwoBridgeKnot, count_N1N2,
-                    fixture, lens_sasahira, solve_k1k2, torus_alexander,
-                    torus_signature, two_bridge_complex,
-                    two_bridge_signature_oracle, vanishing_check)
+from .knots import (ModuliCertificate, count_N1N2, fixture, lens_sasahira,
+                    solve_k1k2, torus_alexander, torus_signature,
+                    two_bridge_complex, two_bridge_signature_oracle,
+                    vanishing_check)
 from .linalg import Matrix, homology, kernel_basis, smith_normal_form
 from .rings import LaurentPoly, Ring, base_change, divide, parse
 from .scomplex import (Generator, SComplex, SMorphism, base_change_complex,
@@ -19,9 +19,8 @@ from .scomplex import (Generator, SComplex, SMorphism, base_change_complex,
 __all__ = [
     "INFINITY", "ModulePresentation", "bn_presentation", "gamma",
     "h_invariant", "hat_presentation", "j_ideals", "verify_model_equivalence",
-    "ModuliCertificate", "TorusKnot",
-    "TwoBridgeKnot", "count_N1N2", "fixture", "lens_sasahira", "solve_k1k2",
-    "torus_alexander", "torus_signature", "two_bridge_complex",
+    "ModuliCertificate", "count_N1N2", "fixture", "lens_sasahira",
+    "solve_k1k2", "torus_alexander", "torus_signature", "two_bridge_complex",
     "two_bridge_signature_oracle", "vanishing_check", "Matrix", "homology",
     "kernel_basis", "smith_normal_form", "LaurentPoly", "Ring",
     "base_change", "divide", "parse", "Generator", "SComplex", "SMorphism",

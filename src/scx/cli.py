@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import json
 import os
@@ -272,7 +271,7 @@ def _cmd_two_bridge(args, out, err):
     doc = scomplex.to_dict(C)
     if args.out:
         _write_or_print(args.out, json.dumps(doc, indent=2), out)
-    payload = {"report": dataclasses.asdict(rep)}
+    payload = {"report": rep._asdict()}
     if not args.out:
         payload["complex"] = doc
     _emit(payload, args.json, _report_table(rep), out)
@@ -295,11 +294,12 @@ def _cmd_torus(args, out, err):
     sigma = knots.torus_signature(args.p, args.q)
     delta, total = knots.torus_alexander(args.p, args.q)
     vanish = knots.vanishing_check(args.p, args.q)
+    alexander = delta.to_str()
     payload = {"knot": f"T({args.p},{args.q})", "signature": sigma,
-               "alexander": delta.to_str(), "alexander_norm": total,
+               "alexander": alexander, "alexander_norm": total,
                "vanishing": vanish}
     lines = [f"knot\tT({args.p},{args.q})", f"signature\t{sigma}",
-             f"alexander\t{delta.to_str()}", f"alexander_norm\t{total}",
+             f"alexander\t{alexander}", f"alexander_norm\t{total}",
              f"vanishing\t{str(vanish).lower()}"]
     _emit(payload, args.json, lines, out)
     return 0

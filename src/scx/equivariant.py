@@ -33,7 +33,7 @@ the column T_k reads (A_1 = d).  So h and Gamma read prefix ranks
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 
@@ -171,7 +171,7 @@ def verify_model_equivalence(C, depth):
     """
     if depth < 1:
         raise EquivariantError("truncation must be at least 1")
-    report = ValidationReport(True)
+    report = ValidationReport()
     ring, n = C.ring, C.n
     one = Matrix.identity(ring, 1)
     size, small = 2 * n + 1, n + depth + 1
@@ -481,14 +481,12 @@ def gamma(C, k):
 # module presentations
 
 
-@dataclass
-class ModulePresentation:
+class ModulePresentation(namedtuple("ModulePresentation",
+                                     "ring generators relations")):
     """Cokernel presentation: generators and a relation matrix whose
     columns are relations."""
 
-    ring: object
-    generators: list
-    relations: Matrix
+    __slots__ = ()
 
     def to_dict(self):
         return {

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import functools
 import graphlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from math import gcd
 
 from . import equivariant, linalg, rings, scomplex
 from .linalg import Matrix
@@ -48,44 +49,30 @@ class CheckFailedError(KnotError):
 SEARCH_MARGIN = 4
 
 
-@dataclass(frozen=True)
-class TwoBridgeKnot:
-    p: int
-    q: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.p % 2 == 0:
-            raise KnotError("p must be an odd positive integer")
-        from math import gcd as igcd
-        if igcd(self.p, self.q) != 1:
-            raise KnotError(f"p={self.p}, q={self.q} are not coprime")
-
-    @property
-    def q_normalized(self):
-        return self.q % self.p
+def _two_bridge_q(p, q):
+    """q mod p, once (p, q) is checked to name a two-bridge knot K(p, q):
+    p odd and positive, q coprime to it."""
+    if p < 1 or p % 2 == 0:
+        raise KnotError("p must be an odd positive integer")
+    if gcd(p, q) != 1:
+        raise KnotError(f"p={p}, q={q} are not coprime")
+    return q % p
 
 
-@dataclass(frozen=True)
-class TorusKnot:
-    p: int
-    q: int
-
-    def __post_init__(self):
-        from math import gcd as igcd
-        if self.p < 2 or self.q < 2:
-            raise KnotError("torus knot parameters must be at least 2")
-        if igcd(self.p, self.q) != 1:
-            raise KnotError(f"p={self.p}, q={self.q} are not coprime")
+def _check_torus(p, q):
+    """Check that (p, q) names a torus knot T(p, q): both at least 2 and
+    coprime."""
+    if p < 2 or q < 2:
+        raise KnotError("torus knot parameters must be at least 2")
+    if gcd(p, q) != 1:
+        raise KnotError(f"p={p}, q={q} are not coprime")
 
 
-@dataclass(frozen=True)
-class ModuliCertificate:
-    i: int
-    j: int
-    k1: int
-    k2: int
-    N1: int
-    N2: int
+class ModuliCertificate(namedtuple("ModuliCertificate", "i j k1 k2 N1 N2")):
+    """The box (k1, k2) certifying the moduli of the pair (i, j), with its
+    interior count N1 and boundary count N2."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +152,7 @@ def _certificate_table(p, q):
     solves the congruences k1 = +-i +- j, q k2 = -+i +- j (mod p) of the
     one pair i = +-(k1 - q k2)/2, j = +-(k1 + q k2)/2 reduced into 0..m.
     """
-    TwoBridgeKnot(p, q)
+    _two_bridge_q(p, q)
     m = (p - 1) // 2
     pairs = [(i, j) for i in range(m + 1) for j in range(m + 1) if i != j]
     tables = {0: dict.fromkeys(pairs), 2: dict.fromkeys(pairs)}
@@ -215,8 +202,7 @@ def solve_k1k2(p, q, i, j, boundary=0):
 def _two_bridge_data(p, q):
     """Gradings, Chern-Simons levels and local-coefficient entries of the
     two-bridge complex, over the universal ring with denominator p."""
-    knot = TwoBridgeKnot(p, q)
-    qn = knot.q_normalized
+    qn = _two_bridge_q(p, q)
     m = (p - 1) // 2
     ring = rings.universal(p)
     qinv = pow(qn, -1, p)
@@ -332,8 +318,7 @@ def two_bridge_complex(p, q, ring="universal"):
 def lens_sasahira(p, q):
     """Graded F2 ranks of the lens-space instanton homology of L(p, q),
     built from the mirror two-bridge data with unit weights."""
-    knot = TwoBridgeKnot(p, -q)
-    _ring, m, grs, _degs, entries = _two_bridge_data(p, knot.q)
+    _ring, m, grs, _degs, entries = _two_bridge_data(p, -q)
     o = rings.one(rings.F2)
     M = Matrix.from_entries(rings.F2, m, m, [(j - 1, i - 1, o)
                                              for i, j in entries if i and j])
@@ -359,7 +344,7 @@ def torus_signature(p, q):
     """Signature of the (p, q) torus knot by exact lattice counting; the
     closed forms for q = 2kp +- 2 and q = (2k+1)p +- 2 are checked
     against the count whenever they apply."""
-    TorusKnot(p, q)
+    _check_torus(p, q)
     if p % 2 == 0:
         p, q = q, p
     count = 0
@@ -387,7 +372,7 @@ def torus_signature(p, q):
 def torus_alexander(p, q):
     """Symmetrized Alexander polynomial of the (p, q) torus knot and the
     sum of the absolute values of its coefficients."""
-    TorusKnot(p, q)
+    _check_torus(p, q)
     ring = rings.ZT
     t = rings.var(ring, "T")
     o = rings.one(ring)
@@ -452,10 +437,10 @@ def two_bridge_signature_oracle(p, q):
     symmetrized Seifert form tridiag(2b_i; 1), whose pivots from the
     bottom up are the tails x_k, so by Sylvester's law of inertia the
     signature is the sum of their signs."""
-    knot = TwoBridgeKnot(p, q)
+    _two_bridge_q(p, q)
     if p == 1:
         return 0  # the unknot: the empty plumbing
-    r = (-knot.q) % p
+    r = (-q) % p
     qpp = r if r % 2 == 0 else r - p
     return sum(1 if x > 0 else -1
                for x in _even_continued_fraction_tails(p, qpp))
@@ -494,15 +479,14 @@ def fixture(name):
 # reports
 
 
-@dataclass
-class KnotInvariantReport:
-    knot: str
-    ring: str
-    generators: list = field(default_factory=list)
-    maps: dict = field(default_factory=dict)
-    invariants: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+class KnotInvariantReport(namedtuple(
+        "KnotInvariantReport",
+        "knot ring generators maps invariants warnings notes")):
+    """The two-bridge report: the knot and ring names, then the lists and
+    dicts :func:`two_bridge_report` fills, in the order the CLI prints
+    them."""
+
+    __slots__ = ()
 
 
 def _map_summary(M, label):
@@ -513,11 +497,10 @@ def _map_summary(M, label):
 def two_bridge_report(p, q, C):
     """The report of K(p, q) from its complex ``C``, as built by
     :func:`two_bridge_complex`."""
-    knot = TwoBridgeKnot(p, q)
-    rep = KnotInvariantReport(knot=f"K({p},{q})", ring=C.ring.tag)
-    if knot.q_normalized != q:
-        rep.notes.append(
-            f"q normalized to {knot.q_normalized} (mod {p})")
+    qn = _two_bridge_q(p, q)
+    rep = KnotInvariantReport(f"K({p},{q})", C.ring.tag, [], {}, {}, [], [])
+    if qn != q:
+        rep.notes.append(f"q normalized to {qn} (mod {p})")
     rep.notes.append("signs normalized: all moduli entries taken with +1")
     for g in C.gens:
         rep.generators.append({
@@ -537,7 +520,7 @@ def two_bridge_report(p, q, C):
             "entries; h, ideal and Gamma computations are refused")
         parities = {f"{i}->{j}": "T^2,T^-2" if (c.k1 * c.k2) % 2 else "T^0"
                     for (i, j), c in
-                    _certificate_table(p, knot.q_normalized)[2].items()
+                    _certificate_table(p, qn)[2].items()
                     if c is not None}
         if parities:
             rep.notes.append(

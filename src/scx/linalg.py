@@ -12,7 +12,7 @@ fraction-field ranks, rank profiles and kernels over any integral domain."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .rings import (LaurentPoly, RingMismatchError, divide,
@@ -264,14 +264,12 @@ def kron(A, B):
     return Matrix._trusted(A.ring, dicts, A.cols * B.cols)
 
 
-@dataclass
-class SmithResult:
+class SmithResult(namedtuple("SmithResult", "D U V")):
     """U * M * V == D with U, V invertible and D diagonal: each diagonal
     entry a normalized associate, zeros last.  The diagonal need not be a
     divisibility chain; :meth:`invariant_factors` makes one from it."""
-    D: Matrix
-    U: Matrix
-    V: Matrix
+
+    __slots__ = ()
 
     def diagonal(self):
         n = min(self.D.rows, self.D.cols)
@@ -298,10 +296,10 @@ class SmithResult:
         return d
 
 
-@dataclass
-class HomologySummary:
-    free_rank: int
-    torsion: list
+class HomologySummary(namedtuple("HomologySummary", "free_rank torsion")):
+    """The free rank of a homology module and its torsion factors."""
+
+    __slots__ = ()
 
 
 def smith_normal_form(M):

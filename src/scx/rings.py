@@ -23,7 +23,7 @@ touches floating point.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import add
 
@@ -105,8 +105,8 @@ def _cstr(base, a, in_product):
 # ring descriptors
 
 
-@dataclass(frozen=True)
-class Ring:
+class Ring(namedtuple("Ring", "tag base tvars udenom has_x",
+                      defaults=((), 0, False))):
     """Descriptor of a supported coefficient ring.
 
     ``base`` names the coefficient domain, ``tvars`` the Laurent variables,
@@ -114,11 +114,7 @@ class Ring:
     U), and ``has_x`` whether a polynomial variable x is adjoined.
     """
 
-    tag: str
-    base: str
-    tvars: tuple = ()
-    udenom: int = 0
-    has_x: bool = False
+    __slots__ = ()
 
     def variables(self):
         names = []
@@ -184,19 +180,6 @@ def poly_x(inner):
         raise RingError("x variable collides with the F4 generator")
     return Ring(f"POLY_X({inner.tag})", inner.base, inner.tvars,
                 inner.udenom, True)
-
-
-def inner_ring(ring):
-    """The ring obtained by forgetting the x variable."""
-    if not ring.has_x:
-        raise RingError("ring has no x variable")
-    for cand in (Z, Q, F2, ZT, QT, F2T, S_BN, R_SHARP):
-        if (cand.base, cand.tvars, cand.udenom) == (ring.base, ring.tvars,
-                                                    ring.udenom):
-            return cand
-    if ring.tvars == ("T",) and ring.udenom:
-        return universal(ring.udenom)
-    raise RingError(f"cannot strip x from {ring}")
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +339,7 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             raise TypeError(f"expected LaurentPoly, got {type(other)!r}")
         # equal rings need not be one object, so identity is only the
-        # fast path before the dataclass comparison
+        # fast path before the field-by-field comparison
         if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
 
@@ -949,7 +932,9 @@ _SIMPLE_TAGS = {r.tag: r for r in (*RING_NAMES.values(), S_BN, R_SHARP)}
 
 def ring_to_dict(ring):
     if ring.has_x:
-        return {"tag": "POLY_X", "inner": ring_to_dict(inner_ring(ring))}
+        # poly_x(R) is R with the tag POLY_X(R.tag) and has_x set
+        inner = ring._replace(tag=ring.tag[len("POLY_X("):-1], has_x=False)
+        return {"tag": "POLY_X", "inner": ring_to_dict(inner)}
     if ring.tag == "UNIV":
         return {"tag": "UNIV", "denom": ring.udenom}
     return {"tag": ring.tag}

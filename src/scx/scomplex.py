@@ -18,7 +18,7 @@ and the JSON wire format shared with the command line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from . import rings
@@ -34,24 +34,29 @@ class SchemaError(SComplexError):
     """A serialized document does not follow the JSON schema."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    gr_mod4: int
-    deg_I: Fraction | None = None
-    hol: Fraction | None = None
+class Generator(namedtuple("Generator", "name gr_mod4 deg_I hol")):
+    """A named generator: its grading mod 4 (reduced into 0..3) and, when
+    known, its Chern-Simons level deg_I and holonomy parameter hol."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "gr_mod4", self.gr_mod4 % 4)
+    __slots__ = ()
+
+    def __new__(cls, name, gr_mod4, deg_I=None, hol=None):
+        return super().__new__(cls, name, gr_mod4 % 4, deg_I, hol)
 
 
-@dataclass
 class ValidationReport:
-    ok: bool
-    failures: list = field(default_factory=list)
+    """The failures a check found; ok (and truthy) while there are none."""
+
+    __slots__ = ("failures",)
+
+    def __init__(self):
+        self.failures = []
+
+    @property
+    def ok(self):
+        return not self.failures
 
     def add(self, msg):
-        self.ok = False
         self.failures.append(msg)
 
     def __bool__(self):
@@ -169,7 +174,7 @@ def validate(C):
     """Check the structural relations, gradings and (when present) the
     level-0 instanton filtration.  Failures are report items, never
     exceptions."""
-    report = ValidationReport(True)
+    report = ValidationReport()
     grs = [g.gr_mod4 for g in C.gens]
 
     if not (C.d * C.d).is_zero():
@@ -206,14 +211,11 @@ def validate(C):
 # morphisms
 
 
-@dataclass
-class SMorphism:
-    source: SComplex
-    target: SComplex
-    lam: Matrix
-    mu: Matrix
-    Delta1: Matrix  # 1 x n_source
-    Delta2: Matrix  # n_target x 1
+class SMorphism(namedtuple("SMorphism", "source target lam mu Delta1 Delta2")):
+    """An S-morphism source -> target: lam and mu are n_target x n_source,
+    Delta1 is 1 x n_source and Delta2 is n_target x 1."""
+
+    __slots__ = ()
 
     @classmethod
     def identity(cls, C):
@@ -225,7 +227,7 @@ class SMorphism:
 
 def check_morphism(m):
     """The four chain-map relations of an S-morphism, as a report."""
-    report = ValidationReport(True)
+    report = ValidationReport()
     A, B = m.source, m.target
     if A.ring != B.ring:
         report.add("source and target over different rings")

@@ -177,6 +177,15 @@ def test_truncation_beyond_the_limit_is_a_usage_error(tmp_path, monkeypatch):
     assert code == 0 and "truncation\t2" in out
 
 
+def test_two_bridge_report_fields_print_in_record_order():
+    C = knots.two_bridge_complex(5, 3)
+    fields = list(knots.two_bridge_report(5, 3, C)._asdict())
+    assert fields == ["knot", "ring", "generators", "maps", "invariants",
+                      "warnings", "notes"]
+    code, out, _ = run(["two-bridge", "--p", "5", "--q", "3", "--json"])
+    assert code == 0 and list(json.loads(out)["report"]) == fields
+
+
 def test_module_entry_point_runs_without_warnings():
     src = os.path.dirname(os.path.dirname(os.path.abspath(scx.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -389,7 +389,21 @@ def test_equal_polynomials_hash_alike():
 
 def test_ring_descriptor_round_trip():
     import json
-    for ring in (R.Z, R.Q, R.F2, R.F4, R.ZT, R.QT, R.F2T, R.F4T, R.S_BN,
-                 R.R_SHARP, R.universal(5), R.poly_x(R.F2T)):
+    # every ring that takes an x, and poly_x of each: ring_to_dict reads
+    # the inner ring of poly_x(R) back off its tag
+    takes_x = (R.Z, R.Q, R.F2, R.ZT, R.QT, R.F2T, R.S_BN, R.R_SHARP,
+               R.universal(1), R.universal(3), R.universal(5), R.universal(6))
+    for ring in (*takes_x, R.F4, R.F4T, *map(R.poly_x, takes_x)):
         doc = json.loads(json.dumps(R.ring_to_dict(ring)))
         assert R.ring_from_dict(doc) == ring
+
+
+def test_ring_descriptors_are_plain_values():
+    # equal parameters give equal, hash-equal rings; the repr names the tag
+    assert R.universal(3) == R.universal(3)
+    assert hash(R.universal(3)) == hash(R.universal(3))
+    assert R.universal(3) != R.universal(6)
+    assert repr(R.ZT) == "Ring(ZT)"
+    assert str(R.poly_x(R.QT)) == "Ring(POLY_X(QT))"
+    assert R.universal(3).variables() == ["U", "T"]
+    assert R.F2T.char_two and R.Q.is_field and not R.QT.is_field

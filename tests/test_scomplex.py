@@ -21,6 +21,20 @@ def test_validate_trefoil_passes():
     assert S.validate(trefoil()).ok
 
 
+def test_generator_grading_is_reduced_mod_4():
+    assert S.Generator("a", 5).gr_mod4 == 1
+    assert S.Generator("a", -1).gr_mod4 == 3
+    assert S.Generator("a", 7, Fraction(1, 3)) == S.Generator("a", 3,
+                                                              Fraction(1, 3))
+
+
+def test_validation_report_is_ok_until_a_failure_is_added():
+    rep = S.ValidationReport()
+    assert rep.ok and rep and rep.failures == []
+    rep.add("d*d != 0")
+    assert not rep.ok and not rep and rep.failures == ["d*d != 0"]
+
+
 def test_validate_flags_bad_grading():
     bad = S.SComplex(R.Z, [S.Generator("a", 0)],
                      L.Matrix(R.Z, [[R.one(R.Z)]]),

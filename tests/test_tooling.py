@@ -1,12 +1,15 @@
 """Guards for readers of ``Matrix`` outside the algorithms: no module of
 ``src/scx`` reads the dense ``.data`` view or, outside ``linalg``, builds
 a matrix from dense rows, and the benchmark's traced product counter,
-which does read the view, still counts what it did."""
+which does read the view, still counts what it did.  Guards on the shape
+of the package follow: one record idiom, one input path, one sweep."""
 
 import ast
 import inspect
+import os
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -258,3 +261,33 @@ def test_specializations_build_one_ring_map():
     assert not hasattr(R, "_convert_scalar")
     assert inspect.signature(L.Matrix.map_entries).parameters[
         "target_ring"].default is inspect.Parameter.empty
+
+
+def test_records_are_named_tuples_not_dataclasses():
+    # one record idiom: namedtuple subclasses, so no module pays for
+    # dataclasses (and the inspect it loads) at import
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "dataclasses" in names:
+                imports.append((path.name, node.lineno))
+    assert imports == []
+
+
+def test_cli_start_up_loads_no_introspection_modules():
+    # every scx process imports scx.cli; none of these belong in it
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, scx.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    loaded = set(proc.stdout.split())
+    assert "scx.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "typing"}
