@@ -25,9 +25,8 @@ import shlex
 import sys
 
 from . import equivariant, knots, linalg, rings, scomplex
-from .equivariant import (EquivariantError, INFINITY, UnsupportedRingError,
-                          UntrustedVError)
-from .knots import InconsistentComplexError, KnotError
+from .equivariant import EquivariantError, INFINITY
+from .knots import KnotError
 from .linalg import LinalgError
 from .rings import ParseError, RingError
 from .scomplex import SchemaError, SComplexError
@@ -497,8 +496,7 @@ def run(argv, out=None, err=None, batch_depth=0):
     except (ParseError, SchemaError) as e:
         err.write(f"input error: {e}\n")
         return 1
-    except (UntrustedVError, UnsupportedRingError, InconsistentComplexError,
-            EquivariantError, SComplexError, KnotError, RingError,
+    except (EquivariantError, SComplexError, KnotError, RingError,
             LinalgError) as e:
         err.write(f"refused: {e}\n")
         return 2

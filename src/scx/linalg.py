@@ -8,7 +8,9 @@ diagonal Smith reduction with transform certificates over the Euclidean
 rings (Z, the constant fields, and one-variable Laurent rings over a
 field) and the invariant factors read from it, kernels, exact linear
 solving, the homology of a differential from its Smith form, and
-fraction-field ranks, rank profiles and kernels over any integral domain."""
+fraction-field ranks and rank profiles over any integral domain, read
+from the pivots of one division-free forward sweep to echelon (not
+reduced) form, which a back pass turns into fraction-field kernels."""
 
 from __future__ import annotations
 
@@ -243,24 +245,13 @@ def assemble(ring, rows, cols, pieces):
 
 def kron(A, B):
     """The Kronecker product: entry (i*B.rows + k, j*B.cols + l) is
-    A[i, j] * B[k, l].  Only pairs of nonzero entries are multiplied, and
-    a factor 1 or -1 is applied as a copy or a negation."""
+    A[i, j] * B[k, l].  Only pairs of nonzero entries are multiplied."""
     A._compat(B)
-    o, mo = one(A.ring), -one(A.ring)
-
-    def nonzero(M):
-        # (row, col, entry, sign): sign is 1 or -1 when the entry is
-        # that unit, else 0
-        return [(i, j, e, 1 if e == o else -1 if e == mo else 0)
-                for i, j, e in M.nonzero_entries()]
-
     dicts = [{} for _ in range(A.rows * B.rows)]
-    nonzero_b = nonzero(B)
-    for i, j, a, sa in nonzero(A):
-        for k, l, b, sb in nonzero_b:
-            p = (a if sb > 0 else -a) if sb else (
-                (b if sa > 0 else -b) if sa else a * b)
-            dicts[i * B.rows + k][j * B.cols + l] = p
+    nonzero_b = list(B.nonzero_entries())
+    for i, j, a in A.nonzero_entries():
+        for k, l, b in nonzero_b:
+            dicts[i * B.rows + k][j * B.cols + l] = a * b
     return Matrix._trusted(A.ring, dicts, A.cols * B.cols)
 
 
@@ -442,11 +433,23 @@ def det(M):
     return -d if sign < 0 else d
 
 
+def _clear(A, r, c, rows):
+    """Clear column c from each row A[i], i in ``rows``, that holds it: the
+    row becomes p*row - q*A[r] (p = A[r][c], q = A[i][c]), walking only
+    the nonzero entries of both."""
+    p = A[r][c]
+    for i in rows:
+        q = A[i].get(c)
+        if q is not None:
+            row = {j: p * e for j, e in A[i].items()}
+            _add_into(row, A[r], -q)
+            A[i] = row
+
+
 def _eliminate(M):
-    """Division-free Gauss-Jordan elimination; returns the reduced row
-    dicts and the (row, col) pivots.  Each column pivots on its candidate
-    with the fewest terms, and every other row becomes p*row - q*pivot_row,
-    walking only the nonzero entries of both."""
+    """Division-free forward elimination; returns the echelon row dicts
+    and the (row, col) pivots.  Each column pivots on its candidate with
+    the fewest terms, and only the rows below the pivot are cleared."""
     A, m = list(M._dicts), M.rows
     pivots = []
     for c in range(M.cols):
@@ -458,14 +461,7 @@ def _eliminate(M):
             continue
         best = min(cands, key=lambda i: len(A[i][c]))
         A[r], A[best] = A[best], A[r]
-        p = A[r][c]
-        for i in range(m):
-            q = A[i].get(c)
-            if i == r or q is None:
-                continue
-            row = {j: p * e for j, e in A[i].items()}
-            _add_into(row, A[r], -q)
-            A[i] = row
+        _clear(A, r, c, range(r + 1, m))
         pivots.append((r, c))
     return A, pivots
 
@@ -478,9 +474,10 @@ def rank(M):
 def prefix_ranks(M):
     """[r_0, ..., r_cols]: r_c is the rank of the first c columns of M over
     the fraction field.  Row operations keep the linear relations among
-    the columns, and :func:`_eliminate` pivots in column order, so column
-    c pivots exactly when it is outside the span of the columns before
-    it, and r_c counts the pivot columns below c."""
+    the columns, and the forward sweep of :func:`_eliminate` pivots in
+    column order, so column c pivots exactly when it is outside the span
+    of the columns before it, and r_c counts the pivot columns below c.
+    Only the pivots are read: the echelon rows need no back pass."""
     pivots = {c for _r, c in _eliminate(M)[1]}
     return list(accumulate((c in pivots for c in range(M.cols)), initial=0))
 
@@ -489,24 +486,27 @@ def prefix_ranks(M):
 rank_fraction_field = rank
 
 
-# no invariant calls it; kept because bench tracing wraps it by name
+# no src function calls it: it is the tests' Gamma oracle, and bench
+# tracing wraps it by name
 def kernel_fraction_field(M):
     """Columns spanning ker M over Frac(ring), with entries cleared into
-    the ring.  Works over any supported integral domain."""
-    ring = M.ring
+    the ring; works over any supported integral domain.  A back pass
+    clears the rows above each pivot of the echelon form, which leaves
+    each pivot row with its pivot d and entries in free columns only.
+    The column of free column f holds the product P of the pivots at f,
+    and -a * (P / d) at the pivot column of each row with entry a at f."""
     A, pivots = _eliminate(M)
+    for r, c in pivots:
+        _clear(A, r, c, range(r))
     free = sorted(set(range(M.cols)) - {c for _, c in pivots})
-    # head[k] * tail[k + 1] is the product of every pivot but the k-th
-    diag = [A[i][c] for i, c in pivots]
-    head, tail = [one(ring)], [one(ring)]
-    for d, e in zip(diag, reversed(diag)):
-        head.append(head[-1] * d)
-        tail.insert(0, e * tail[0])
-    others = [h * t for h, t in zip(head, tail[1:])]
+    product = one(M.ring)
+    for r, c in pivots:
+        product = product * A[r][c]
+    others = [divide(product, A[r][c]) for r, c in pivots]
     dicts = [{} for _ in range(M.cols)]
     for j, f in enumerate(free):
-        dicts[f][j] = head[-1]
-        for (i, c), other in zip(pivots, others):
-            if f in A[i]:
-                dicts[c][j] = -(A[i][f] * other)
-    return Matrix._trusted(ring, dicts, len(free))
+        dicts[f][j] = product
+        for (r, c), other in zip(pivots, others):
+            if f in A[r]:
+                dicts[c][j] = -(A[r][f] * other)
+    return Matrix._trusted(M.ring, dicts, len(free))

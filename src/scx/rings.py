@@ -69,7 +69,7 @@ def _cinv(base, a):
     if base == "Z":
         return a if a in (1, -1) else None
     if base == "Q":
-        return None if a == 0 else 1 / a
+        return None if a == 0 else Fraction(1, a)
     if base == "F2":
         return 1 if a == 1 else None
     return _F4_INV.get(a)
@@ -707,7 +707,7 @@ def divmod_euclid(a, b):
     if ring.is_field:
         q = b.unit_inverse() * a
         return q, zero(ring)
-    if ring.tag in ("QT", "F2T", "F4T"):
+    if is_euclidean(ring):
         q = zero(ring)
         r = a
         nb = b.t_span()
@@ -733,7 +733,7 @@ def enorm(p):
         return abs(p.const_value())
     if ring.is_field:
         return 1
-    if ring.tag in ("QT", "F2T", "F4T"):
+    if is_euclidean(ring):
         return p.t_span() + 1
     raise RingError(f"{ring} is not a supported Euclidean ring")
 

@@ -223,6 +223,57 @@ def _convert_scalar(c, src_base, target):
     raise rings.RingError(f"no coefficient map {src_base} -> {target.base}")
 
 
+def reference_eliminate(M):
+    """``linalg._eliminate`` as it was before the forward-only sweep:
+    division-free Gauss-Jordan elimination, which clears every other row
+    at each pivot, the rows above it included.  Returns the reduced row
+    dicts and the (row, col) pivots; each column pivots on its candidate
+    with the fewest terms.  Kept as the oracle the echelon sweep and the
+    back pass of ``kernel_fraction_field`` are compared against."""
+    A, m = list(M._dicts), M.rows
+    pivots = []
+    for c in range(M.cols):
+        r = len(pivots)
+        if r == m:
+            break
+        cands = [i for i in range(r, m) if c in A[i]]
+        if not cands:
+            continue
+        best = min(cands, key=lambda i: len(A[i][c]))
+        A[r], A[best] = A[best], A[r]
+        p = A[r][c]
+        for i in range(m):
+            q = A[i].get(c)
+            if i == r or q is None:
+                continue
+            row = {j: p * e for j, e in A[i].items()}
+            linalg._add_into(row, A[r], -q)
+            A[i] = row
+        pivots.append((r, c))
+    return A, pivots
+
+
+def reference_kernel(M):
+    """The kernel columns, as {row: entry} dicts, read from the reduced
+    form of :func:`reference_eliminate`: one per free column f, holding
+    the product P of the pivots at f, and -a * (P / d) at the pivot
+    column of each pivot row with pivot d and entry a at f, where P / d
+    is the product of the other pivots."""
+    A, pivots = reference_eliminate(M)
+    diag = [A[r][c] for r, c in pivots]
+    others = []
+    for k in range(len(diag)):
+        other = rings.one(M.ring)
+        for d in diag[:k] + diag[k + 1:]:
+            other = other * d
+        others.append(other)
+    product = others[0] * diag[0] if diag else rings.one(M.ring)
+    return [{f: product, **{c: -(A[r][f] * other)
+                            for (r, c), other in zip(pivots, others)
+                            if f in A[r]}}
+            for f in range(M.cols) if f not in {c for _r, c in pivots}]
+
+
 def int_matrix(ring, rows, cols=None):
     return Matrix(ring, [[rings.from_int(ring, v) for v in row]
                          for row in rows], cols=cols)

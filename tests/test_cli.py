@@ -295,17 +295,52 @@ def test_bad_entries_in_a_file_are_input_errors(tmp_path):
         assert "Traceback" not in err
 
 
-def test_linalg_error_is_a_refusal(tmp_path, monkeypatch):
+def _package_exceptions():
+    """Every Exception subclass defined in a module of the package."""
+    found = {}
+    for module in (rings, linalg, scomplex, equivariant, knots, cli):
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and obj.__module__ == module.__name__):
+                found[obj.__qualname__] = obj
+    return [found[name] for name in sorted(found)]
+
+
+def _expected_outcome(cls):
+    """(exit code, stderr prefix) that ``cli.run`` gives an exception."""
+    if cls is cli._HelpShown:
+        return 0, ""
+    if issubclass(cls, cli.UsageError):
+        return 1, "usage error: "
+    if issubclass(cls, (rings.ParseError, scomplex.SchemaError)):
+        return 1, "input error: "
+    return 2, "refused: "
+
+
+def test_the_exception_walk_finds_every_family():
+    names = {cls.__name__ for cls in _package_exceptions()}
+    assert {"UsageError", "ParseError", "SchemaError", "LinalgError",
+            "RingMismatchError", "UntrustedVError", "UnsupportedRingError",
+            "InconsistentComplexError", "CheckFailedError"} <= names
+
+
+@pytest.mark.parametrize("cls", _package_exceptions(),
+                         ids=lambda cls: cls.__name__)
+def test_every_package_exception_has_its_exit_code(tmp_path, monkeypatch,
+                                                   cls):
+    # usage and input errors exit 1, refusals 2, and none shows a traceback
     path = tmp_path / "t.json"
     run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
 
     def failing(C):
-        raise linalg.LinalgError("Smith form rank disagrees")
+        raise cls("the failing relation")
 
     monkeypatch.setattr(equivariant, "h_invariant", failing)
     code, out, err = run(["h", "--in", str(path)])
-    assert code == 2 and out == ""
-    assert err == "refused: Smith form rank disagrees\n"
+    want_code, prefix = _expected_outcome(cls)
+    assert (code, out) == (want_code, "")
+    assert err == (f"{prefix}the failing relation\n" if code else "")
+    assert "Traceback" not in err
 
 
 def test_refused_computation_exit_2(tmp_path):

@@ -283,12 +283,82 @@ def test_fraction_field_elimination_work_on_a_sparse_cone(monkeypatch):
 
     monkeypatch.setattr(R.LaurentPoly, "__mul__", counted)
     r = L.rank_fraction_field(D)
+    # rank reads the forward sweep alone, with no back pass
+    assert calls[0] == 197
     K = L.kernel_fraction_field(D)
     monkeypatch.undo()
     assert calls[0] <= 4000
     assert max(len(e.terms_dict()) for row in K.data for e in row) <= 100
     assert (r, K.cols) == (26, 28)
     assert (D * K).is_zero()
+
+
+@pytest.fixture(scope="module")
+def trefoil_powers():
+    """T3 = T2 (x) T1, T4 = T2 (x) T2 and M32 = T3 (x) dual(T2), where
+    T1 is the trefoil and T2 = T1 (x) T1."""
+    T1 = knots.fixture("trefoil")
+    T2 = S.tensor(T1, T1)
+    T3 = S.tensor(T2, T1)
+    return {"T3": T3, "T4": S.tensor(T2, T2), "M32": S.tensor(T3, S.dual(T2))}
+
+
+def _columns(K):
+    cols = [{} for _ in range(K.cols)]
+    for i, j, e in K.nonzero_entries():
+        cols[j][i] = e
+    return cols
+
+
+def _agrees_with_gauss_jordan(M, kernels=True):
+    """The forward sweep pivots where Gauss-Jordan elimination does, so
+    rank and the rank profile are the oracle's; and each kernel column is
+    a nonzero multiple of the oracle's column with the same index."""
+    pivots = L._eliminate(M)[1]
+    assert pivots == helpers.reference_eliminate(M)[1]
+    assert L.rank(M) == len(pivots)
+    cols = {c for _r, c in pivots}
+    assert L.prefix_ranks(M) == [sum(1 for c in cols if c < k)
+                                 for k in range(M.cols + 1)]
+    if not kernels:
+        return
+    free = [f for f in range(M.cols) if f not in cols]
+    got = _columns(L.kernel_fraction_field(M))
+    want = helpers.reference_kernel(M)
+    assert len(got) == len(want) == len(free)
+    for f, u, w in zip(free, got, want):
+        # both are nonzero at their free column f, so u = (u[f] / w[f]) w;
+        # equal columns skip the cross products, which grow large on cones
+        assert u.keys() == w.keys() and f in w
+        assert u == w or all(u[i] * w[f] == w[i] * u[f] for i in w)
+
+
+@pytest.mark.parametrize("ring", [R.Z, R.ZT, R.QT, R.F2T, R.universal(2),
+                                  R.S_BN], ids=lambda r: r.tag)
+def test_forward_sweep_matches_gauss_jordan_on_random_matrices(ring):
+    rng = random.Random(2121)
+    for _ in range(30):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        M = _random_sparse(rng, ring, m, n)
+        if rng.random() < 0.4:
+            # a product through a small inner size: dependent rows and
+            # columns, and free columns between the pivots
+            k = rng.randint(0, 3)
+            M = _random_sparse(rng, ring, m, k) * _random_sparse(rng, ring,
+                                                                 k, n)
+        _agrees_with_gauss_jordan(M)
+
+
+@pytest.mark.parametrize("name, ring, kernels", [
+    ("T3", R.QT, True), ("T3", R.F2T, True), ("T4", R.QT, False),
+    ("T4", R.F2T, False), ("M32", R.F2T, False)])
+def test_forward_sweep_matches_gauss_jordan_on_the_cones(trefoil_powers, name,
+                                                        ring, kernels):
+    C = trefoil_powers[name]
+    C = S.base_change_complex(C, S.standard_assignment(C.ring, ring, U="1"),
+                              ring)
+    for twisted in (False, True):
+        _agrees_with_gauss_jordan(S.sharp_complex(C, twisted)[1], kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +466,7 @@ def test_kron_mixed_product_law(ring):
         p, q, r = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
         A, C = _random_sparse(rng, ring, m, k), _random_sparse(rng, ring, k, n)
         B, D = _random_sparse(rng, ring, p, q), _random_sparse(rng, ring, q, r)
-        # entries 1 and -1 take the copy and negation paths
+        # unit entries 1 and -1 among the factors
         B = _replaced(B, lambda i, j, e: R.one(ring) if i == j == 0 else e)
         D = _replaced(D, lambda i, j, e: -R.one(ring) if i == j == 0 else e)
         left = L.kron(A, B) * L.kron(C, D)

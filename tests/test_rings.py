@@ -124,6 +124,17 @@ def test_divide_finds_quotients_longer_than_its_operands():
         assert R.divide(t ** 1000 + t ** 500 - one, t - one) is None
 
 
+def test_inverses_over_q_are_exact_fractions():
+    # the public constructor keeps int coefficients over Q and QT as given
+    q = R.divide(R.one(R.QT), R.LaurentPoly(R.QT, {(0, 0, (1,)): 3}))
+    assert q.terms_dict() == {(0, 0, (-1,)): Fraction(1, 3)}
+    assert str(q) == "1/3*T^-1"
+    two = R.LaurentPoly(R.Q, {(0, 0, ()): 2})
+    for half in (two.unit_inverse(), R.divide(R.one(R.Q), two)):
+        assert half.const_value() == Fraction(1, 2)
+        assert type(half.const_value()) is Fraction and str(half) == "1/2"
+
+
 def test_divide_by_zero():
     with pytest.raises(ZeroDivisionError):
         R.divide(R.one(R.ZT), R.zero(R.ZT))

@@ -89,6 +89,29 @@ def test_parse_print_round_trip(p):
     assert back == p and back.to_str() == text and canonical_keys(back)
 
 
+def _rational_polys(ring):
+    # int coefficients, which the public constructor keeps as given, and
+    # Fractions
+    coefficients = st.one_of(st.integers(-3, 3), _coefficients(ring))
+    return st.dictionaries(_keys(ring), coefficients, max_size=4).map(
+        lambda terms: R.LaurentPoly(ring, terms))
+
+
+@PROPERTY
+@given(st.sampled_from((R.Q, R.QT)).flatmap(
+    lambda ring: st.tuples(_rational_polys(ring), _rational_polys(ring))))
+def test_no_coefficient_over_q_is_a_float(ab):
+    a, b = ab
+    results = [a * b, a + b, -a, R.normalize_associate(a)]
+    if b:
+        results += [R.divide(a * b, b), R.divide(a, b), R.gcd(a, b),
+                    *R.divmod_euclid(a, b)]
+        if b.is_unit():
+            results.append(b.unit_inverse())
+    assert not [c for p in results if p is not None
+                for c in p.terms_dict().values() if isinstance(c, float)]
+
+
 def _homomorphisms():
     zt_t, u3_t, u3_u = R.var(R.ZT, "T"), R.var(U3, "T"), R.var(U3, "U")
     third = R.var(U3, "U", Fraction(1, 3))
