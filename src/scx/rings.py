@@ -43,14 +43,25 @@ class ParseError(RingError):
 # ---------------------------------------------------------------------------
 # coefficient domains
 #
-# Base coefficients are plain Python values: int for Z, Fraction for Q,
-# 0/1 for F2 and 0..3 for F4 (bit 0 is the 1-part, bit 1 the x-part,
-# with x^2 = x + 1).
+# Base coefficients are plain Python values: int for Z, 0/1 for F2, 0..3
+# for F4 (bit 0 is the 1-part, bit 1 the x-part, with x^2 = x + 1), and
+# for Q a Python rational: an int when integral, else a Fraction.  Two
+# ints stay an int under +, - and *, so the ring core runs Q on ints; the
+# checked constructors and the quotients turn an integral Fraction back
+# into an int.  One that a sum or product of Fractions leaves behind
+# equals and hashes like the int, so only speed depends on the form.
+
+
+def _rational(c):
+    """The rational c (an int or a Fraction) as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
 
 
 def _cmul(base, a, b):
-    if base == "Z" or base == "Q":
+    if base == "Z":
         return a * b
+    if base == "Q":
+        return _rational(a * b)
     if base == "F2":
         return a & b
     a0, a1 = a & 1, a >> 1
@@ -69,7 +80,7 @@ def _cinv(base, a):
     if base == "Z":
         return a if a in (1, -1) else None
     if base == "Q":
-        return None if a == 0 else Fraction(1, a)
+        return None if a == 0 else _rational(Fraction(1, a))
     if base == "F2":
         return 1 if a == 1 else None
     return _F4_INV.get(a)
@@ -87,11 +98,7 @@ def _cdiv(base, a, b):
 
 
 def _cfrom_int(base, n):
-    if base == "Z":
-        return n
-    if base == "Q":
-        return Fraction(n)
-    return n & 1
+    return n if base == "Z" or base == "Q" else n & 1
 
 
 def _cstr(base, a, in_product):
@@ -242,6 +249,10 @@ class LaurentPoly:
                 c &= 1
             elif ring.base == "F4":
                 c &= 3
+            elif ring.base == "Q":
+                if not isinstance(c, (int, Fraction)):
+                    raise RingError(f"Q coefficient {c!r} is not rational")
+                c = _rational(c)
             if c == 0:
                 continue
             # the int fast path; _u_slot converts and checks the rest
@@ -278,6 +289,12 @@ class LaurentPoly:
         ring = self.ring
         return [((x, _u_value(ring, n), ts), c) for (x, n, ts), c
                 in sorted(self._terms.items(), reverse=True)]
+
+    def u_slots(self):
+        """The distinct stored U-slots N*u of the terms, each in the place
+        of its first term in canonical order."""
+        return dict.fromkeys(n for _x, n in sorted(
+            {(x, n) for x, n, _ts in self._terms}, reverse=True))
 
     def is_zero(self):
         return not self._terms
@@ -496,7 +513,8 @@ def from_int(ring, n):
 
 
 def monomial(ring, coeff=1, u=0, t=None, x=0):
-    """Build coeff * U^u * T^t * x^x; ``coeff`` is an int (or Fraction for Q)."""
+    """Build coeff * U^u * T^t * x^x; ``coeff`` is an int, or over Q a
+    Fraction, which is stored as an int when it is integral."""
     if t is None:
         t = (0,) * len(ring.tvars)
     elif isinstance(t, int):
@@ -629,7 +647,7 @@ def divide(a, b):
     if a.is_zero():
         return zero(a.ring)
     if b.is_unit():
-        return a * b.unit_inverse()
+        return _rational_terms(a * b.unit_inverse())
     ring = a.ring
     if not ring.tvars and not ring.has_x and not ring.udenom:
         q = _cdiv(ring.base, a.const_value(), b.const_value())
@@ -682,6 +700,15 @@ def _divide_general(a, b):
     return LaurentPoly._trusted(ring, q_terms)
 
 
+def _rational_terms(p):
+    """p with each integral Fraction coefficient an int (over Q; other
+    rings pass unchanged): the last step of a quotient."""
+    if p.ring.base != "Q":
+        return p
+    return LaurentPoly._trusted(p.ring, {k: _rational(c)
+                                         for k, c in p._terms.items()})
+
+
 def _exponent_box(p):
     """Coordinate-wise minima and maxima of the stored exponents
     (x, n, *ts) of the nonzero polynomial p."""
@@ -705,8 +732,7 @@ def divmod_euclid(a, b):
         q, r = divmod(a.const_value(), b.const_value())
         return from_int(ring, q), from_int(ring, r)
     if ring.is_field:
-        q = b.unit_inverse() * a
-        return q, zero(ring)
+        return divide(a, b), zero(ring)
     if is_euclidean(ring):
         q = zero(ring)
         r = a
@@ -719,7 +745,7 @@ def divmod_euclid(a, b):
                                      {(0, 0, (rkey[2][0] - bkey[2][0],)): c})
             q = q + t
             r = r - t * b
-        return q, r
+        return q, _rational_terms(r)
     raise RingError(f"{ring} is not a supported Euclidean ring")
 
 
@@ -770,7 +796,7 @@ def normalizing_unit(p):
 
 
 def normalize_associate(p):
-    return normalizing_unit(p) * p
+    return _rational_terms(normalizing_unit(p) * p)
 
 
 def gcd(a, b):

@@ -152,22 +152,24 @@ def _entry_gradings_ok(report, label, M, src_grs, dst_grs, drop):
 
 def _entry_levels_ok(report, label, M, src_deg, dst_deg, strict):
     # Chern-Simons filtration check, path-normalized: an entry monomial
-    # U^u from level a to level b has integer defect n = u - (a - b) and
-    # its image sits at level n + b, which must not exceed a.
-    # The verdict depends on u alone, so each U-exponent of an entry is
-    # judged once, in term order.
+    # U^u from level a to level b has integer defect u - (a - b) and its
+    # image sits at level defect + b, which must not exceed a.  In units
+    # of 1/N, with n = N*u the stored U-slot and m = N*(a - b), the defect
+    # is an integer when m is one and N divides n - m, and the image lies
+    # at or above a exactly when n >= 2m.  The verdict depends on n alone,
+    # so each U-slot of an entry is judged once, in term order, in ints.
+    N = M.ring.udenom
     for i, j, e in M.nonzero_entries():
         a, b = src_deg[j], dst_deg[i]
-        for u in dict.fromkeys(u for (_x, u, _ts), _c in e.sorted_terms()):
-            defect = u - (a - b)
-            if defect.denominator != 1:
-                report.add(f"{label}[{i},{j}]: U^{u} incompatible with "
-                           f"levels {a} -> {b}")
-                continue
-            level = defect + b
-            if level > a or (strict and level == a):
-                report.add(f"{label}[{i},{j}]: monomial U^{u} lands at "
-                           f"level {level}, not below {a}")
+        m = N * (a - b)
+        m = m.numerator if m.denominator == 1 else None
+        for n in e.u_slots():
+            if m is None or (n - m) % N:
+                report.add(f"{label}[{i},{j}]: U^{Fraction(n, N)} "
+                           f"incompatible with levels {a} -> {b}")
+            elif n > 2 * m or (strict and n == 2 * m):
+                report.add(f"{label}[{i},{j}]: monomial U^{Fraction(n, N)} "
+                           f"lands at level {(n - m) // N + b}, not below {a}")
 
 
 def validate(C):

@@ -135,6 +135,20 @@ def test_inverses_over_q_are_exact_fractions():
         assert type(half.const_value()) is Fraction and str(half) == "1/2"
 
 
+def test_integral_q_values_are_ints():
+    # one representation: an int when the value is integral
+    assert R._cinv("Q", 1) == 1 and type(R._cinv("Q", 1)) is int
+    assert R._cinv("Q", 3) == Fraction(1, 3)
+    assert type(R._cinv("Q", 3)) is Fraction
+    assert type(R._cinv("Q", Fraction(1, 3))) is int
+    assert type(R._cfrom_int("Q", 5)) is int
+    for p in (R.parse(R.Q, "4/2"), R.monomial(R.Q, Fraction(4, 2)),
+              R.LaurentPoly(R.Q, {(0, 0, ()): Fraction(6, 3)})):
+        assert p.const_value() == 2 and type(p.const_value()) is int
+    with pytest.raises(R.RingError, match="not rational"):
+        R.LaurentPoly(R.QT, {(0, 0, (1,)): 0.5})
+
+
 def test_divide_by_zero():
     with pytest.raises(ZeroDivisionError):
         R.divide(R.one(R.ZT), R.zero(R.ZT))

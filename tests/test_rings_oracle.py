@@ -207,6 +207,82 @@ def test_stored_u_slots_stay_ints(a, b, n, t, sign):
         assert _stored_u_slots_are_ints(p), p
 
 
+def _int_polys(ring):
+    return st.dictionaries(_keys(ring), st.integers(-3, 3),
+                           max_size=4).map(
+        lambda terms: R.LaurentPoly(ring, terms))
+
+
+def _ints(p):
+    return all(type(c) is int for c in p.terms_dict().values())
+
+
+def _rationals(p):
+    """Every integral coefficient is an int; only the others are
+    Fractions."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in p.terms_dict().values())
+
+
+@PROPERTY
+@given(st.sampled_from((R.Q, R.QT)).flatmap(
+    lambda ring: st.tuples(_int_polys(ring), _int_polys(ring))),
+    polys(R.ZT), st.integers(0, 3), st.integers(-3, 3),
+    st.sampled_from((1, -1)))
+def test_integral_q_coefficients_are_ints(ab, z, n, k, sign):
+    # values that stay in Z are ints after every operation, and every
+    # integral coefficient of a quotient over Q is an int
+    a, b = ab
+    ring = a.ring
+    nt = len(ring.tvars)
+    unit = R.monomial(ring, sign, t=(k,) * nt)
+    to_ring = {"T": R.var(ring, "T") ** -1} if nt else {"T": R.one(ring)}
+    ints = [a + b, a - b, -a, a * b, a ** n, unit ** -2, a * unit,
+            R.base_change(z, to_ring, ring)]
+    if k:
+        ints.append(a.scale(k))
+    rationals = [R.normalize_associate(a), R.normalize_associate(a * unit)]
+    if b:
+        ints.append(R.divide(a * b, b))
+        rationals += [q for q in (R.divide(a, b), R.gcd(a, b)) if q]
+        rationals += R.divmod_euclid(a, b)
+        if b.is_unit():
+            rationals.append(b.unit_inverse())
+    for p in ints:
+        assert _ints(p), p
+    for p in rationals:
+        assert _rationals(p), p
+
+
+def _all_fractions(p):
+    """p with every coefficient a Fraction, integral ones included."""
+    return R.LaurentPoly._trusted(p.ring, {k: Fraction(c)
+                                           for k, c in p._terms.items()})
+
+
+@PROPERTY
+@given(st.sampled_from((R.Q, R.QT)).flatmap(
+    lambda ring: st.tuples(polys(ring), polys(ring))))
+def test_q_values_do_not_depend_on_the_coefficient_type(ab):
+    # against an oracle that keeps every coefficient a Fraction: equal
+    # values, one hash, the same text and the same terms.  A sum or
+    # product of Fractions may be an integral Fraction; a quotient makes
+    # every integral coefficient an int.
+    a, b = ab
+    fa, fb = _all_fractions(a), _all_fractions(b)
+    pairs = [(a, fa), (a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb)]
+    quotients = [(R.normalize_associate(a), R.normalize_associate(fa))]
+    if b:
+        quotients += [(R.divide(a * b, b), R.divide(fa * fb, fb)),
+                      *zip(R.divmod_euclid(a, b), R.divmod_euclid(fa, fb))]
+    for p, oracle in pairs + quotients:
+        assert p == oracle and hash(p) == hash(oracle)
+        assert p.to_str() == oracle.to_str()
+        assert p.sorted_terms() == oracle.sorted_terms()
+    for p, oracle in quotients:
+        assert _rationals(p) and _rationals(oracle)
+
+
 def _to_u1(p):
     """The isomorphism universal(3) -> universal(1), U^(1/3) -> U."""
     return R.base_change(p, {"U": R.var(U1, "U", 3), "T": R.var(U1, "T")},

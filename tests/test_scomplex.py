@@ -80,6 +80,61 @@ def test_level_failures_are_reported_once_per_u_exponent():
     assert S.validate(_trefoil_at_level("1/3")).ok
 
 
+def _leveled(levels, grs, entries, ring=R.universal(3)):
+    """A complex over ``ring`` with the given levels and gradings and the
+    entries {(map, row, col): polynomial string}, all else zero."""
+    n = len(levels)
+    gens = [S.Generator(f"g{k}", gr, Fraction(level))
+            for k, (gr, level) in enumerate(zip(grs, levels))]
+    shapes = {"d": (n, n), "v": (n, n), "delta1": (1, n), "delta2": (n, 1)}
+    maps = {name: L.Matrix.from_entries(
+        ring, *shape, [(i, j, R.parse(ring, s)) for (m, i, j), s
+                       in entries.items() if m == name])
+        for name, shape in shapes.items()}
+    return S.SComplex(ring, gens, maps["d"], maps["v"], maps["delta1"],
+                      maps["delta2"])
+
+
+@pytest.mark.parametrize("levels, grs, entries, failures", [
+    # fractional defects, two U-exponents of one entry in term order
+    (["1/3", "0", "0"], [1, 0, 2],
+     {("d", 1, 0): "U^{2/3}*T + U^{1/3} - U^{-1}"},
+     ["d[1,0]: U^2/3 incompatible with levels 1/3 -> 0",
+      "d[1,0]: U^-1 incompatible with levels 1/3 -> 0"]),
+    # above the source level in v, and at it, which v allows
+    (["0", "0", "1"], [0, 2, 2],
+     {("v", 1, 0): "U^2 + U", ("v", 0, 1): "U^{1/3}*T",
+      ("v", 0, 2): "U^2 + U^3*T"},
+     ["v[0,1]: U^1/3 incompatible with levels 0 -> 0",
+      "v[0,2]: monomial U^3 lands at level 2, not below 1",
+      "v[1,0]: monomial U^2 lands at level 2, not below 0",
+      "v[1,0]: monomial U^1 lands at level 1, not below 0"]),
+    # at the source level under strict: d, delta1 and delta2
+    (["1", "0"], [1, 0],
+     {("d", 1, 0): "U^2 - U", ("delta1", 0, 0): "U^{2}*T - U^{1/3}",
+      ("delta2", 1, 0): "U^{1/3} + U^{-2}"},
+     ["d*v - v*d - delta2*delta1 != 0",
+      "delta2[1] lands in grading 0, not 2",
+      "d[1,0]: monomial U^2 lands at level 1, not below 1",
+      "delta1[0,0]: monomial U^2 lands at level 1, not below 1",
+      "delta1[0,0]: U^1/3 incompatible with levels 1 -> 0",
+      "delta2[1,0]: U^1/3 incompatible with levels 0 -> 0"]),
+])
+def test_level_failures_table(levels, grs, entries, failures):
+    assert S.validate(_leveled(levels, grs, entries)).failures == failures
+
+
+def test_level_failures_follow_the_term_order_with_x():
+    # the x-degree leads the term order, so U-exponents come unsorted
+    C = _leveled(["0", "0"], [1, 0],
+                 {("d", 1, 0): "U^{1/3}*x + U^2 + U*x^2 + U^{1/3}"},
+                 R.poly_x(R.universal(3)))
+    assert S.validate(C).failures == [
+        "d[1,0]: monomial U^1 lands at level 1, not below 0",
+        "d[1,0]: U^1/3 incompatible with levels 0 -> 0",
+        "d[1,0]: monomial U^2 lands at level 2, not below 0"]
+
+
 def test_tensor_unit_and_rank_count():
     C = trefoil()
     triv = S.SComplex.trivial(C.ring)
@@ -384,6 +439,29 @@ def test_serialize_round_trip_and_determinism():
     assert json.dumps(S.to_dict(C2), indent=2) == text
     assert C2.gens == C.gens and C2.d == C.d and C2.delta1 == C.delta1
     assert C2.v_trusted == C.v_trusted
+
+
+def test_q_coefficients_on_the_wire():
+    # an integral value is the int, parsed, printed and in JSON, whatever
+    # form it was written in
+    cases = [("3", 3, "3*T"), ("-1", -1, "-T"),
+             ("1/2", Fraction(1, 2), "1/2*T"),
+             ("-3/2", Fraction(-3, 2), "-3/2*T"), ("4/2", 2, "2*T")]
+    gens = [S.Generator("a", 1), S.Generator("b", 0)]
+    zeros = L.Matrix.zeros(R.QT, 2, 2)
+    for text, value, wire in cases:
+        p = R.parse(R.QT, f"{text}*T")
+        (c,) = p.terms_dict().values()
+        assert c == value and type(c) is type(value)
+        assert p.to_str() == wire
+        C = S.SComplex(R.QT, gens, L.Matrix.from_entries(
+            R.QT, 2, 2, [(1, 0, p)]), zeros, L.Matrix.zeros(R.QT, 1, 2),
+            L.Matrix.zeros(R.QT, 2, 1))
+        doc = json.loads(json.dumps(S.to_dict(C)))
+        assert doc["d"] == [["0", "0"], [wire, "0"]]
+        back = S.from_dict(doc).d[1, 0]
+        assert back == p and back.to_str() == wire
+        assert type(back.sorted_terms()[0][1]) is type(value)
 
 
 def test_serialize_round_trip_randomized():

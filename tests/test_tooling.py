@@ -218,6 +218,20 @@ def test_ring_hot_path_has_no_fraction_keys():
         assert "Fraction" not in inspect.getsource(fn), fn.__name__
 
 
+def test_specialized_complex_over_qt_has_int_coefficients():
+    # integral Q values are ints, so elimination over QT runs on ints
+    from scx import knots, scomplex as S
+    T1 = knots.fixture("trefoil")
+    T2 = S.tensor(T1, T1)
+    C = S.base_change_complex(
+        T2, S.standard_assignment(T2.ring, R.QT, U="1"), R.QT)
+    coefficients = [c for M in (C.d, C.v, C.delta1, C.delta2)
+                    for _i, _j, e in M.nonzero_entries()
+                    for c in e.terms_dict().values()]
+    assert coefficients
+    assert {type(c) for c in coefficients} == {int}
+
+
 def test_laurent_poly_times_int_is_refused_on_the_left():
     # only int * LaurentPoly, through __rmul__, is supported
     t = R.var(R.ZT, "T")
