@@ -27,7 +27,9 @@ Chern-Simons level of a witness over the universal ring.  A witness
 exists exactly when rank [A_k; T_k] > rank A_k over the fraction field;
 [A_k; T_k] is A_(k+1) for k >= 1, and for k <= 0 A_(k+1) is A_k without
 the column T_k reads (A_1 = d).  So h and Gamma read prefix ranks
-(``linalg.prefix_ranks``) of one or two matrices; only J_k needs kernels.
+(``linalg.prefix_ranks``) of one or two matrices, and J_k needs one
+kernel basis, of the lowest A_k asked for, which each level cuts by the
+single row T_k K.
 """
 
 from __future__ import annotations
@@ -341,11 +343,12 @@ def j_ideals(C, i_min=None, i_max=None):
     """The nested ideal sequence J_i as generator lists, read off the
     level systems (module docstring).
 
-    Over Z and the field Laurent rings every J_i is computed from kernel
-    bases and collapsed to a single gcd generator.  Over Z[T-Laurent] the
-    module theory is out of reach in general; the computation is honest
-    only when d = 0 and v = 0 (which covers the generated two-bridge
-    complexes with trusted v) and is refused otherwise.
+    Over Z and the field Laurent rings J_i is the gcd of the entries of
+    T_i K, K a kernel basis of A_i that the level below cuts by one row.
+    Over Z[T-Laurent] the module theory is out of reach in general; the
+    computation is honest only when d = 0 and v = 0 (which covers the
+    generated two-bridge complexes with trusted v) and is refused
+    otherwise.
 
     Returned dict maps i to [] (the zero ideal), [1] (the whole ring) or
     a list of normalized generators.
@@ -366,12 +369,21 @@ def j_ideals(C, i_min=None, i_max=None):
         i_min = -(m + 1)
     if i_max is None:
         i_max = m
+    # K K' is a kernel basis of A_(i+1) for a kernel basis K of A_i and
+    # K' of the row T_i K, and the ideal of that row's entries does not
+    # depend on K.  K keeps the unknowns of A_(i_min): rows past the first
+    # n are the a_j, which the cuts below level 1 have set to zero.
+    cut = _level_system(C, vp, i_min)[0]
+    K = Matrix.identity(ring, cut.cols)
     out = {}
     for i in range(i_min, i_max + 1):
-        A, T = _level_system(C, vp, i)
-        row = T * linalg.kernel_basis(A)
-        out[i] = _reduce_generators(ring, [row[0, j]
-                                           for j in range(row.cols)])
+        K = K * linalg.kernel_basis(cut)
+        if i >= 1:
+            cut = _level_system(C, vp, i)[1] * K.rows_selected(range(C.n))
+        else:
+            cut = K.rows_selected([C.n - i])
+        out[i] = _reduce_generators(ring, [e for *_, e in
+                                           cut.nonzero_entries()])
     return out
 
 

@@ -19,7 +19,8 @@ from itertools import accumulate
 
 from .rings import (LaurentPoly, RingMismatchError, divide,
                     divmod_euclid, enorm, gcd, is_euclidean,
-                    normalize_associate, normalizing_unit, one, zero)
+                    normalize_associate, normalizing_unit, one,
+                    rational_terms, zero)
 
 
 class LinalgError(Exception):
@@ -352,8 +353,9 @@ def smith_normal_form(M):
         if k in A[k]:
             u = normalizing_unit(A[k][k])
             if not u.is_one():
-                A[k], U[k] = ({j: u * e for j, e in X.items()}
-                              for X in (A[k], U[k]))
+                # as in normalize_associate: integral coefficients as ints
+                A[k], U[k] = ({j: rational_terms(u * e)
+                               for j, e in X.items()} for X in (A[k], U[k]))
 
     return SmithResult(Matrix._trusted(ring, A, n),
                        Matrix._trusted(ring, U, m),

@@ -647,7 +647,7 @@ def divide(a, b):
     if a.is_zero():
         return zero(a.ring)
     if b.is_unit():
-        return _rational_terms(a * b.unit_inverse())
+        return rational_terms(a * b.unit_inverse())
     ring = a.ring
     if not ring.tvars and not ring.has_x and not ring.udenom:
         q = _cdiv(ring.base, a.const_value(), b.const_value())
@@ -700,9 +700,9 @@ def _divide_general(a, b):
     return LaurentPoly._trusted(ring, q_terms)
 
 
-def _rational_terms(p):
+def rational_terms(p):
     """p with each integral Fraction coefficient an int (over Q; other
-    rings pass unchanged): the last step of a quotient."""
+    rings pass unchanged): the last step of a quotient or a normalization."""
     if p.ring.base != "Q":
         return p
     return LaurentPoly._trusted(p.ring, {k: _rational(c)
@@ -745,7 +745,7 @@ def divmod_euclid(a, b):
                                      {(0, 0, (rkey[2][0] - bkey[2][0],)): c})
             q = q + t
             r = r - t * b
-        return q, _rational_terms(r)
+        return q, rational_terms(r)
     raise RingError(f"{ring} is not a supported Euclidean ring")
 
 
@@ -796,7 +796,7 @@ def normalizing_unit(p):
 
 
 def normalize_associate(p):
-    return _rational_terms(normalizing_unit(p) * p)
+    return rational_terms(normalizing_unit(p) * p)
 
 
 def gcd(a, b):

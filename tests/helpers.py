@@ -6,7 +6,7 @@ expected values."""
 import random
 from fractions import Fraction
 
-from scx import linalg, rings, scomplex
+from scx import equivariant, linalg, rings, scomplex
 from scx.linalg import Matrix
 from scx.scomplex import Generator, SComplex
 
@@ -272,6 +272,22 @@ def reference_kernel(M):
                             for (r, c), other in zip(pivots, others)
                             if f in A[r]}}
             for f in range(M.cols) if f not in {c for _r, c in pivots}]
+
+
+def reference_j_ideals(C, i_min, i_max):
+    """``equivariant.j_ideals`` over the Euclidean rings as it was before
+    one kernel basis served every level: a kernel basis K of each A_i
+    from its own Smith form, and J_i from the entries of T_i K.  Kept as
+    the oracle the loop that cuts one basis by a row per level is
+    compared against."""
+    vp = equivariant.v_powers(C, C.n)
+    out = {}
+    for i in range(i_min, i_max + 1):
+        A, T = equivariant._level_system(C, vp, i)
+        row = T * linalg.kernel_basis(A)
+        out[i] = equivariant._reduce_generators(
+            C.ring, [row[0, j] for j in range(row.cols)])
+    return out
 
 
 def int_matrix(ring, rows, cols=None):

@@ -47,6 +47,26 @@ def test_snf_irreducible_stays():
     assert str(s.D[0, 0]) == "T + 1"
 
 
+def _coefficient_types(*polys):
+    return {type(c) for p in polys for c in p.terms_dict().values()}
+
+
+def test_snf_normalizes_qt_pivots_with_int_coefficients():
+    # the normalizing unit 1/2 of the pivots 2T + 4 and 2 scales rows of
+    # D and U through the int-restoring step of normalize_associate
+    t, one = R.var(R.QT, "T"), R.one(R.QT)
+    half = R.divide(one, 2 * one)
+    s = L.smith_normal_form(L.Matrix(R.QT, [[2 * t + 4 * one]]))
+    assert (s.D[0, 0], s.U[0, 0]) == (t + 2 * one, half)
+    assert _coefficient_types(s.D[0, 0]) == {int}
+    M = L.Matrix(R.QT, [[t + one], [2 * t + 4 * one]])
+    s = L.smith_normal_form(M)
+    assert s.U * M * s.V == s.D
+    # the remainder 2 becomes the pivot, and U's row 0 is (-2, 1) / 2
+    assert [s.D[0, 0], s.U[0, 0], s.U[0, 1]] == [one, -one, half]
+    assert _coefficient_types(s.D[0, 0], s.U[0, 0]) == {int}
+
+
 def test_snf_refused_on_two_variable_rings():
     M = L.Matrix(R.S_BN, [[R.var(R.S_BN, "T1")]])
     with pytest.raises(L.LinalgError):

@@ -124,6 +124,29 @@ def test_h_search_reads_only_ranks():
     assert _functions_calling("kernel_fraction_field") == []
 
 
+def test_ideal_sequence_runs_one_multi_row_smith_form(monkeypatch):
+    # every level below the first cuts the one kernel basis by a single
+    # row, so trefoil^4 over F2[T-Laurent] reduces one 42-column system
+    # and six rows, not seven systems
+    from scx import equivariant as E, knots, scomplex as S
+    T1 = knots.fixture("trefoil")
+    T2 = S.tensor(T1, T1)
+    T4 = S.tensor(T2, T2)
+    C = S.base_change_complex(
+        T4, S.standard_assignment(T4.ring, R.F2T, U="1"), R.F2T)
+    rows = []
+    kernel_basis = L.kernel_basis
+
+    def recording(M):
+        rows.append(M.rows)
+        return kernel_basis(M)
+
+    monkeypatch.setattr(L, "kernel_basis", recording)
+    E.j_ideals(C, -1, 5)
+    assert len(rows) == 7
+    assert sum(1 for r in rows if r > 1) == 1
+
+
 def _functions_calling(name):
     """(file, function) for every function of the package, methods and
     inner functions included, that calls ``name`` as f(...) or x.f(...)."""
