@@ -372,14 +372,17 @@ def j_ideals(C, i_min=None, i_max=None):
     # K K' is a kernel basis of A_(i+1) for a kernel basis K of A_i and
     # K' of the row T_i K, and the ideal of that row's entries does not
     # depend on K.  K keeps the unknowns of A_(i_min): rows past the first
-    # n are the a_j, which the cuts below level 1 have set to zero.
+    # n are the a_j, which the cuts below level 1 have set to zero.  T_i
+    # for i >= 1 is row n + i - 1 of A_(i_max + 1).
     cut = _level_system(C, vp, i_min)[0]
+    stack = _level_system(C, vp, max(i_max, 0) + 1)[0]
     K = Matrix.identity(ring, cut.cols)
     out = {}
     for i in range(i_min, i_max + 1):
         K = K * linalg.kernel_basis(cut)
         if i >= 1:
-            cut = _level_system(C, vp, i)[1] * K.rows_selected(range(C.n))
+            cut = (stack.rows_selected([C.n + i - 1])
+                   * K.rows_selected(range(C.n)))
         else:
             cut = K.rows_selected([C.n - i])
         out[i] = _reduce_generators(ring, [e for *_, e in

@@ -6,14 +6,16 @@ in boxes: a pair of positive integers (k1, k2) solving the congruence
 system with interior count 1 and boundary count 0 certifies a
 zero-dimensional instanton moduli point between flat connections, its
 action is k1 k2 / p, and the parity of k1 k2 decides whether the matrix
-entry survives with monopole weight T^2 - T^-2 or cancels.  One sweep
-counts each box once, in ascending (k1 k2, k1) order; a box solves the
-congruences of at most one ordered pair (i, j), whose certificate is its
-first box with boundary count 0, or 2 for the report's one-dimensional
-moduli.  Everything else here is elementary number theory: torus-knot
-signatures by lattice counting, Alexander polynomials by exact
-division, and an independent Goeritz-style signature oracle: the signs
-of the continued-fraction pivots of the plumbing's Seifert form.
+entry survives with monopole weight T^2 - T^-2 or cancels.  One box
+counter serves the exact counts of the gradings and, with caps N1 <= 1
+and N2 <= 2 that stop it early, one sweep that counts each box once, in
+ascending (k1 k2, k1) order; a box solves the congruences of at most one
+ordered pair (i, j), whose certificate is its first box with boundary
+count 0, or 2 for the report's one-dimensional moduli.  Everything else
+here is elementary number theory: torus-knot signatures by lattice
+counting, Alexander polynomials by exact division, and an independent
+Goeritz-style signature oracle: the signs of the continued-fraction
+pivots of the plumbing's Seifert form.
 """
 
 from __future__ import annotations
@@ -79,9 +81,31 @@ class ModuliCertificate(namedtuple("ModuliCertificate", "i j k1 k2 N1 N2")):
 # congruence counting
 
 
-def _count_congruent_in_range(m, c, p):
-    # number of a with |a| <= m and a = c (mod p), for 0 <= c < p
-    return (m - c) // p + (m + c) // p + 1
+def _box_counts(k1, k2, p, q, qinv, caps=(None, None)):
+    """Interior and boundary counts (N1, N2) of a + q b = 0 (mod p) on the
+    open box |a| < k1, |b| < k2 and on its edges, ``qinv`` the inverse of
+    q mod p; None as soon as a running count passes its cap in ``caps``.
+    The interior runs over the lines of the shorter side, and the edges
+    are counted only once the interior is within its cap."""
+    counts = []
+    for cap in caps:
+        if counts:
+            lines = ((-k2, k2), q, k1 - 1), ((-k1, k1), qinv, k2 - 1)
+        elif k1 >= k2:
+            lines = (range(1 - k2, k2), q, k1 - 1),
+        else:
+            lines = (range(1 - k1, k1), qinv, k2 - 1),
+        n = 0
+        # on the line x fixed, the free coordinate y = -mult x (mod p) has
+        # this many values in [-m, m]
+        for fixed, mult, m in lines:
+            for x in fixed:
+                c = -mult * x % p
+                n += (m - c) // p + (m + c) // p + 1
+                if cap is not None and n > cap:
+                    return None
+        counts.append(n)
+    return tuple(counts)
 
 
 def count_N1N2(k1, k2, p, q):
@@ -89,60 +113,7 @@ def count_N1N2(k1, k2, p, q):
     open box |a| < k1, |b| < k2 and its edges."""
     if k1 < 1 or k2 < 1:
         raise KnotError("box sides must be positive")
-    n1 = 0
-    if k1 >= k2:
-        for b in range(-k2 + 1, k2):
-            c = (-q * b) % p
-            n1 += _count_congruent_in_range(k1 - 1, c, p)
-    else:
-        qinv = pow(q % p, -1, p)
-        for a in range(-k1 + 1, k1):
-            c = (-qinv * a) % p
-            n1 += _count_congruent_in_range(k2 - 1, c, p)
-    n2 = 0
-    for b in (-k2, k2):
-        c = (-q * b) % p
-        n2 += _count_congruent_in_range(k1 - 1, c, p)
-    qinv = pow(q % p, -1, p)
-    for a in (-k1, k1):
-        c = (-qinv * a) % p
-        n2 += _count_congruent_in_range(k2 - 1, c, p)
-    return n1, n2
-
-
-def _n_counts_accept(k1, k2, p, q):
-    """N2 of a box with N1 == 1 and N2 <= 2, else None, with early abort
-    once N1 > 1 or N2 > 2.  N2 is even: the box is symmetric under
-    (a, b) -> (-a, -b), which fixes no edge point."""
-    count = 0
-    if k1 >= k2:
-        for b in range(-k2 + 1, k2):
-            c = (-q * b) % p
-            count += _count_congruent_in_range(k1 - 1, c, p)
-            if count > 1:
-                return None
-    else:
-        qinv = pow(q % p, -1, p)
-        for a in range(-k1 + 1, k1):
-            c = (-qinv * a) % p
-            count += _count_congruent_in_range(k2 - 1, c, p)
-            if count > 1:
-                return None
-    if count != 1:
-        return None
-    n2 = 0
-    for b in (-k2, k2):
-        c = (-q * b) % p
-        n2 += _count_congruent_in_range(k1 - 1, c, p)
-        if n2 > 2:
-            return None
-    qinv = pow(q % p, -1, p)
-    for a in (-k1, k1):
-        c = (-qinv * a) % p
-        n2 += _count_congruent_in_range(k2 - 1, c, p)
-        if n2 > 2:
-            return None
-    return n2
+    return _box_counts(k1, k2, p, q, pow(q % p, -1, p))
 
 
 @functools.lru_cache(maxsize=None)
@@ -157,6 +128,7 @@ def _certificate_table(p, q):
     pairs = [(i, j) for i in range(m + 1) for j in range(m + 1) if i != j]
     tables = {0: dict.fromkeys(pairs), 2: dict.fromkeys(pairs)}
     half = (p + 1) // 2  # the inverse of 2 mod odd p
+    qinv = pow(q, -1, p)
     bound = SEARCH_MARGIN * p
     boxes = sorted((k1 * k2, k1, k2) for k1 in range(1, bound + 1)
                    for k2 in range(1, bound // k1 + 1))
@@ -167,8 +139,9 @@ def _certificate_table(p, q):
         if i == j or (tables[0][pair] is not None
                       and tables[2][pair] is not None):
             continue
-        n2 = _n_counts_accept(k1, k2, p, q)
-        if n2 is None or tables[n2][pair] is not None:
+        # N2 is even: (a, b) -> (-a, -b) fixes no edge point
+        n1, n2 = _box_counts(k1, k2, p, q, qinv, caps=(1, 2)) or (0, 0)
+        if n1 != 1 or tables[n2][pair] is not None:
             continue
         if n2 == 0 and action >= 2 * p:
             raise CheckFailedError(

@@ -648,10 +648,6 @@ def divide(a, b):
         return zero(a.ring)
     if b.is_unit():
         return rational_terms(a * b.unit_inverse())
-    ring = a.ring
-    if not ring.tvars and not ring.has_x and not ring.udenom:
-        q = _cdiv(ring.base, a.const_value(), b.const_value())
-        return None if q is None else LaurentPoly(ring, {(0, 0, ()): q})
     return _divide_general(a, b)
 
 

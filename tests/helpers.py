@@ -30,8 +30,25 @@ def random_poly(rng, ring, allow_zero=False):
     return p if p else rings.one(ring)
 
 
-def _primitive(rng, ring):
-    kind = rng.choice(["zero", "delta1", "delta2", "dpair", "vpair"])
+def v_chain(ring, p):
+    """a -> b -> c under v, with delta1 = (1, 0, p) and d = delta2 = 0:
+    delta1 v^2 reaches p on all cycles but only p^2 on those that
+    delta1 kills, so J_3 = (p^2) needs the cut at level 1.  Tensored
+    with the dual of the chain for p = 1 it has J_0 = (p^2), which needs
+    the cuts below level 0."""
+    one, z = rings.one(ring), rings.zero(ring)
+    gens = [Generator("a", 1), Generator("b", 3), Generator("c", 1)]
+    v = Matrix(ring, [[z, z, z], [one, z, z], [z, one, z]])
+    return SComplex(ring, gens, Matrix.zeros(ring, 3, 3), v,
+                    Matrix(ring, [[one, z, p]]), Matrix.zeros(ring, 3, 1))
+
+
+def _primitive(rng, ring, v_chains=False):
+    kinds = ["zero", "delta1", "delta2", "dpair", "vpair"]
+    kind = rng.choice(kinds + ["vchain"] * v_chains)
+    if kind == "vchain":
+        # 1 + a random element: more often a non-unit than random_poly
+        return v_chain(ring, rings.one(ring) + random_poly(rng, ring))
     if kind == "zero":
         n = rng.randint(1, 2)
         gens = [Generator(f"z{k}", rng.randrange(4)) for k in range(n)]
@@ -70,12 +87,14 @@ def _rename(C, tag):
     return SComplex(C.ring, gens, C.d, C.v, C.delta1, C.delta2, C.v_trusted)
 
 
-def random_scomplex(rng, ring, max_gens=12, allow_dual=True):
+def random_scomplex(rng, ring, max_gens=12, allow_dual=True,
+                    v_chains=False):
     """A random valid S-complex with nilpotent v: tensor products and
-    duals of five primitive shapes."""
-    C = _rename(_primitive(rng, ring), "p0")
+    duals of five primitive shapes, and with ``v_chains`` of a sixth, the
+    :func:`v_chain` on which the cuts of the level systems change J_3."""
+    C = _rename(_primitive(rng, ring, v_chains), "p0")
     for step in range(rng.randint(0, 2)):
-        P = _rename(_primitive(rng, ring), f"p{step+1}")
+        P = _rename(_primitive(rng, ring, v_chains), f"p{step+1}")
         if 2 * C.n * P.n + C.n + P.n > max_gens:
             break
         C = scomplex.tensor(C, P)

@@ -399,14 +399,16 @@ def _assert_j_nesting(C):
 def test_j_nesting_randomized():
     rng = random.Random(1313)
     for _ in range(25):
-        _assert_j_nesting(helpers.random_scomplex(rng, R.F2T, max_gens=8))
+        _assert_j_nesting(helpers.random_scomplex(rng, R.F2T, max_gens=10,
+                                                  v_chains=True))
 
 
 @pytest.mark.parametrize("ring", [R.QT, R.Z], ids=lambda r: r.tag)
 def test_j_nesting_randomized_over_qt_and_z(ring):
     rng = random.Random(1717)
     for _ in range(25):
-        _assert_j_nesting(helpers.random_scomplex(rng, ring, max_gens=8))
+        _assert_j_nesting(helpers.random_scomplex(rng, ring, max_gens=10,
+                                                  v_chains=True))
 
 
 # ranges from below 0, from 1 and from above 1, and single levels
@@ -418,24 +420,10 @@ _J_RANGES = [(-3, 3), (-1, -1), (0, 0), (1, 4), (1, 1), (2, 5), (3, 3)]
 def test_j_ideals_match_one_smith_form_per_level_on_random_complexes(ring):
     rng = random.Random(2323)
     for _ in range(30):
-        C = helpers.random_scomplex(rng, ring, max_gens=8)
+        C = helpers.random_scomplex(rng, ring, max_gens=10, v_chains=True)
         for lo, hi in _J_RANGES:
             assert E.j_ideals(C, lo, hi) == helpers.reference_j_ideals(
                 C, lo, hi)
-
-
-def _v_chain(ring, p):
-    """a -> b -> c under v, with delta1 = (1, 0, p) and d = delta2 = 0:
-    delta1 v^2 reaches p on all cycles but only p^2 on those that
-    delta1 kills, so J_3 = (p^2) needs the cut at level 1.  Tensored
-    with the dual of the chain for p = 1 it has J_0 = (p^2), which needs
-    the cuts below level 0."""
-    one, z = R.one(ring), R.zero(ring)
-    gens = [S.Generator("a", 1), S.Generator("b", 3), S.Generator("c", 1)]
-    v = L.Matrix(ring, [[z, z, z], [one, z, z], [z, one, z]])
-    return S.SComplex(ring, gens, L.Matrix.zeros(ring, 3, 3), v,
-                      L.Matrix(ring, [[one, z, p]]),
-                      L.Matrix.zeros(ring, 3, 1))
 
 
 @pytest.mark.parametrize("ring, p", [(R.Z, "2"), (R.QT, "T + 1"),
@@ -443,8 +431,8 @@ def _v_chain(ring, p):
                          ids=lambda v: getattr(v, "tag", None))
 def test_j_ideals_match_one_smith_form_per_level_where_cuts_matter(ring, p):
     p = R.parse(ring, p)
-    C = _v_chain(ring, p)
-    M = S.tensor(C, S.dual(_v_chain(ring, R.one(ring))))
+    C = helpers.v_chain(ring, p)
+    M = S.tensor(C, S.dual(helpers.v_chain(ring, R.one(ring))))
     assert S.validate(C).ok and S.validate(M).ok
     p2 = [R.normalize_associate(p * p)]
     assert E.j_ideals(C, 3, 3) == {3: p2}

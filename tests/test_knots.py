@@ -37,6 +37,26 @@ def test_count_matches_naive_oracle_randomized():
             helpers.naive_counts(k1, k2, p, q)
 
 
+def test_capped_counts_match_naive_oracle_randomized():
+    # the certificate sweep's caps N1 <= 1, N2 <= 2 give the exact counts
+    # or None; boxes are drawn as the sweep visits them, k1 k2 <= 4p
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(600):
+        p = rng.randrange(3, 42, 2)
+        q = rng.choice([q for q in range(-p + 1, p) if gcd(p, q) == 1])
+        k1 = rng.randint(1, 4 * p)
+        k2 = rng.randint(1, 4 * p // k1)
+        counts = helpers.naive_counts(k1, k2, p, q)
+        capped = K._box_counts(k1, k2, p, q, pow(q, -1, p), caps=(1, 2))
+        if counts[0] <= 1 and counts[1] <= 2:
+            assert capped == counts, (k1, k2, p, q)
+        else:
+            assert capped is None, (k1, k2, p, q)
+        outcomes.add(counts if capped else None)
+    assert {None, (1, 0), (1, 2)} <= outcomes
+
+
 def test_solve_k1k2_trefoil():
     cert = K.solve_k1k2(3, -1, 1, 0)
     assert (cert.k1, cert.k2) == (1, 1)

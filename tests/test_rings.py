@@ -1,5 +1,6 @@
 """Exact ring arithmetic, base change, division and the textual format."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -112,6 +113,13 @@ def test_divide_by_unit_and_failure():
     # dividing by the non-unit T+1 fails where it should
     assert R.divide(t, t + one) is None
     assert R.divide(t ** 2 + one, t + one) == t + one
+    # over Z a constant divides when its integer quotient is exact
+    z = functools.partial(R.from_int, R.Z)
+    assert R.divide(z(12), z(4)) == z(3)
+    assert R.divide(z(12), z(5)) is None
+    assert R.divide(z(-12), z(4)) == z(-3)
+    assert R.divide(z(12), z(-5)) is None
+    assert R.divide(z(7), z(-1)) == z(-7)
 
 
 def test_divide_finds_quotients_longer_than_its_operands():

@@ -195,15 +195,25 @@ def test_each_differential_is_reduced_once():
 
 
 def test_certificates_come_from_one_sweep():
-    # every box is classified once, in _certificate_table; solve_k1k2 and
-    # the report's one-dimensional moduli read its tables
-    assert _functions_calling("_n_counts_accept") == [
-        ("knots.py", "_certificate_table")]
+    # every box is classified once, in _certificate_table, the one caller
+    # that caps _box_counts; solve_k1k2 and the report's one-dimensional
+    # moduli read its tables and count no box
+    tree = ast.parse((SRC / "knots.py").read_text(encoding="utf-8"))
+    capped = sorted({fn.name for fn in ast.walk(tree)
+                     if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "id", None) == "_box_counts"
+                     and (len(node.args) > 5 or node.keywords)})
+    assert capped == ["_certificate_table"]
+    assert _functions_calling("_box_counts") == [
+        ("knots.py", "_certificate_table"), ("knots.py", "count_N1N2")]
     assert "_candidate_pairs" not in (SRC / "knots.py").read_text(
         encoding="utf-8")
-    for name in ("solve_k1k2", "_n_counts_accept"):
-        assert ("knots.py", "two_bridge_report") not in \
-            _functions_calling(name)
+    assert ("knots.py", "two_bridge_report") not in \
+        _functions_calling("solve_k1k2")
+    for caller in ("two_bridge_report", "solve_k1k2"):
+        assert ("knots.py", caller) not in _functions_calling("count_N1N2")
 
 
 def test_ring_names_live_in_one_table():
