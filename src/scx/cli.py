@@ -38,6 +38,8 @@ BATCH_NESTING_LIMIT = 8
 RANGE_LIMIT = 100
 # model-check --truncation (and SCX_TRUNCATION) lies within 1..this
 TRUNCATION_LIMIT = 100
+# two-bridge and lens --p, and torus --p times --q, are at most these
+KNOT_P_LIMIT, TORUS_PQ_LIMIT = 1001, 100_000
 
 
 class UsageError(Exception):
@@ -264,7 +266,13 @@ def _report_table(rep):
 # verb handlers
 
 
+def _check_at_most(what, value, limit):
+    if value > limit:
+        raise UsageError(f"{what} {value} is above the limit {limit}")
+
+
 def _cmd_two_bridge(args, out, err):
+    _check_at_most("--p", args.p, KNOT_P_LIMIT)
     C = knots.two_bridge_complex(args.p, args.q, args.ring)
     rep = knots.two_bridge_report(args.p, args.q, C)
     doc = scomplex.to_dict(C)
@@ -278,6 +286,7 @@ def _cmd_two_bridge(args, out, err):
 
 
 def _cmd_lens(args, out, err):
+    _check_at_most("--p", args.p, KNOT_P_LIMIT)
     ranks = knots.lens_sasahira(args.p, args.q)
     payload = {"lens": f"L({args.p},{args.q})",
                "graded_ranks": {str(k): v for k, v in ranks.items()},
@@ -290,6 +299,7 @@ def _cmd_lens(args, out, err):
 
 
 def _cmd_torus(args, out, err):
+    _check_at_most("--p times --q", args.p * args.q, TORUS_PQ_LIMIT)
     sigma = knots.torus_signature(args.p, args.q)
     delta, total = knots.torus_alexander(args.p, args.q)
     vanish = knots.vanishing_check(args.p, args.q)

@@ -14,27 +14,24 @@ invariant h, and its degree-(-i) leading coefficients form the nested
 ideal sequence J_i.  The Gamma function refines h by the minimal
 Chern-Simons level of a witnessing cycle.
 
-At each level k the three invariants read one pair (A_k, T_k), built by
-``_level_system``.  For k >= 1, A_k = [d; delta1; delta1 v; ...;
-delta1 v^(k-2)] (its kernel holds the cycles that delta1 v^i kills for
-i < k - 1) and T_k = delta1 v^(k-1).  For k <= 0, A_k = [d | -delta2 |
--v delta2 | ... | -v^(-k) delta2] (its kernel holds the solutions of
-d(alpha) = sum_i v^i delta2(a_i)) and T_k reads the last unknown,
-a_(-k).  A witness at level k is a kernel vector of A_k that T_k does
-not kill: h is the largest k with one, J_k is generated by the entries
-of T_k K for a kernel basis K of A_k, and Gamma(k) is the least
-Chern-Simons level of a witness over the universal ring.  A witness
-exists exactly when rank [A_k; T_k] > rank A_k over the fraction field;
-[A_k; T_k] is A_(k+1) for k >= 1, and for k <= 0 A_(k+1) is A_k without
-the column T_k reads (A_1 = d).  So h and Gamma read prefix ranks
-(``linalg.prefix_ranks``) of one or two matrices, and J_k needs one
-kernel basis, of the lowest A_k asked for, which each level cuts by the
-single row T_k K.
+At each level k the three invariants read one matrix W_k = [A_k;
+T_k], T_k its last row, built by ``_level_system``.  For k >= 1, A_k =
+[d; delta1; delta1 v; ...; delta1 v^(k-2)] and T_k = delta1 v^(k-1), so
+W_k = A_(k+1).  For k <= 0, A_k = [d | -delta2 | -v delta2 | ... |
+-v^(-k) delta2] (its kernel holds the solutions of d(alpha) = sum_i v^i
+delta2(a_i)) and T_k is the unit row reading a_(-k).  A witness at
+level k is a kernel vector of A_k that T_k does not kill, and one exists
+exactly when rank W_k > rank A_k over the fraction field: h is the
+largest k with one, Gamma(k) the least Chern-Simons level of one over
+the universal ring, and J_k is generated by the entries of T_k K for a
+kernel basis K of A_k.  The systems nest (W_k leads W_(k+1) for k >= 1,
+A_k leads A_(k-1) for k <= 0), so h reads one row and one column rank
+profile (``linalg.prefix_ranks``), Gamma two profiles of one U-split of
+W_k, and J_k cuts one kernel basis, of the lowest A_k, by the row T_k K.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
@@ -258,20 +255,19 @@ def verify_model_equivalence(C, depth):
 
 
 def _level_system(C, vp, k):
-    """The pair (A_k, T_k) of the module docstring.  ``vp`` is a list
-    from :func:`v_powers`; powers past its end are its last entry, which
-    is right once that entry is zero."""
+    """W_k of the module docstring.  ``vp`` is a list from
+    :func:`v_powers`; powers past its end are its last entry, which is
+    right once that entry is zero."""
     def vpow(j):
         return vp[min(j, len(vp) - 1)]
 
     if k >= 1:
-        A = reduce(Matrix.vstack, [C.delta1 * vpow(j) for j in range(k - 1)],
-                   C.d)
-        return A, C.delta1 * vpow(k - 1)
+        return reduce(Matrix.vstack, [C.delta1 * vpow(j) for j in range(k)],
+                      C.d)
     A = reduce(Matrix.hstack, [-(vpow(j) * C.delta2) for j in range(1 - k)],
                C.d)
-    return A, assemble(C.ring, 1, A.cols,
-                       [(0, A.cols - 1, Matrix.identity(C.ring, 1))])
+    return A.vstack(assemble(C.ring, 1, A.cols,
+                             [(0, A.cols - 1, Matrix.identity(C.ring, 1))]))
 
 
 def _search_bound(C, vp):
@@ -288,15 +284,16 @@ def _search_bound(C, vp):
 
 def h_invariant(C):
     """The Froyshov invariant of a complex with a trusted v map, from the
-    row profile of A_(b + 1) and, when no k >= 1 has a witness, the column
-    profile of A_(-b - 1), b the search bound (module docstring).  The
-    tests check it against the top nonzero index of :func:`j_ideals`."""
+    row profile of W_b = A_(b + 1) and, when no k >= 1 has a witness, the
+    column profile of A_(-b - 1), the first n rows of W_(-b - 1), b the
+    search bound (module docstring).  The tests check it against the top
+    nonzero index of :func:`j_ideals`."""
     _require_trusted(C, "the h invariant")
     # the bound is at most n + 1 and the searches reach v^(bound + 1)
     vp = v_powers(C, C.n + 2)
     bound = _search_bound(C, vp)
     # r[n + k - 1] is the rank of A_k: its first n + k - 1 rows for k >= 1
-    r = linalg.prefix_ranks(_level_system(C, vp, bound + 1)[0].transpose())
+    r = linalg.prefix_ranks(_level_system(C, vp, bound).transpose())
     # once delta1 v^(k-1) dies on ker A_k it stays dead: v^(m-k) maps
     # later witnesses back to level k
     h = 0
@@ -305,7 +302,8 @@ def h_invariant(C):
     if h > 0:
         return h
     # r[n + 1 - k] is the rank of A_k: its first n + 1 - k columns for k <= 1
-    r = linalg.prefix_ranks(_level_system(C, vp, -bound - 1)[0])
+    r = linalg.prefix_ranks(
+        _level_system(C, vp, -bound - 1).rows_selected(range(C.n)))
     for k in range(0, -(bound + 2), -1):
         if r[C.n + 1 - k] == r[C.n - k]:
             return k
@@ -373,9 +371,10 @@ def j_ideals(C, i_min=None, i_max=None):
     # K' of the row T_i K, and the ideal of that row's entries does not
     # depend on K.  K keeps the unknowns of A_(i_min): rows past the first
     # n are the a_j, which the cuts below level 1 have set to zero.  T_i
-    # for i >= 1 is row n + i - 1 of A_(i_max + 1).
-    cut = _level_system(C, vp, i_min)[0]
-    stack = _level_system(C, vp, max(i_max, 0) + 1)[0]
+    # for i >= 1 is row n + i - 1 of W_(i_max).
+    cut = _level_system(C, vp, i_min)
+    cut = cut.rows_selected(range(cut.rows - 1))
+    stack = _level_system(C, vp, max(i_max, 1))
     K = Matrix.identity(ring, cut.cols)
     out = {}
     for i in range(i_min, i_max + 1):
@@ -439,10 +438,10 @@ def _u_split(M, unknowns):
 
 
 def gamma(C, k):
-    """Chern-Simons level of the cheapest witness for h >= k: the least
-    level t at which rank [A_k; T_k] > rank A_k (module docstring) on the
-    unknowns at levels <= t, read from the prefix ranks of one U-split
-    with the unknowns sorted by level.
+    """Chern-Simons level of the cheapest witness for h >= k: the level
+    of the first unknown, in level order, at which rank W_k > rank A_k
+    (module docstring) on the unknowns so far, read from the prefix ranks
+    of one U-split of W_k and of its rows not born of T_k.
 
     Defined for I-graded level-0 complexes over the universal ring with a
     trusted nilpotent v.  Each stored pair (gr_mod4, deg_I) is read as
@@ -470,24 +469,15 @@ def gamma(C, k):
     unknowns += [(C.n + i, Fraction(k + i, 2), Fraction(0))
                  for i in range(k % 2, 1 - k, 2)]
     unknowns.sort(key=lambda u: u[2])
-    levels = [t for *_, t in unknowns]
-    # r_t: rank [A_k; T_k], from the split of A_(k+1) for k >= 1, or of A_k
-    # for k <= 0, where T_k reads a_(-k) alone and adds one to the others'
-    S, origin = _u_split(_level_system(C, vp, k + 1 if k >= 1 else k)[0],
-                         unknowns)
-    if k >= 1:  # A_k is A_(k+1) without its last row, T_k
-        r_t = linalg.prefix_ranks(S)
-        r_a = linalg.prefix_ranks(S.rows_selected(
-            [r for r, i in enumerate(origin) if i < C.n + k - 1]))
-    else:  # every cut below holds a_(-k), a level-0 unknown
-        r_a = linalg.prefix_ranks(S)
-        r_t = [0] + [1 + r for r in linalg.prefix_ranks(S.columns_selected(
-            [c for c, u in enumerate(unknowns) if u[0] != C.n - k]))]
-    for t in sorted(set(levels)):
-        if t < 0 and k <= 0:
-            continue  # no witness for k <= 0 is cheaper than the a_i
-        c = bisect_right(levels, t)
-        if r_t[c] > r_a[c]:
+    # the ranks of W_k and of A_k on each prefix: a witness on a prefix is
+    # one on every longer prefix (T_k is zero below level 0 for k <= 0)
+    W = _level_system(C, vp, k)
+    S, origin = _u_split(W, unknowns)
+    r_t = linalg.prefix_ranks(S)
+    r_a = linalg.prefix_ranks(S.rows_selected(
+        [r for r, i in enumerate(origin) if i < W.rows - 1]))
+    for (*_, t), with_t, without in zip(unknowns, r_t[1:], r_a[1:]):
+        if with_t > without:
             return t
     return INFINITY
 

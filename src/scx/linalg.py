@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import accumulate
+from math import prod
 
 from .rings import (LaurentPoly, RingMismatchError, divide,
                     divmod_euclid, enorm, gcd, is_euclidean,
@@ -495,20 +496,17 @@ def kernel_fraction_field(M):
     the ring; works over any supported integral domain.  A back pass
     clears the rows above each pivot of the echelon form, which leaves
     each pivot row with its pivot d and entries in free columns only.
-    The column of free column f holds the product P of the pivots at f,
-    and -a * (P / d) at the pivot column of each row with entry a at f."""
+    The column of free column f holds the product P of the pivots d of
+    the rows with an entry a at f, and -a * (P / d) at each one's pivot."""
     A, pivots = _eliminate(M)
     for r, c in pivots:
         _clear(A, r, c, range(r))
     free = sorted(set(range(M.cols)) - {c for _, c in pivots})
-    product = one(M.ring)
-    for r, c in pivots:
-        product = product * A[r][c]
-    others = [divide(product, A[r][c]) for r, c in pivots]
     dicts = [{} for _ in range(M.cols)]
     for j, f in enumerate(free):
+        rows = [(r, c) for r, c in pivots if f in A[r]]
+        product = prod((A[r][c] for r, c in rows), start=one(M.ring))
         dicts[f][j] = product
-        for (r, c), other in zip(pivots, others):
-            if f in A[r]:
-                dicts[c][j] = -(A[r][f] * other)
+        for r, c in rows:
+            dicts[c][j] = -(A[r][f] * divide(product, A[r][c]))
     return Matrix._trusted(M.ring, dicts, len(free))

@@ -457,13 +457,14 @@ def _frac_str(f):
 def _frac_parse(s, path):
     if s is None:
         return None
-    # a string only in the form _frac_str writes: Fraction alone would
-    # also take decimal exponents, and "1e30000000" would not finish
-    if isinstance(s, str) and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+    # an int, or a string in the form _frac_str writes: Fraction alone
+    # reads true, 0.1 and "1e30000000" (which would not finish)
+    if not (type(s) is int or isinstance(s, str)
+            and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s)):
         raise SchemaError(f"{path}: bad rational {s!r}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError):
+    except (ValueError, ZeroDivisionError):
         raise SchemaError(f"{path}: bad rational {s!r}")
 
 

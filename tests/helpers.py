@@ -293,6 +293,12 @@ def reference_kernel(M):
             for f in range(M.cols) if f not in {c for _r, c in pivots}]
 
 
+def split_level_system(W):
+    """(A_k, T_k) of a level system W_k = [A_k; T_k]: its rows but the
+    last, and its last row."""
+    return W.rows_selected(range(W.rows - 1)), W.rows_selected([W.rows - 1])
+
+
 def reference_j_ideals(C, i_min, i_max):
     """``equivariant.j_ideals`` over the Euclidean rings as it was before
     one kernel basis served every level: a kernel basis K of each A_i
@@ -302,7 +308,7 @@ def reference_j_ideals(C, i_min, i_max):
     vp = equivariant.v_powers(C, C.n)
     out = {}
     for i in range(i_min, i_max + 1):
-        A, T = equivariant._level_system(C, vp, i)
+        A, T = split_level_system(equivariant._level_system(C, vp, i))
         row = T * linalg.kernel_basis(A)
         out[i] = equivariant._reduce_generators(
             C.ring, [row[0, j] for j in range(row.cols)])

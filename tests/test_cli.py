@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -175,6 +176,29 @@ def test_truncation_beyond_the_limit_is_a_usage_error(tmp_path, monkeypatch):
     # an explicit --truncation within the limit wins over the variable
     code, out, _ = run(["model-check", "--in", str(path), "--truncation", "2"])
     assert code == 0 and "truncation\t2" in out
+
+
+def test_knot_parameters_beyond_the_limit_are_usage_errors():
+    lim, pq = cli.KNOT_P_LIMIT, cli.TORUS_PQ_LIMIT
+    for argv, message in (
+            (["two-bridge", "--p", "10001", "--q", "3", "--ring", "f2t"],
+             f"--p 10001 is above the limit {lim}"),
+            (["two-bridge", "--p", str(lim + 2), "--q", "3"],
+             f"--p {lim + 2} is above the limit {lim}"),
+            (["lens", "--p", str(lim + 2), "--q", "2"],
+             f"--p {lim + 2} is above the limit {lim}"),
+            (["torus", "--p", "1001", "--q", "10001"],
+             f"--p times --q 10011001 is above the limit {pq}"),
+            (["torus", "--p", "2", "--q", str(pq // 2 + 1)],
+             f"--p times --q {pq + 2} is above the limit {pq}")):
+        assert run(argv) == (1, "", f"usage error: {message}\n")
+    # the limits themselves pass on to the knot checks (these pairs are
+    # not coprime, so they are refused there, at once)
+    for argv in (["two-bridge", "--p", str(lim), "--q", "7"],
+                 ["lens", "--p", str(lim), "--q", "11"],
+                 ["torus", "--p", "2", "--q", str(pq // 2)]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "") and "are not coprime" in err
 
 
 def test_two_bridge_report_fields_print_in_record_order():
@@ -504,6 +528,24 @@ def test_hostile_documents_are_input_errors(tmp_path, changes, prefix):
     assert (code, out) == (1, "")
     assert err.startswith("input error: " + prefix)
     assert err.count("\n") == 1
+
+
+def test_json_booleans_and_floats_are_not_levels(tmp_path):
+    # Fraction would read true as 1 and 0.1 as a 17-digit rational
+    for key in ("deg_I", "hol"):
+        for value in (True, False, 0.1, 1e300, 2.0):
+            path = _trefoil(tmp_path, generators=_generator(**{key: value}))
+            assert run(["validate", "--in", path]) == (
+                1, "", f"input error: generators[0].{key}: bad rational "
+                f"{value!r}\n")
+    # integers and the strings to_dict writes still read
+    path = _trefoil(tmp_path)
+    for value, level in ((1, 1), ("1", 1), ("-2/3", Fraction(-2, 3))):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["generators"] = _generator(deg_I=value, hol=value)
+        g = scomplex.from_dict(doc).gens[0]
+        assert g.deg_I == g.hol == level
 
 
 def test_unreadable_files_are_usage_errors(tmp_path):

@@ -411,6 +411,25 @@ def test_j_nesting_randomized_over_qt_and_z(ring):
                                                   v_chains=True))
 
 
+@pytest.mark.parametrize("ring", [R.Z, R.F2T, R.QT], ids=lambda r: r.tag)
+def test_level_systems_nest(ring):
+    # h reads every level from one row profile and one column profile,
+    # and J_i cuts one kernel basis, because the systems nest
+    rng = random.Random(2929)
+    for _ in range(20):
+        C = helpers.random_scomplex(rng, ring, max_gens=10, v_chains=True)
+        vp = E.v_powers(C, C.n)
+        W = {k: E._level_system(C, vp, k) for k in range(-4, 6)}
+        A = {k: helpers.split_level_system(M)[0] for k, M in W.items()}
+        for k in range(-3, 5):
+            if k >= 1:
+                assert W[k] == W[k + 1].rows_selected(range(W[k].rows)), k
+            else:
+                assert A[k] == A[k - 1].columns_selected(
+                    range(C.n + 1 - k)), k
+                assert L.rank(W[k]) == 1 + L.rank(A[k + 1]), k
+
+
 # ranges from below 0, from 1 and from above 1, and single levels
 _J_RANGES = [(-3, 3), (-1, -1), (0, 0), (1, 4), (1, 1), (2, 5), (3, 3)]
 
@@ -541,8 +560,8 @@ def _gamma_by_kernels(C, k):
                 == 1]
     unknowns += [(C.n + i, Fraction(k + i, 2), Fraction(0))
                  for i in range(k % 2, 1 - k, 2)]
-    A, T = (E._u_split(M, unknowns)[0]
-            for M in E._level_system(C, E.v_powers(C, C.n), k))
+    A, T = (E._u_split(M, unknowns)[0] for M in helpers.split_level_system(
+        E._level_system(C, E.v_powers(C, C.n), k)))
     for t in sorted({level for *_, level in unknowns}):
         if t < 0 and k <= 0:
             continue

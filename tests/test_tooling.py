@@ -124,6 +124,22 @@ def test_h_search_reads_only_ranks():
     assert _functions_calling("kernel_fraction_field") == []
 
 
+def test_gamma_reads_one_level_system():
+    # Gamma U-splits W_k once, reads two rank profiles of the split and
+    # compares k with nothing: it has no branch on the sign of k
+    tree = ast.parse((SRC / "equivariant.py").read_text(encoding="utf-8"))
+    fn = next(f for f in tree.body
+              if isinstance(f, ast.FunctionDef) and f.name == "gamma")
+    calls = [getattr(node.func, "attr", getattr(node.func, "id", None))
+             for node in ast.walk(fn) if isinstance(node, ast.Call)]
+    assert calls.count("_level_system") == 1
+    assert calls.count("prefix_ranks") == 2
+    assert not [node for node in ast.walk(fn)
+                if isinstance(node, ast.Compare) and any(
+                    isinstance(name, ast.Name) and name.id == "k"
+                    for name in ast.walk(node))]
+
+
 def test_ideal_sequence_runs_one_multi_row_smith_form(monkeypatch):
     # every level below the first cuts the one kernel basis by a single
     # row, so trefoil^4 over F2[T-Laurent] reduces one 42-column system
