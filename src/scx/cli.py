@@ -169,6 +169,60 @@ def _load_complex(path):
     return scomplex.from_dict(doc)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _indented(obj, nl):
+    """The text of ``obj`` in json.dumps's indent=2 layout, with ``nl`` the
+    newline and indent of its own line; TypeError on a value it does not
+    write."""
+    cls = obj.__class__
+    if cls is str:
+        return _quote(obj)
+    if cls is dict:
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        items = []
+        for k, v in obj.items():
+            if k.__class__ is not str:
+                raise TypeError(k)
+            items.append(_quote(k) + ": " + _indented(v, inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if cls is list or cls is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        sep = "," + inner
+        try:
+            # the rows of a wire matrix hold only strings
+            body = sep.join(map(_quote, obj))
+        except TypeError:
+            body = sep.join([_indented(v, inner) for v in obj])
+        return "[" + inner + body + nl + "]"
+    if cls is int:
+        return repr(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    raise TypeError(obj)
+
+
+def _dumps(obj):
+    """``json.dumps(obj, indent=2)``, byte for byte.  With an indent set,
+    json runs its pure-Python encoder; this builds the same text with the
+    C string quoter and str.join.  A value other than a dict with str
+    keys, a list or tuple, a str, an int, a bool or None goes to
+    json.dumps."""
+    try:
+        return _indented(obj, "\n")
+    except TypeError:
+        return json.dumps(obj, indent=2)
+
+
 def _write_or_print(out, text, stream):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -239,7 +293,7 @@ def _input_complex(args):
 
 def _emit(payload, as_json, table_lines, stream):
     if as_json:
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        stream.write(_dumps(payload) + "\n")
     else:
         for line in table_lines:
             stream.write(line + "\n")
@@ -277,7 +331,7 @@ def _cmd_two_bridge(args, out, err):
     rep = knots.two_bridge_report(args.p, args.q, C)
     doc = scomplex.to_dict(C)
     if args.out:
-        _write_or_print(args.out, json.dumps(doc, indent=2), out)
+        _write_or_print(args.out, _dumps(doc), out)
     payload = {"report": rep._asdict()}
     if not args.out:
         payload["complex"] = doc
@@ -318,7 +372,7 @@ def _cmd_fixture(args, out, err):
     C = knots.fixture(args.name)
     doc = scomplex.to_dict(C)
     if args.out:
-        _write_or_print(args.out, json.dumps(doc, indent=2), out)
+        _write_or_print(args.out, _dumps(doc), out)
         out.write(f"wrote {args.name} to {args.out}\n")
     else:
         _emit(doc, True, [], out)
@@ -336,13 +390,13 @@ def _cmd_validate(args, out, err):
 
 def _cmd_tensor(args, out, err):
     C = scomplex.tensor(_load_complex(args.a), _load_complex(args.b))
-    _write_or_print(args.out, json.dumps(scomplex.to_dict(C), indent=2), out)
+    _write_or_print(args.out, _dumps(scomplex.to_dict(C)), out)
     return 0
 
 
 def _cmd_dual(args, out, err):
     C = scomplex.dual(_input_complex(args))
-    _write_or_print(args.out, json.dumps(scomplex.to_dict(C), indent=2), out)
+    _write_or_print(args.out, _dumps(scomplex.to_dict(C)), out)
     return 0
 
 

@@ -307,7 +307,12 @@ class LaurentPoly:
         return len(self._terms)
 
     def is_one(self):
-        return self == one(self.ring)
+        """Whether this is 1: one term, with every exponent 0 and
+        coefficient 1."""
+        if len(self._terms) != 1:
+            return False
+        ((x, n, ts), c), = self._terms.items()
+        return c == 1 and not x and not n and not any(ts)
 
     def is_monomial(self):
         return len(self._terms) == 1
@@ -390,6 +395,12 @@ class LaurentPoly:
 
     def __mul__(self, other):
         self._check(other)
+        # a factor 1 returns the other operand, which is immutable, as
+        # __add__ returns the other operand of a zero
+        if other.is_one():
+            return self
+        if self.is_one():
+            return other
         ring = self.ring
         base = ring.base
         z_or_q, f2 = base == "Z" or base == "Q", base == "F2"

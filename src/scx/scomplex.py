@@ -461,11 +461,18 @@ def _frac_parse(s, path):
     # reads true, 0.1 and "1e30000000" (which would not finish)
     if not (type(s) is int or isinstance(s, str)
             and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s)):
-        raise SchemaError(f"{path}: bad rational {s!r}")
+        raise SchemaError(f"{path}: bad rational {_echo(s)}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise SchemaError(f"{path}: bad rational {s!r}")
+        raise SchemaError(f"{path}: bad rational {_echo(s)}")
+
+
+def _echo(value):
+    """repr(value) for an error message: its first 40 characters and its
+    length when it is longer."""
+    r = repr(value)
+    return r if len(r) <= 40 else f"{r[:40]}... ({len(r)} characters)"
 
 
 def matrix_strings(M):

@@ -122,6 +122,18 @@ def naive_counts(k1, k2, p, q):
     return n1, n2
 
 
+def torus_alexander_by_division(p, q):
+    """The symmetrized Alexander polynomial of T(p, q) as the exact
+    quotient (t^(pq) - 1)(t - 1) / ((t^p - 1)(t^q - 1)) by
+    ``rings.divide``, shifted by -(p-1)(q-1)/2: the oracle of
+    ``knots.torus_alexander``'s semigroup route."""
+    t, o = rings.var(rings.ZT, "T"), rings.one(rings.ZT)
+    quot = rings.divide((t ** (p * q) - o) * (t - o),
+                        (t ** p - o) * (t ** q - o))
+    assert quot is not None, (p, q)
+    return quot * t ** (-((p - 1) * (q - 1) // 2))
+
+
 def naive_cert_search(p, q, i, j, bound_factor=4, boundary=0):
     """Exhaustive (k1, k2) search using only naive_counts: the box of
     least k1 k2, then least k1, with interior count 1 and boundary count

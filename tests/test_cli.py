@@ -548,6 +548,17 @@ def test_json_booleans_and_floats_are_not_levels(tmp_path):
         assert g.deg_I == g.hol == level
 
 
+def test_long_refused_levels_are_cut_in_the_message(tmp_path):
+    for value in ("7" * 4999 + "x", "1/" + "0" * 5000, list(range(2000))):
+        path = _trefoil(tmp_path, generators=_generator(deg_I=value))
+        code, out, err = run(["validate", "--in", path])
+        assert (code, out) == (1, "")
+        assert err.startswith(
+            f"input error: generators[0].deg_I: bad rational {repr(value)[:40]}")
+        assert f"({len(repr(value))} characters)" in err
+        assert len(err) < 200
+
+
 def test_unreadable_files_are_usage_errors(tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe{}")

@@ -302,6 +302,23 @@ def test_torus_closed_forms_agree_with_counting():
                 K.torus_alexander(p, q)
 
 
+def test_torus_alexander_semigroup_matches_division():
+    pairs = [(p, q) for p in range(2, 16) for q in range(p + 1, 61)
+             if gcd(p, q) == 1] + [(3, 599), (7, 199), (13, 97)]
+    for p, q in pairs:
+        assert K.torus_alexander(p, q)[0] == \
+            helpers.torus_alexander_by_division(p, q), (p, q)
+
+
+def test_torus_two_q_is_two_bridge_q_minus_one():
+    # T(2, q) is the two-bridge knot K(q, -1); K(q, 1) is its mirror,
+    # whose signature has the other sign
+    for q in range(3, 152, 2):
+        sigma = K.torus_signature(2, q)
+        assert sigma == K.two_bridge_signature_oracle(q, -1) == -(q - 1)
+        assert K.two_bridge_signature_oracle(q, 1) == q - 1
+
+
 def test_vanishing_families():
     assert K.vanishing_check(3, 8) is True      # q = 2pk + 2, k = 1
     assert K.vanishing_check(5, 7) is True      # q = 2pk - (2 - p), k = 1

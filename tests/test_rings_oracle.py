@@ -328,3 +328,52 @@ def test_integral_u_exponents_are_int_keys():
         == {Fraction, int}
     for _x, u, _ts in (R.var(R.ZT, "T") * R.var(R.ZT, "T")).terms_dict():
         assert type(u) is int
+
+
+UNIT_RINGS = (R.Z, R.ZT, R.F2T, R.QT, R.Q, R.F4, U3)
+
+
+@PROPERTY
+@given(st.sampled_from(UNIT_RINGS).flatmap(polys))
+def test_a_factor_one_returns_the_other_factor(p):
+    one = R.one(p.ring)
+    assert one.is_one()
+    assert p * one == p and one * p == p
+    assert canonical_keys(p * one)
+    assert (p * one).is_one() == p.is_one() == (p == one)
+
+
+def test_a_one_from_another_ring_is_refused():
+    p = R.var(R.QT, "T") + R.one(R.QT)
+    for other in (R.ZT, R.F2T, R.Q, U3):
+        with pytest.raises(R.RingMismatchError):
+            p * R.one(other)
+        with pytest.raises(R.RingMismatchError):
+            R.one(other) * p
+
+
+def test_is_one_only_on_the_constant_one():
+    for ring in (R.Z, R.ZT, R.QT, R.Q, U3):
+        assert not R.from_int(ring, -1).is_one()
+        assert not R.from_int(ring, 2).is_one()
+        assert not R.zero(ring).is_one()
+    for ring in (R.ZT, R.F2T, R.QT, U3):
+        assert not R.var(ring, "T").is_one()
+        assert not (R.var(ring, "T") + R.one(ring)).is_one()
+    assert not R.var(U3, "U", Fraction(1, 3)).is_one()
+    assert not R.from_int(R.F4, 2).is_one()     # the F4 generator x
+    # -1 is 1 in characteristic 2
+    assert R.from_int(R.F2T, -1).is_one()
+
+
+def _with_units(ring):
+    one = R.one(ring)
+    return st.one_of(polys(ring), st.sampled_from((one, -one)))
+
+
+@PROPERTY
+@given(st.sampled_from(ORACLE_RINGS).flatmap(
+    lambda ring: st.tuples(_with_units(ring), _with_units(ring))))
+def test_products_with_unit_factors_agree_with_sympy(ab):
+    a, b = ab
+    assert _sympy_poly(a * b, 8) == _sympy_poly(a, 4) * _sympy_poly(b, 4)

@@ -354,3 +354,30 @@ def test_cli_start_up_loads_no_introspection_modules():
     loaded = set(proc.stdout.split())
     assert "scx.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "typing"}
+
+
+def _trajectory():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location(
+        "trajectory", ROOT / "tools" / "trajectory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trajectory_summary_keeps_median_and_spread():
+    T = _trajectory()
+    assert T.summarize([3.0, 1.0, 2.0, 10.0]) == {
+        "median": 2.5, "q1": 1.75, "q3": 4.75, "min": 1.0, "max": 10.0}
+    assert T.summarize([4.0])["q1"] == T.summarize([4.0])["q3"] == 4.0
+    runs = [{"workload": "w", "seed": s, "metrics": {"jobs_per_s": v}}
+            for s, v in ((1, 400.0), (2, 420.0), (3, 410.0))]
+    runs.append({"workload": "w", "seed": 4, "exit": 1})
+    summary = T.record(runs, {"jobs_per_s": "1/s", "setup_s": "s"})
+    assert summary["w"]["runs"] == 3 and summary["w"]["failed_runs"] == 1
+    assert summary["w"]["jobs_per_s"]["median"] == 410.0
+    assert summary["w"]["jobs_per_s"]["unit"] == "1/s"
+    assert "setup_s" not in summary["w"]
+    assert T.src_lines(ROOT) == sum(
+        len(p.read_text(encoding="utf-8").splitlines())
+        for p in SRC.glob("*.py"))
