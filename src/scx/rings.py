@@ -583,7 +583,9 @@ def homomorphism(src, assignment, target):
     term when there is none; a fractional U-exponent needs the image of U
     to be 1 or an exact N-th power.  The assignment is checked once, and
     each stored monomial's image is computed the first time it is met
-    (even under a coefficient that vanishes in the target) and kept.
+    (even under a coefficient that vanishes in the target) and kept.  A
+    RingError from raising a variable's image to a power names that
+    variable in its ``variable`` attribute.
     """
     for name in src.variables():
         if name not in assignment:
@@ -609,7 +611,11 @@ def homomorphism(src, assignment, target):
                 for name, e in (("U", _u_value(src, n)), *zip(src.tvars, ts),
                                 ("x", x)):
                     if e:
-                        img = img * _pow_rational(assignment[name], e)
+                        try:
+                            img = img * _pow_rational(assignment[name], e)
+                        except RingError as err:
+                            err.variable = name
+                            raise
                 images[key] = img
             if c != 1:
                 c = _cfrom_int(tb, c) if sb == "Z" else c

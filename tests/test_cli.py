@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -749,3 +750,203 @@ def test_every_ring_name_each_verb_accepts(tmp_path):
             assert out.splitlines()[1] == f"ring\t{ring.tag}"
     assert run(["two-bridge", "--p", "3", "--q", "1", "--ring", "sbn"]) == (
         2, "", "refused: unknown ring name 'sbn'\n")
+
+
+# ---------------------------------------------------------------------------
+# one read per input: the prepared complexes a process keeps
+
+
+def _trefoil_squared(tmp_path):
+    t1 = _trefoil(tmp_path)
+    t2 = str(tmp_path / "t2.json")
+    assert run(["tensor", "--a", t1, "--b", t1, "--out", t2])[0] == 0
+    return t1, t2
+
+
+def _reading_verbs(t1, t2):
+    """One call of every verb that reads a complex file."""
+    return [["validate", "--in", t2], ["dual", "--in", t2],
+            ["tensor", "--a", t1, "--b", t2], ["h", "--in", t2],
+            ["h", "--in", t2, "--specialize", "U=1"],
+            ["euler", "--in", t2, "--json"],
+            ["jideals", "--in", t2, "--specialize", "U=1", "--ring", "f2t"],
+            ["gamma", "--in", t2, "--min", "-1", "--max", "2"],
+            ["sharp", "--in", t2],
+            ["sharp", "--in", t2, "--specialize", "U=1", "--ring", "f2t"],
+            ["sharp", "--in", t2, "--twisted", "--specialize", "U=1",
+             "--ring", "qt"],
+            ["hat-presentation", "--in", t1],
+            ["bn-presentation", "--in", t1, "--specialize", "U=1",
+             "--ring", "f2t"],
+            ["model-check", "--in", t2, "--truncation", "2"]]
+
+
+def _text(path):
+    return Path(path).read_text()
+
+
+def _count_reads(monkeypatch):
+    """The list that the scomplex functions of reading an input append
+    their names to when called."""
+    reads = []
+    for name in ("from_dict", "validate", "base_change_complex"):
+        def counted(*a, _f=getattr(scomplex, name), _name=name, **kw):
+            reads.append(_name)
+            return _f(*a, **kw)
+        monkeypatch.setattr(scomplex, name, counted)
+    return reads
+
+
+def test_a_kept_input_answers_as_a_fresh_read(tmp_path, monkeypatch):
+    t1, t2 = _trefoil_squared(tmp_path)
+    reads = _count_reads(monkeypatch)
+    for argv in _reading_verbs(t1, t2):
+        cli._inputs.clear()
+        fresh = run(argv)
+        assert fresh[0] == 0, (argv, fresh)
+        del reads[:]
+        assert run(argv) == fresh, argv
+        # the second call parses, checks and specializes nothing again;
+        # the validate verb still validates what it read
+        assert reads == (["validate"] if argv[0] == "validate" else []), argv
+
+
+def test_each_text_is_parsed_once_whatever_the_options(tmp_path,
+                                                       monkeypatch):
+    t1, t2 = _trefoil_squared(tmp_path)
+    reads = _count_reads(monkeypatch)
+    cli._inputs.clear()
+    for argv in _reading_verbs(t1, t2):
+        assert run(argv)[0] == 0, argv
+    # one parse of each of the two texts; t2 validated once for the
+    # checking verbs (h, jideals, gamma, model-check) besides the
+    # validation of the validate verb itself; one base change per (text,
+    # --specialize, --ring)
+    assert reads.count("from_dict") == 2
+    assert reads.count("validate") == 2
+    assert reads.count("base_change_complex") == 4
+    # a ring name in capitals is the same ring
+    del reads[:]
+    assert run(["jideals", "--in", t2, "--specialize", "U=1",
+                "--ring", "F2T"])[0] == 0
+    assert reads == []
+
+
+def test_a_rewritten_file_is_read_again(tmp_path):
+    t1, t2 = _trefoil_squared(tmp_path)
+    path = tmp_path / "k.json"
+    for source, h in ((t1, "1\n"), (t2, "2\n"), (t1, "1\n")):
+        path.write_text(Path(source).read_text())
+        assert run(["h", "--in", str(path)]) == (0, h, "")
+
+
+def test_refusals_are_not_kept(tmp_path):
+    t1 = _trefoil(tmp_path)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    (tmp_path / "invalid").mkdir()
+    invalid = _trefoil(tmp_path / "invalid", d=[["1"]], delta1=["0"])
+    cases = [(["h", "--in", str(broken)], 1, f"usage error: {broken} is not "
+              "JSON: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)\n"),
+             (["h", "--in", invalid], 2,
+              "refused: not an S-complex: d*d != 0; "),
+             (["h", "--in", t1, "--specialize", "U=0", "--ring", "qt"], 1,
+              "usage error: --specialize U=0: cannot raise non-monomial to "
+              "fractional power 1/3\n")]
+    cli._inputs.clear()
+    for argv, code, err in cases:
+        first = run(argv)
+        assert run(argv) == first
+        assert first[:2] == (code, "") and first[2].startswith(err), first
+    # the two files that parse are kept parsed, and the trefoil's pass of
+    # validate; no refused validation and no refused specialization is
+    assert list(cli._inputs) == [_text(invalid), _text(t1),
+                                 (_text(t1), "checked")]
+
+
+def test_verbs_leave_kept_complexes_unchanged(tmp_path):
+    # the kept complexes are shared: no verb may change one in place
+    t1, t2 = _trefoil_squared(tmp_path)
+    cli._inputs.clear()
+    for argv in _reading_verbs(t1, t2):
+        assert run(argv)[0] == 0, argv
+    kept = dict(cli._inputs)
+    paths = {_text(p): p for p in (t1, t2)}
+    specialized = [key for key in kept
+                   if isinstance(key, tuple) and key[1] != "checked"]
+    assert set(kept) == {*paths, (_text(t2), "checked"), *specialized}
+    assert len(specialized) == 4
+    for text, path in paths.items():
+        C = kept[text][0]
+        assert scomplex.to_dict(C) == json.loads(Path(path).read_text())
+    cli._inputs.clear()
+    for text, specialize, ring in specialized:
+        C = kept[text, specialize, ring][0]
+        again = cli._load_complex(paths[text], False, specialize, ring)
+        assert again is not C
+        assert scomplex.to_dict(C) == scomplex.to_dict(again)
+        assert C.gens == again.gens
+
+
+def _numbered_files(tmp_path, count):
+    """``count`` files of the trefoil, each with its own generator name."""
+    doc = json.loads(Path(_trefoil(tmp_path)).read_text())
+    paths = []
+    for i in range(count):
+        doc["generators"][0]["name"] = f"g{i}"
+        paths.append(tmp_path / f"g{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    return [str(p) for p in paths]
+
+
+def test_the_kept_inputs_stay_within_their_count(tmp_path):
+    paths = _numbered_files(tmp_path, cli.INPUT_MEMO_LIMIT + 5)
+    cli._inputs.clear()
+    for path in paths[:cli.INPUT_MEMO_LIMIT]:
+        assert run(["euler", "--in", path]) == (0, "-1\n", "")
+    # a hit makes g0 the most recently used, so g1 to g5 go first
+    assert run(["euler", "--in", paths[0]]) == (0, "-1\n", "")
+    for path in paths[cli.INPUT_MEMO_LIMIT:]:
+        assert run(["euler", "--in", path]) == (0, "-1\n", "")
+    assert list(cli._inputs) == [_text(p) for p in
+                                 paths[6:cli.INPUT_MEMO_LIMIT] + [paths[0]]
+                                 + paths[cli.INPUT_MEMO_LIMIT:]]
+
+
+def test_the_kept_inputs_stay_within_their_size(tmp_path, monkeypatch):
+    paths = _numbered_files(tmp_path, 5)
+    size = len(Path(paths[0]).read_text())
+    monkeypatch.setattr(cli, "INPUT_MEMO_CHARS", 3 * size)
+    cli._inputs.clear()
+    for path in paths:
+        assert run(["euler", "--in", path]) == (0, "-1\n", "")
+    assert list(cli._inputs) == [_text(p) for p in paths[2:]]
+    # a specialization weighs as much as a parse; a validate mark nothing
+    assert run(["h", "--in", paths[4], "--specialize", "U=1"]) == (
+        0, "1\n", "")
+    assert list(cli._inputs) == [
+        _text(paths[3]), _text(paths[4]), (_text(paths[4]), "checked"),
+        (_text(paths[4]), ("U=1",), None)]
+    # an input larger than the whole table is not kept
+    monkeypatch.setattr(cli, "INPUT_MEMO_CHARS", size - 1)
+    cli._inputs.clear()
+    assert run(["euler", "--in", paths[0]]) == (0, "-1\n", "")
+    assert not cli._inputs
+
+
+def test_specialize_refusals_name_their_argument(tmp_path):
+    path = _trefoil(tmp_path)
+    for argv, why in (
+            (["--specialize", "U=0", "--ring", "qt"],
+             "--specialize U=0: cannot raise non-monomial to fractional "
+             "power 1/3"),
+            (["--specialize", "U=2", "--ring", "qt"],
+             "--specialize U=2: fractional power of monomial with "
+             "coefficient 2"),
+            (["--specialize", "U=T", "--ring", "qt"],
+             "--specialize U=T: fractional power leaves T-exponent 1/3"),
+            (["--specialize", "U=1", "--specialize", "T=2", "--ring", "z"],
+             "--specialize T=2: 2 is not a unit")):
+        assert run(["h", "--in", path] + argv) == (
+            1, "", f"usage error: {why}\n")

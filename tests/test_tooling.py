@@ -381,3 +381,35 @@ def test_trajectory_summary_keeps_median_and_spread():
     assert T.src_lines(ROOT) == sum(
         len(p.read_text(encoding="utf-8").splitlines())
         for p in SRC.glob("*.py"))
+
+
+def test_trajectory_alternates_parent_and_change(monkeypatch):
+    # each seed runs one pair back to back, the parent first on odd
+    # seeds; no bench runs, run_once is a stub
+    T = _trajectory()
+    calls = []
+
+    def stub(root, workload, seed):
+        calls.append((workload, seed, root))
+        speed = {"p": 400.0, "c": 500.0 if seed != 2 else 400.0}[root]
+        return 0, {"correct": True, "attempted": 3, "failed": 0,
+                   "metrics": {"jobs_per_s": {"value": speed},
+                               "setup_s": {"value": 0.1}}}
+
+    monkeypatch.setattr(T, "run_once", stub)
+    runs = T.measure({"parent": "p", "change": "c"}, ["w", "v"], [1, 2, 3])
+    assert calls == [("w", 1, "p"), ("w", 1, "c"), ("w", 2, "c"),
+                     ("w", 2, "p"), ("w", 3, "p"), ("w", 3, "c"),
+                     ("v", 1, "p"), ("v", 1, "c"), ("v", 2, "c"),
+                     ("v", 2, "p"), ("v", 3, "p"), ("v", 3, "c")]
+    assert [r["side"] for r in runs[:4]] == ["parent", "change",
+                                             "change", "parent"]
+    # seed 2 ties on jobs_per_s and every seed ties on setup_s
+    assert T.wins(runs, {"jobs_per_s": "higher", "setup_s": "lower"}) == {
+        w: {"jobs_per_s": {"won": 2, "pairs": 3},
+            "setup_s": {"won": 0, "pairs": 3}} for w in ("w", "v")}
+    # one checkout alone runs once per seed
+    del calls[:]
+    runs = T.measure({"change": "c"}, ["w"], [1, 2])
+    assert calls == [("w", 1, "c"), ("w", 2, "c")]
+    assert [r["side"] for r in runs] == ["change", "change"]

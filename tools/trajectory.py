@@ -14,6 +14,15 @@ this script); the runs use that checkout's ``bench/`` and ``src/``, and
 the file goes to the root of the repository holding this script.  The
 script only reads ``bench/``; each run leaves its result file in the
 checkout's ``.bench_results/``, as a run by hand does.
+
+``--parent DIR`` measures alternated pairs, because the machine's speed
+drifts between records: for each workload and seed it runs the checkout
+in DIR and the measured one back to back, the parent first on odd seeds
+and the change first on even ones.  The file then also holds the
+parent's commit, line count and summary, and per workload and metric
+the number of seeds on which the change read better than the parent.
+
+    python3 tools/trajectory.py --n 27 --seeds 1 2 3 4 --parent ../parent
 """
 
 from __future__ import annotations
@@ -74,6 +83,50 @@ def run_once(root, workload, seed):
     return proc.returncode, last
 
 
+def measure(roots, workloads, seeds):
+    """Every run, workload by workload and seed by seed; ``roots`` maps
+    each side ("parent", "change") to its checkout, in the order odd
+    seeds run them (even seeds reverse it), and each run names its side."""
+    runs = []
+    for workload in workloads:
+        for seed in seeds:
+            for side in list(roots)[::1 if seed % 2 else -1]:
+                code, last = run_once(roots[side], workload, seed)
+                run = {"workload": workload, "seed": seed, "side": side,
+                       "exit": code}
+                if last is not None:
+                    run.update(correct=last["correct"],
+                               attempted=last["attempted"],
+                               failed=last["failed"],
+                               metrics={k: v["value"] for k, v
+                                        in last["metrics"].items()})
+                runs.append(run)
+                print(json.dumps(run), flush=True)
+    return runs
+
+
+def wins(runs, better):
+    """Per workload and metric, the seeds on which the change read better
+    than the parent (a tie counts for neither) out of the seeds where
+    both sides printed it; ``better`` maps each metric to "higher" or
+    "lower"."""
+    values = {}
+    for r in runs:
+        for name, value in r.get("metrics", {}).items():
+            values.setdefault((r["workload"], name, r["seed"]), {})[
+                r["side"]] = value
+    out = {}
+    for (workload, name, _seed), pair in values.items():
+        if name not in better or len(pair) < 2:
+            continue
+        sign = 1 if better[name] == "higher" else -1
+        entry = out.setdefault(workload, {}).setdefault(
+            name, {"won": 0, "pairs": 0})
+        entry["pairs"] += 1
+        entry["won"] += sign * (pair["change"] - pair["parent"]) > 0
+    return out
+
+
 def record(runs, units):
     """The summary of ``runs`` per workload and end-to-end metric; a run
     that printed no metrics counts in ``failed_runs`` only."""
@@ -97,26 +150,20 @@ def main(argv=None):
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--root", default=HERE,
                     help="the checkout to measure (default: this one)")
+    ap.add_argument("--parent",
+                    help="a checkout to run in alternated pairs with it")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
     with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
+    roots = {"change": root}
+    if args.parent:
+        roots = {"parent": os.path.abspath(args.parent), "change": root}
 
-    runs = []
-    for workload in [w["name"] for w in bench["workloads"]]:
-        for seed in args.seeds:
-            code, last = run_once(root, workload, seed)
-            run = {"workload": workload, "seed": seed, "exit": code}
-            if last is not None:
-                run.update(correct=last["correct"],
-                           attempted=last["attempted"],
-                           failed=last["failed"],
-                           metrics={k: v["value"] for k, v
-                                    in last["metrics"].items()})
-            runs.append(run)
-            print(json.dumps(run), flush=True)
-
+    runs = measure(roots, [w["name"] for w in bench["workloads"]],
+                   args.seeds)
+    mine = [r for r in runs if r["side"] == "change"]
     doc = {
         "n": args.n,
         "command": (f"bench/run.py --workload W --seed S --seconds "
@@ -129,9 +176,17 @@ def main(argv=None):
                     "cpus": os.cpu_count()},
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "seeds": args.seeds,
-        "summary": record(runs, units),
-        "runs": runs,
+        "summary": record(mine, units),
     }
+    if args.parent:
+        parent = roots["parent"]
+        doc["parent"] = {
+            "commit": commit(parent), "src_scx_lines": src_lines(parent),
+            "summary": record([r for r in runs if r["side"] == "parent"],
+                              units)}
+        doc["wins"] = wins(runs, {m["name"]: m["better"]
+                                  for m in bench["end_to_end"]})
+    doc["runs"] = runs
     out = os.path.join(HERE, f"BENCH_{args.n}.json")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
