@@ -521,11 +521,8 @@ def _cmd_gamma(args, out, err):
         ks.extend(range(lo, hi + 1))
     if not ks:
         raise UsageError("gamma needs --k or --min/--max")
-    C = _input_complex(args)
-    vals = {}
-    for k in sorted(set(ks)):
-        g = equivariant.gamma(C, k)
-        vals[k] = "infinity" if g is INFINITY else str(g)
+    vals = {k: "infinity" if g is INFINITY else str(g) for k, g in
+            equivariant.gamma(_input_complex(args), sorted(set(ks))).items()}
     payload = {"gamma": {str(k): v for k, v in vals.items()}}
     lines = [f"gamma({k})\t{v}" for k, v in vals.items()]
     _emit(payload, args.json, lines, out)

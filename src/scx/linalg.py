@@ -436,16 +436,16 @@ def det(M):
     return -d if sign < 0 else d
 
 
-def _clear(A, r, c, rows):
+def _clear(A, pivot, c, rows):
     """Clear column c from each row A[i], i in ``rows``, that holds it: the
-    row becomes p*row - q*A[r] (p = A[r][c], q = A[i][c]), walking only
+    row becomes p*row - q*pivot (p = pivot[c], q = A[i][c]), walking only
     the nonzero entries of both."""
-    p = A[r][c]
+    p = pivot[c]
     for i in rows:
         q = A[i].get(c)
         if q is not None:
             row = {j: p * e for j, e in A[i].items()}
-            _add_into(row, A[r], -q)
+            _add_into(row, pivot, -q)
             A[i] = row
 
 
@@ -464,7 +464,7 @@ def _eliminate(M):
             continue
         best = min(cands, key=lambda i: len(A[i][c]))
         A[r], A[best] = A[best], A[r]
-        _clear(A, r, c, range(r + 1, m))
+        _clear(A, A[r], c, range(r + 1, m))
         pivots.append((r, c))
     return A, pivots
 
@@ -481,8 +481,36 @@ def prefix_ranks(M):
     column order, so column c pivots exactly when it is outside the span
     of the columns before it, and r_c counts the pivot columns below c.
     Only the pivots are read: the echelon rows need no back pass."""
-    pivots = {c for _r, c in _eliminate(M)[1]}
-    return list(accumulate((c in pivots for c in range(M.cols)), initial=0))
+    return _profile({c for _r, c in _eliminate(M)[1]}, M.cols)
+
+
+def head_prefix_ranks(M, head):
+    """The :func:`prefix_ranks` of the first ``head`` rows of M and of M,
+    from one full sweep, of the head.  Its echelon rows and the rows past
+    the head span the row space of M over the fraction field, so they
+    have the column profile of M; that profile comes from carrying the
+    sweep on over the later rows alone: a column a head row pivots
+    clears it from them, any other column pivots on the one of them with
+    the fewest terms there."""
+    A, pivots = _eliminate(M.rows_selected(range(head)))
+    held = {c: A[r] for r, c in pivots}
+    rest, more = M._dicts[head:], set()
+    for c in range(M.cols):
+        pivot = held.get(c)
+        if pivot is None:
+            cands = [row for row in rest if c in row]
+            if not cands:
+                continue
+            pivot = min(cands, key=lambda row: len(row[c]))
+            rest = [row for row in rest if row is not pivot]
+            more.add(c)
+        _clear(rest, pivot, c, range(len(rest)))
+    return _profile(held, M.cols), _profile(held.keys() | more, M.cols)
+
+
+def _profile(pivot_cols, cols):
+    """[r_0, ..., r_cols]: r_c counts the pivot columns below c."""
+    return list(accumulate((c in pivot_cols for c in range(cols)), initial=0))
 
 
 # kept because bench tracing wraps it by name
@@ -500,7 +528,7 @@ def kernel_fraction_field(M):
     the rows with an entry a at f, and -a * (P / d) at each one's pivot."""
     A, pivots = _eliminate(M)
     for r, c in pivots:
-        _clear(A, r, c, range(r))
+        _clear(A, A[r], c, range(r))
     free = sorted(set(range(M.cols)) - {c for _, c in pivots})
     dicts = [{} for _ in range(M.cols)]
     for j, f in enumerate(free):

@@ -338,6 +338,10 @@ class LaurentPoly:
         return self._terms.get((0, 0, (0,) * nt),
                                _cfrom_int(self.ring.base, 0))
 
+    def slot_terms(self):
+        """The terms as ``((x, n, ts), c)`` pairs, n the stored U-slot."""
+        return self._terms.items()
+
     def terms_dict(self):
         """The terms keyed by ``(x, u, ts)``, with u in value units."""
         ring = self.ring

@@ -311,6 +311,26 @@ def split_level_system(W):
     return W.rows_selected(range(W.rows - 1)), W.rows_selected([W.rows - 1])
 
 
+def reference_u_split(M, unknowns):
+    """The Gamma oracle's U-split, kept apart from the int U-slots of
+    ``equivariant._u_split``: M over the universal ring on the columns of
+    ``unknowns``, a list of (column, U-shift, level), the j-th read as
+    U^shift times an unknown over Z[T-Laurent], split into U-homogeneous
+    equations keyed by Fraction U-exponents, one row per (row of M,
+    U-exponent) in that order."""
+    rows = {}
+    M = M.columns_selected([j for j, _s, _t in unknowns])
+    for i, j, e in M.nonzero_entries():
+        for (_x, u, ts), c in e.terms_dict().items():
+            rows.setdefault((i, u + unknowns[j][1]), {}).setdefault(
+                j, {})[(0, 0, ts)] = c
+    zt = rings.ZT
+    return Matrix.from_entries(zt, len(rows), M.cols, (
+        (r, j, rings.LaurentPoly(zt, terms))
+        for r, key in enumerate(sorted(rows))
+        for j, terms in rows[key].items()))
+
+
 def reference_j_ideals(C, i_min, i_max):
     """``equivariant.j_ideals`` over the Euclidean rings as it was before
     one kernel basis served every level: a kernel basis K of each A_i

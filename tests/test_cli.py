@@ -106,6 +106,23 @@ def test_gamma_values(tmp_path):
     assert "gamma(2)\tinfinity" in out
 
 
+def test_gamma_reads_every_level_once_in_ascending_order(tmp_path):
+    path = tmp_path / "t.json"
+    run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
+    code, out, err = run(["gamma", "--in", str(path), "--k", "3", "--k", "1",
+                          "--min", "0", "--max", "2"])
+    assert (code, err) == (0, "")
+    assert out == ("gamma(0)\t0\ngamma(1)\t1/3\ngamma(2)\tinfinity\n"
+                   "gamma(3)\tinfinity\n")
+    # the refusal comes before any level is read
+    run(["two-bridge", "--p", "3", "--q", "-1", "--ring", "f2t",
+         "--out", str(path)])
+    code, out, err = run(["gamma", "--in", str(path), "--k", "3", "--k", "1",
+                          "--min", "0", "--max", "2"])
+    assert (code, out) == (2, "")
+    assert err == "refused: Gamma needs the universal ring\n"
+
+
 def test_jideals(tmp_path):
     path = tmp_path / "t.json"
     run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])

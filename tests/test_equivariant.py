@@ -286,7 +286,7 @@ def test_h_insensitive_to_fraction_field():
 
 def test_h_and_gamma_eliminate_at_most_twice(monkeypatch):
     # h reads one row profile, and a column profile only when h <= 0;
-    # Gamma(k) reads two profiles of one U-split
+    # Gamma(k) reads two profiles of one U-split from one sweep
     sizes, eliminate = [], L._eliminate
 
     def counted(M):
@@ -300,9 +300,11 @@ def test_h_and_gamma_eliminate_at_most_twice(monkeypatch):
         sizes.clear()
     T2 = _trefoil_power(2)
     for k in range(-3, 7):
-        E.gamma(T2, k)
-        assert len(sizes) == 2
+        E.gamma(T2, [k])
+        assert len(sizes) == 1
         sizes.clear()
+    E.gamma(T2, range(-3, 7))
+    assert len(sizes) == 10
 
 
 def _swap_complex(ring):
@@ -480,31 +482,29 @@ def test_j_ideals_match_one_smith_form_per_level_on_trefoil_powers(k, ring):
 
 def test_gamma_trefoil_table():
     C = trefoil()
-    for k in (-2, -1, 0):
-        assert E.gamma(C, k) == Fraction(0)
-    assert E.gamma(C, 1) == Fraction(1, 3)
-    for k in (2, 3):
-        assert E.gamma(C, k) is E.INFINITY
+    vals = E.gamma(C, range(-2, 4))
+    assert vals == {-2: Fraction(0), -1: Fraction(0), 0: Fraction(0),
+                    1: Fraction(1, 3), 2: E.INFINITY, 3: E.INFINITY}
+    assert all(type(v) is Fraction for v in list(vals.values())[:4])
 
 
 def test_gamma_tensor_square_monotone():
     C = trefoil()
     T = S.tensor(C, C)
-    vals = [E.gamma(T, k) for k in range(-1, 3)]
+    vals = list(E.gamma(T, range(-1, 3)).values())
     assert vals == [Fraction(0), Fraction(0), Fraction(1, 3),
                     Fraction(2, 3)]
-    assert E.gamma(T, 3) is E.INFINITY
+    assert E.gamma(T, [3]) == {3: E.INFINITY}
     # non-decreasing and positive for positive k
     finite = [v for v in vals if v is not E.INFINITY]
     assert finite == sorted(finite)
-    assert all(E.gamma(T, k) > 0 for k in (1, 2))
+    assert all(v > 0 for v in vals[2:])
 
 
 def test_gamma_finite_iff_k_below_h():
     C = trefoil()
     h = E.h_invariant(C)
-    for k in range(-2, h + 3):
-        val = E.gamma(C, k)
+    for k, val in E.gamma(C, range(-2, h + 3)).items():
         assert (val is not E.INFINITY) == (k <= h)
 
 
@@ -545,7 +545,7 @@ def test_gamma_finite_up_to_h_and_non_decreasing(factors):
         C = S.tensor(C, _law_factor(f))
     h = E.h_invariant(C)
     ks = range(h - 2, h + 3)
-    vals = [E.gamma(C, k) for k in ks]
+    vals = list(E.gamma(C, ks).values())
     assert [v is not E.INFINITY for v in vals] == [k <= h for k in ks]
     finite = [v for v in vals if v is not E.INFINITY]
     assert finite == sorted(finite)
@@ -560,8 +560,9 @@ def _gamma_by_kernels(C, k):
                 == 1]
     unknowns += [(C.n + i, Fraction(k + i, 2), Fraction(0))
                  for i in range(k % 2, 1 - k, 2)]
-    A, T = (E._u_split(M, unknowns)[0] for M in helpers.split_level_system(
-        E._level_system(C, E.v_powers(C, C.n), k)))
+    A, T = (helpers.reference_u_split(M, unknowns)
+            for M in helpers.split_level_system(
+                E._level_system(C, E.v_powers(C, C.n), k)))
     for t in sorted({level for *_, level in unknowns}):
         if t < 0 and k <= 0:
             continue
@@ -585,8 +586,15 @@ def test_gamma_matches_the_kernel_oracle(name):
     # (audited) values until the bigrading is settled
     C = reduce(S.tensor, [_trefoil_power(int(f[1])) if f[0] == "T"
                           else _law_factor(f) for f in name.split("x")])
-    for k in range(-3, 7):
-        assert E.gamma(C, k) == _gamma_by_kernels(C, k), k
+    _assert_gamma_matches_the_kernel_oracle(C, name)
+
+
+def _assert_gamma_matches_the_kernel_oracle(C, name):
+    """Gamma on k = -3..6, one level per call and in one range call,
+    against the kernel oracle."""
+    want = {k: _gamma_by_kernels(C, k) for k in range(-3, 7)}
+    assert {k: E.gamma(C, [k])[k] for k in want} == want, name
+    assert E.gamma(C, range(-3, 7)) == want, name
 
 
 def test_gamma_matches_the_kernel_oracle_on_two_bridge_complexes():
@@ -602,15 +610,14 @@ def test_gamma_matches_the_kernel_oracle_on_two_bridge_complexes():
                 continue
             if C.v_trusted:
                 checked += 1
-                for k in range(-3, 7):
-                    assert E.gamma(C, k) == _gamma_by_kernels(C, k), (p, q)
+                _assert_gamma_matches_the_kernel_oracle(C, (p, q))
     assert checked >= 8
 
 
 def test_gamma_needs_instanton_grading():
     C = trefoil("f2t")
     with pytest.raises(E.UnsupportedRingError):
-        E.gamma(C, 1)
+        E.gamma(C, [1])
 
 
 # ---------------------------------------------------------------------------

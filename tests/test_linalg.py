@@ -273,6 +273,10 @@ def test_prefix_ranks_are_the_ranks_of_the_column_prefixes():
             assert ranks == [L.rank(M.columns_selected(range(c)))
                              for c in range(n + 1)]
             assert ranks[-1] == L.rank(M)
+            # the profiles of each head of the rows and of M, from one sweep
+            for head in range(m + 1):
+                assert L.head_prefix_ranks(M, head) == (
+                    L.prefix_ranks(M.rows_selected(range(head))), ranks)
             # the rows run out before the last column
             ran_out += 0 < m == ranks[-1] and ranks.index(m) < n
     assert ran_out >= 20

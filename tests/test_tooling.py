@@ -125,15 +125,17 @@ def test_h_search_reads_only_ranks():
 
 
 def test_gamma_reads_one_level_system():
-    # Gamma U-splits W_k once, reads two rank profiles of the split and
-    # compares k with nothing: it has no branch on the sign of k
+    # Gamma U-splits W_k once per level, reads the two rank profiles of
+    # the split from one call and compares k with nothing: it has no
+    # branch on the sign of k
     tree = ast.parse((SRC / "equivariant.py").read_text(encoding="utf-8"))
     fn = next(f for f in tree.body
               if isinstance(f, ast.FunctionDef) and f.name == "gamma")
     calls = [getattr(node.func, "attr", getattr(node.func, "id", None))
              for node in ast.walk(fn) if isinstance(node, ast.Call)]
     assert calls.count("_level_system") == 1
-    assert calls.count("prefix_ranks") == 2
+    assert calls.count("head_prefix_ranks") == 1
+    assert "prefix_ranks" not in calls
     assert not [node for node in ast.walk(fn)
                 if isinstance(node, ast.Compare) and any(
                     isinstance(name, ast.Name) and name.id == "k"
@@ -413,3 +415,13 @@ def test_trajectory_alternates_parent_and_change(monkeypatch):
     runs = T.measure({"change": "c"}, ["w"], [1, 2])
     assert calls == [("w", 1, "c"), ("w", 2, "c")]
     assert [r["side"] for r in runs] == ["change", "change"]
+
+
+def test_trajectory_layer_microbenchmarks_run():
+    # one timed call each, in a fresh process on this checkout's src/
+    medians = _trajectory().run_layers(str(ROOT), repeat=1)
+    assert sorted(medians) == [
+        "equivariant.gamma.T1", "equivariant.gamma.T2",
+        "equivariant.gamma.T3", "equivariant.gamma.T4",
+        "equivariant.h_invariant.T4", "equivariant.j_ideals.T4_f2t"]
+    assert all(s > 0 for s in medians.values())

@@ -23,6 +23,13 @@ parent's commit, line count and summary, and per workload and metric
 the number of seeds on which the change read better than the parent.
 
     python3 tools/trajectory.py --n 27 --seeds 1 2 3 4 --parent ../parent
+
+Every record also holds, under ``layers``, the in-process layer
+microbenchmarks of each checkout it measures, run in a fresh process on
+that checkout's ``src/``: the median seconds of ``LAYER_REPEAT`` timed
+calls each of ``equivariant.gamma`` over k = -2..5 on the trefoil powers
+T1-T4, and of ``h_invariant`` and ``j_ideals`` (over F2[T-Laurent], i =
+-1..5) on T4.
 """
 
 from __future__ import annotations
@@ -34,10 +41,13 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # the run length BENCHMARK.json sets
 SECONDS = 22
+# timed calls per layer microbenchmark
+LAYER_REPEAT = 25
 
 
 def summarize(values):
@@ -103,6 +113,54 @@ def measure(roots, workloads, seeds):
                 runs.append(run)
                 print(json.dumps(run), flush=True)
     return runs
+
+
+def _gamma_range(E, C, ks):
+    """Gamma over the levels ``ks``: one call, or one per level where
+    ``gamma`` takes a single level k (checkouts before the list form)."""
+    if E.gamma.__code__.co_varnames[1] == "k":
+        return [E.gamma(C, k) for k in ks]
+    return E.gamma(C, ks)
+
+
+def layer_medians(repeat):
+    """The median seconds of ``repeat`` timed calls of each layer
+    microbenchmark, on the scx that ``sys.path`` finds."""
+    from scx import equivariant as E, knots, rings, scomplex as S
+    T1 = knots.fixture("trefoil")
+    T2 = S.tensor(T1, T1)
+    powers = [T1, T2, S.tensor(T2, T1), S.tensor(T2, T2)]
+    T4 = powers[-1]
+    T4_f2t = S.base_change_complex(
+        T4, S.standard_assignment(T4.ring, rings.F2T, U="1"), rings.F2T)
+    ks = list(range(-2, 6))
+    cases = {f"equivariant.gamma.T{i}": (_gamma_range, E, C, ks)
+             for i, C in enumerate(powers, 1)}
+    cases["equivariant.h_invariant.T4"] = (E.h_invariant, T4)
+    cases["equivariant.j_ideals.T4_f2t"] = (E.j_ideals, T4_f2t, -1, 5)
+    out = {}
+    for name, (fn, *args) in cases.items():
+        times = []
+        for _ in range(repeat):
+            start = time.perf_counter()
+            fn(*args)
+            times.append(time.perf_counter() - start)
+        out[name] = statistics.median(times)
+    return out
+
+
+def run_layers(root, repeat=LAYER_REPEAT):
+    """:func:`layer_medians` in a fresh process on the ``src/`` of the
+    checkout ``root``; None when that process fails."""
+    paths = [os.path.join(root, "src"), os.path.join(HERE, "tools")]
+    code = (f"import json, sys; sys.path[:0] = {paths!r}; "
+            f"import trajectory; "
+            f"print(json.dumps(trajectory.layer_medians({repeat})))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        return None
+    return json.loads(proc.stdout)
 
 
 def wins(runs, better):
@@ -177,13 +235,16 @@ def main(argv=None):
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "seeds": args.seeds,
         "summary": record(mine, units),
+        "layers": {"repeat": LAYER_REPEAT, "median_s": run_layers(root)},
     }
     if args.parent:
         parent = roots["parent"]
         doc["parent"] = {
             "commit": commit(parent), "src_scx_lines": src_lines(parent),
             "summary": record([r for r in runs if r["side"] == "parent"],
-                              units)}
+                              units),
+            "layers": {"repeat": LAYER_REPEAT,
+                       "median_s": run_layers(parent)}}
         doc["wins"] = wins(runs, {m["name"]: m["better"]
                                   for m in bench["end_to_end"]})
     doc["runs"] = runs
