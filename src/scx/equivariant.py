@@ -25,13 +25,12 @@ exactly when rank W_k > rank A_k over the fraction field: h is the
 largest k with one, Gamma(k) the least Chern-Simons level of one over
 the universal ring, and J_k is generated by the entries of T_k K for a
 kernel basis K of A_k.  The systems nest (W_k leads W_(k+1) for k >= 1,
-A_k leads A_(k-1) for k <= 0), so h reads one row and one column rank
-profile (``linalg.prefix_ranks``), and J_k cuts one kernel basis, of the
-lowest A_k, by the row T_k K.  Gamma reads two column profiles of one
-U-split S of W_k (``linalg.head_prefix_ranks``): the split rows of T_k
-sort last, so A_k's split is a head of S, swept once to echelon form;
-those echelon rows and T_k's split rows span the row space of S, so
-carrying the sweep on over T_k's rows alone gives the profile of W_k.
+A_k leads A_(k-1) for k <= 0), so h reads which rows of one system and
+which columns of another raise the rank (``linalg.pivot_columns``), and
+J_k cuts one kernel basis, of the lowest A_k, by the row T_k K.  Gamma
+reads one U-split S of W_k, whose rows born of T_k sort last: its value
+is the level of the first unknown, in level order, at which S outranks
+its head, the split of A_k (``linalg.raising_column``).
 """
 
 from __future__ import annotations
@@ -289,28 +288,29 @@ def _search_bound(C, vp):
 
 def h_invariant(C):
     """The Froyshov invariant of a complex with a trusted v map, from the
-    row profile of W_b = A_(b + 1) and, when no k >= 1 has a witness, the
-    column profile of A_(-b - 1), the first n rows of W_(-b - 1), b the
+    pivot rows of W_b = A_(b + 1) and, when no k >= 1 has a witness, the
+    pivot columns of A_(-b - 1), the first n rows of W_(-b - 1), b the
     search bound (module docstring).  The tests check it against the top
     nonzero index of :func:`j_ideals`."""
     _require_trusted(C, "the h invariant")
     # the bound is at most n + 1 and the searches reach v^(bound + 1)
     vp = v_powers(C, C.n + 2)
     bound = _search_bound(C, vp)
-    # r[n + k - 1] is the rank of A_k: its first n + k - 1 rows for k >= 1
-    r = linalg.prefix_ranks(_level_system(C, vp, bound).transpose())
-    # once delta1 v^(k-1) dies on ker A_k it stays dead: v^(m-k) maps
-    # later witnesses back to level k
-    h = 0
-    while h < bound and r[C.n + h + 1] > r[C.n + h]:
-        h += 1
+    # for k >= 1, A_k is the first n + k - 1 rows of W_b, and row n + k - 1
+    # (T_k) raises its rank exactly when level k has a witness; once
+    # delta1 v^(k-1) dies on ker A_k it stays dead: v^(m-k) maps later
+    # witnesses back to level k
+    rows = linalg.pivot_columns(_level_system(C, vp, bound).transpose())
+    h = next((k for k in range(bound) if C.n + k not in rows), bound)
     if h > 0:
         return h
-    # r[n + 1 - k] is the rank of A_k: its first n + 1 - k columns for k <= 1
-    r = linalg.prefix_ranks(
+    # for k <= 0, A_k is the first n + 1 - k columns of A_(-b - 1), and
+    # level k has a witness exactly when its last column, n - k, does not
+    # raise the rank
+    cols = linalg.pivot_columns(
         _level_system(C, vp, -bound - 1).rows_selected(range(C.n)))
     for k in range(0, -(bound + 2), -1):
-        if r[C.n + 1 - k] == r[C.n - k]:
+        if C.n - k not in cols:
             return k
     raise EquivariantError("h search failed to terminate within its bound")
 
@@ -427,8 +427,8 @@ def _u_split(M, slots):
     (column, U-shift), the j-th read as U^shift times an unknown over
     Z[T-Laurent] for an integral shift, split into U-homogeneous
     equations: the matrix over Z[T-Laurent] with one row per (row of M,
-    stored U-slot of the product), rows in that order, and the row of M
-    behind each of its rows."""
+    stored U-slot of the product), rows in that order, and the number of
+    its rows born of the rows of M before the last."""
     N = M.ring.udenom
     rows = {}
     M = M.columns_selected([j for j, _s in slots])
@@ -438,19 +438,20 @@ def _u_split(M, slots):
             rows.setdefault((i, n + shift), {}).setdefault(j, {})[
                 (0, 0, ts)] = c
     keys = sorted(rows)
+    head = sum(i < M.rows - 1 for i, _n in keys)
     zt = rings.ZT
     return Matrix.from_entries(zt, len(keys), M.cols, (
         (r, j, rings.LaurentPoly._trusted(zt, terms))
         for r, key in enumerate(keys)
-        for j, terms in rows[key].items())), [i for i, _n in keys]
+        for j, terms in rows[key].items())), head
 
 
 def gamma(C, ks):
     """{k: Gamma(k)} for the levels ``ks``: the Chern-Simons level of the
     cheapest witness for h >= k, that is the level of the first unknown,
     in level order, at which rank W_k > rank A_k (module docstring) on
-    the unknowns so far, read from the prefix ranks of one U-split of W_k
-    and of its rows not born of T_k.  The refusals are checked and the
+    the unknowns so far: the first column at which one U-split of W_k
+    outranks its rows not born of T_k.  The refusals are checked and the
     powers of v built once for all levels.
 
     Defined for I-graded level-0 complexes over the universal ring with a
@@ -488,16 +489,13 @@ def gamma(C, ks):
         unknowns += [(C.n + i, (k + i) // 2, 0)
                      for i in range(k % 2, 1 - k, 2)]
         unknowns.sort(key=lambda u: u[2])
-        # the ranks of W_k and of A_k on each prefix: a witness on a
-        # prefix is one on every longer prefix (T_k is zero below level 0
-        # for k <= 0); the rows of T_k sort last
-        W = _level_system(C, vp, k)
-        S, origin = _u_split(W, [u[:2] for u in unknowns])
-        r_a, r_w = linalg.head_prefix_ranks(
-            S, len(origin) - origin.count(W.rows - 1))
-        out[k] = next((Fraction(t, D) for (*_, t), with_t, without
-                       in zip(unknowns, r_w[1:], r_a[1:])
-                       if with_t > without), INFINITY)
+        # the first prefix of the unknowns on which W_k outranks A_k: a
+        # witness on a prefix is one on every longer prefix (T_k is zero
+        # below level 0 for k <= 0); the rows of T_k sort last
+        S, head = _u_split(_level_system(C, vp, k),
+                           [u[:2] for u in unknowns])
+        c = linalg.raising_column(S, head)
+        out[k] = INFINITY if c is None else Fraction(unknowns[c][2], D)
     return out
 
 

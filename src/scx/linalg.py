@@ -7,15 +7,15 @@ every matrix of the package is built from those entries by
 diagonal Smith reduction with transform certificates over the Euclidean
 rings (Z, the constant fields, and one-variable Laurent rings over a
 field) and the invariant factors read from it, kernels, exact linear
-solving, the homology of a differential from its Smith form, and
-fraction-field ranks and rank profiles over any integral domain, read
-from the pivots of one division-free forward sweep to echelon (not
-reduced) form, which a back pass turns into fraction-field kernels."""
+solving, the homology of a differential from its Smith form, and over
+any integral domain the fraction-field ranks and the columns that raise
+them, read from the pivot columns of one division-free forward sweep to
+echelon (not reduced) form, which a back pass turns into fraction-field
+kernels."""
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import accumulate
 from math import prod
 
 from .rings import (LaurentPoly, RingMismatchError, divide,
@@ -474,43 +474,33 @@ def rank(M):
     return len(_eliminate(M)[1])
 
 
-def prefix_ranks(M):
-    """[r_0, ..., r_cols]: r_c is the rank of the first c columns of M over
-    the fraction field.  Row operations keep the linear relations among
-    the columns, and the forward sweep of :func:`_eliminate` pivots in
-    column order, so column c pivots exactly when it is outside the span
-    of the columns before it, and r_c counts the pivot columns below c.
-    Only the pivots are read: the echelon rows need no back pass."""
-    return _profile({c for _r, c in _eliminate(M)[1]}, M.cols)
+def pivot_columns(M):
+    """The columns where the forward sweep of :func:`_eliminate` pivots.
+    Row operations keep the linear relations among the columns, and the
+    sweep pivots in column order, so column c is one exactly when it is
+    outside the span of the columns before it over the fraction field:
+    when it raises the rank of the column prefix.  Only the pivots are
+    read: the echelon rows need no back pass."""
+    return {c for _r, c in _eliminate(M)[1]}
 
 
-def head_prefix_ranks(M, head):
-    """The :func:`prefix_ranks` of the first ``head`` rows of M and of M,
-    from one full sweep, of the head.  Its echelon rows and the rows past
-    the head span the row space of M over the fraction field, so they
-    have the column profile of M; that profile comes from carrying the
-    sweep on over the later rows alone: a column a head row pivots
-    clears it from them, any other column pivots on the one of them with
-    the fewest terms there."""
+def raising_column(M, head):
+    """The first column c at which the rank of the first c + 1 columns of
+    M exceeds that of its first ``head`` rows over the fraction field, or
+    None when there is none.  One sweep of the head gives its echelon
+    rows, which with the rows past the head span the row space of M; so
+    the later rows are reduced by the head's pivot rows, column by
+    column, and c is the first column that one of them still holds and
+    no head row pivots."""
     A, pivots = _eliminate(M.rows_selected(range(head)))
     held = {c: A[r] for r, c in pivots}
-    rest, more = M._dicts[head:], set()
+    rest = M._dicts[head:]
     for c in range(M.cols):
-        pivot = held.get(c)
-        if pivot is None:
-            cands = [row for row in rest if c in row]
-            if not cands:
-                continue
-            pivot = min(cands, key=lambda row: len(row[c]))
-            rest = [row for row in rest if row is not pivot]
-            more.add(c)
-        _clear(rest, pivot, c, range(len(rest)))
-    return _profile(held, M.cols), _profile(held.keys() | more, M.cols)
-
-
-def _profile(pivot_cols, cols):
-    """[r_0, ..., r_cols]: r_c counts the pivot columns below c."""
-    return list(accumulate((c in pivot_cols for c in range(cols)), initial=0))
+        if c in held:
+            _clear(rest, held[c], c, range(len(rest)))
+        elif any(c in row for row in rest):
+            return c
+    return None
 
 
 # kept because bench tracing wraps it by name

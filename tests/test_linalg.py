@@ -250,7 +250,12 @@ def test_kernel_fraction_field_spans():
                     == [j2 == j for j2 in range(K.cols)]
 
 
-def test_prefix_ranks_are_the_ranks_of_the_column_prefixes():
+def _prefix_ranks(M):
+    """The rank of every column prefix of M, 0 and M.cols included."""
+    return [L.rank(M.columns_selected(range(c))) for c in range(M.cols + 1)]
+
+
+def test_pivot_and_raising_columns_are_read_from_the_prefix_ranks():
     rng = random.Random(1818)
     ran_out = 0
     for ring in (R.Z, R.ZT, R.F2T, R.QT, R.universal(3)):
@@ -268,24 +273,54 @@ def test_prefix_ranks_are_the_ranks_of_the_column_prefixes():
                                  for _ in range(m)])
             M = L.Matrix(ring, [[col[i] for col in cols]
                                 for i in range(m)], cols=n)
-            ranks = L.prefix_ranks(M)
-            # every cut, 0 and M.cols included
-            assert ranks == [L.rank(M.columns_selected(range(c)))
-                             for c in range(n + 1)]
-            assert ranks[-1] == L.rank(M)
-            # the profiles of each head of the rows and of M, from one sweep
+            ranks = _prefix_ranks(M)
+            # a pivot column is one that raises the rank of the prefix
+            assert L.pivot_columns(M) == {c for c in range(n)
+                                          if ranks[c + 1] > ranks[c]}
+            # the first column at which M outranks each head of its rows
             for head in range(m + 1):
-                assert L.head_prefix_ranks(M, head) == (
-                    L.prefix_ranks(M.rows_selected(range(head))), ranks)
+                below = _prefix_ranks(M.rows_selected(range(head)))
+                assert L.raising_column(M, head) == next(
+                    (c for c in range(n) if ranks[c + 1] > below[c + 1]),
+                    None)
             # the rows run out before the last column
             ran_out += 0 < m == ranks[-1] and ranks.index(m) < n
     assert ran_out >= 20
-    # one row: elimination stops after column 0, and the later prefixes
-    # keep rank 1
-    assert L.prefix_ranks(zm([[2, 1, 0, 3]])) == [0, 1, 1, 1, 1]
-    assert L.prefix_ranks(zm([[0, 1], [0, 2]])) == [0, 0, 1]
-    assert L.prefix_ranks(L.Matrix.zeros(R.Z, 3, 0)) == [0]
-    assert L.prefix_ranks(L.Matrix.zeros(R.Z, 0, 2)) == [0, 0, 0]
+    # one row: elimination stops after column 0
+    assert L.pivot_columns(zm([[2, 1, 0, 3]])) == {0}
+    assert L.pivot_columns(zm([[0, 1], [0, 2]])) == {1}
+    assert L.pivot_columns(L.Matrix.zeros(R.Z, 3, 0)) == set()
+    assert L.pivot_columns(L.Matrix.zeros(R.Z, 0, 2)) == set()
+    # a later row raises the rank only where it leaves the head's span
+    assert L.raising_column(zm([[0, 1], [0, 2]]), 1) is None
+    assert L.raising_column(zm([[0, 1], [3, 2]]), 1) == 0
+    assert L.raising_column(zm([[1, 1, 0], [2, 2, 5]]), 1) == 2
+    assert L.raising_column(L.Matrix.zeros(R.Z, 0, 2), 0) is None
+
+
+def test_raising_column_stops_at_the_first_raise(monkeypatch):
+    # the row past the head holds column 0, which no head row pivots, so
+    # nothing is cleared after the head's sweep
+    events, eliminate, clear = [], L._eliminate, L._clear
+
+    def swept(M):
+        out = eliminate(M)
+        events.append("sweep")
+        return out
+
+    def cleared(*args):
+        events.append("clear")
+        return clear(*args)
+
+    monkeypatch.setattr(L, "_eliminate", swept)
+    monkeypatch.setattr(L, "_clear", cleared)
+    M = zm([[0, 1, 2, 0], [0, 3, 0, 1], [5, 7, 1, 1]])
+    assert L.raising_column(M, 2) == 0
+    assert events[-1] == "sweep" and "clear" in events
+    # the head alone pivots at column 1, so the later row is cleared there
+    del events[:]
+    assert L.raising_column(zm([[0, 1, 2], [0, 3, 1]]), 1) == 2
+    assert events[-2:] == ["sweep", "clear"]
 
 
 def test_fraction_field_elimination_work_on_a_sparse_cone(monkeypatch):
@@ -336,14 +371,17 @@ def _columns(K):
 
 def _agrees_with_gauss_jordan(M, kernels=True):
     """The forward sweep pivots where Gauss-Jordan elimination does, so
-    rank and the rank profile are the oracle's; and each kernel column is
+    rank and the pivot columns are the oracle's; and each kernel column is
     a nonzero multiple of the oracle's column with the same index."""
     pivots = L._eliminate(M)[1]
     assert pivots == helpers.reference_eliminate(M)[1]
     assert L.rank(M) == len(pivots)
     cols = {c for _r, c in pivots}
-    assert L.prefix_ranks(M) == [sum(1 for c in cols if c < k)
-                                 for k in range(M.cols + 1)]
+    assert L.pivot_columns(M) == cols
+    # over a head of no rows the first pivot column raises the rank; over
+    # all of them no column does
+    assert L.raising_column(M, 0) == min(cols, default=None)
+    assert L.raising_column(M, M.rows) is None
     if not kernels:
         return
     free = [f for f in range(M.cols) if f not in cols]

@@ -125,17 +125,17 @@ def test_h_search_reads_only_ranks():
 
 
 def test_gamma_reads_one_level_system():
-    # Gamma U-splits W_k once per level, reads the two rank profiles of
-    # the split from one call and compares k with nothing: it has no
-    # branch on the sign of k
+    # Gamma U-splits W_k once per level, reads the first column at which
+    # the split outranks its head from one call and compares k with
+    # nothing: it has no branch on the sign of k
     tree = ast.parse((SRC / "equivariant.py").read_text(encoding="utf-8"))
     fn = next(f for f in tree.body
               if isinstance(f, ast.FunctionDef) and f.name == "gamma")
     calls = [getattr(node.func, "attr", getattr(node.func, "id", None))
              for node in ast.walk(fn) if isinstance(node, ast.Call)]
     assert calls.count("_level_system") == 1
-    assert calls.count("head_prefix_ranks") == 1
-    assert "prefix_ranks" not in calls
+    assert calls.count("raising_column") == 1
+    assert "pivot_columns" not in calls
     assert not [node for node in ast.walk(fn)
                 if isinstance(node, ast.Compare) and any(
                     isinstance(name, ast.Name) and name.id == "k"
@@ -178,6 +178,29 @@ def _functions_calling(name):
                     for node in ast.walk(fn)):
                 found.add((path.name, fn.name))
     return sorted(found)
+
+
+def test_h_and_gamma_read_pivots_not_rank_profiles():
+    # the one forward sweep answers with its pivot columns: no module
+    # sums them into running rank profiles for a reader to difference
+    gone = {"prefix_ranks", "head_prefix_ranks", "_profile", "accumulate"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, ast.Call):
+                names = [getattr(node.func, "attr",
+                                 getattr(node.func, "id", None))]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+            found += [(path.name, name) for name in names if name in gone]
+    assert found == []
+    assert _functions_calling("pivot_columns") == [
+        ("equivariant.py", "h_invariant")]
+    assert _functions_calling("raising_column") == [
+        ("equivariant.py", "gamma")]
 
 
 def test_the_divisibility_chain_is_read_in_one_place():
@@ -387,9 +410,14 @@ def test_trajectory_summary_keeps_median_and_spread():
 
 def test_trajectory_alternates_parent_and_change(monkeypatch):
     # each seed runs one pair back to back, the parent first on odd
-    # seeds; no bench runs, run_once is a stub
+    # seeds, then one layer round per side in the same order; no bench
+    # or layer runs, run_once and run_layers are stubs
     T = _trajectory()
     calls = []
+
+    def layer_stub(root):
+        calls.append(("layers", root))
+        return {"g": float(len(calls))}
 
     def stub(root, workload, seed):
         calls.append((workload, seed, root))
@@ -399,11 +427,24 @@ def test_trajectory_alternates_parent_and_change(monkeypatch):
                                "setup_s": {"value": 0.1}}}
 
     monkeypatch.setattr(T, "run_once", stub)
-    runs = T.measure({"parent": "p", "change": "c"}, ["w", "v"], [1, 2, 3])
-    assert calls == [("w", 1, "p"), ("w", 1, "c"), ("w", 2, "c"),
-                     ("w", 2, "p"), ("w", 3, "p"), ("w", 3, "c"),
-                     ("v", 1, "p"), ("v", 1, "c"), ("v", 2, "c"),
-                     ("v", 2, "p"), ("v", 3, "p"), ("v", 3, "c")]
+    monkeypatch.setattr(T, "run_layers", layer_stub)
+    runs, rounds = T.measure({"parent": "p", "change": "c"}, ["w", "v"],
+                             [1, 2, 3])
+    pc, cp = ["p", "c"], ["c", "p"]
+    assert calls == [
+        step for w in ("w", "v")
+        for seed, order in ((1, pc), (2, cp), (3, pc))
+        for step in [(w, seed, side) for side in order]
+        + [("layers", side) for side in order]]
+    # every round is kept, and the median is taken over the rounds
+    assert [r["g"] for r in rounds["change"]] == [4.0, 7.0, 12.0,
+                                                  16.0, 19.0, 24.0]
+    record = T.layers(rounds["change"])
+    assert record["rounds"] == rounds["change"]
+    assert record["median_s"] == {"g": 14.0}
+    assert record["repeat"] == T.LAYER_REPEAT
+    assert T.layers([None, {"g": 1.0}])["median_s"] == {"g": 1.0}
+    assert T.layers([None])["median_s"] == {}
     assert [r["side"] for r in runs[:4]] == ["parent", "change",
                                              "change", "parent"]
     # seed 2 ties on jobs_per_s and every seed ties on setup_s
@@ -412,8 +453,10 @@ def test_trajectory_alternates_parent_and_change(monkeypatch):
             "setup_s": {"won": 0, "pairs": 3}} for w in ("w", "v")}
     # one checkout alone runs once per seed
     del calls[:]
-    runs = T.measure({"change": "c"}, ["w"], [1, 2])
-    assert calls == [("w", 1, "c"), ("w", 2, "c")]
+    runs, rounds = T.measure({"change": "c"}, ["w"], [1, 2])
+    assert calls == [("w", 1, "c"), ("layers", "c"), ("w", 2, "c"),
+                     ("layers", "c")]
+    assert list(rounds) == ["change"] and len(rounds["change"]) == 2
     assert [r["side"] for r in runs] == ["change", "change"]
 
 

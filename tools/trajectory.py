@@ -29,7 +29,10 @@ microbenchmarks of each checkout it measures, run in a fresh process on
 that checkout's ``src/``: the median seconds of ``LAYER_REPEAT`` timed
 calls each of ``equivariant.gamma`` over k = -2..5 on the trefoil powers
 T1-T4, and of ``h_invariant`` and ``j_ideals`` (over F2[T-Laurent], i =
--1..5) on T4.
+-1..5) on T4.  One round of them runs per side after each seed's bench
+runs, in that seed's order, so the layers alternate as the bench runs
+do; each side keeps every round's medians and, per layer, the median
+over the rounds.
 """
 
 from __future__ import annotations
@@ -94,13 +97,16 @@ def run_once(root, workload, seed):
 
 
 def measure(roots, workloads, seeds):
-    """Every run, workload by workload and seed by seed; ``roots`` maps
-    each side ("parent", "change") to its checkout, in the order odd
-    seeds run them (even seeds reverse it), and each run names its side."""
-    runs = []
+    """Every run, workload by workload and seed by seed, and per side the
+    layer rounds; ``roots`` maps each side ("parent", "change") to its
+    checkout, in the order odd seeds run them (even seeds reverse it),
+    and each run names its side.  After each seed's bench runs one round
+    of :func:`run_layers` runs per side, in the same order."""
+    runs, rounds = [], {side: [] for side in roots}
     for workload in workloads:
         for seed in seeds:
-            for side in list(roots)[::1 if seed % 2 else -1]:
+            order = list(roots)[::1 if seed % 2 else -1]
+            for side in order:
                 code, last = run_once(roots[side], workload, seed)
                 run = {"workload": workload, "seed": seed, "side": side,
                        "exit": code}
@@ -112,15 +118,9 @@ def measure(roots, workloads, seeds):
                                         in last["metrics"].items()})
                 runs.append(run)
                 print(json.dumps(run), flush=True)
-    return runs
-
-
-def _gamma_range(E, C, ks):
-    """Gamma over the levels ``ks``: one call, or one per level where
-    ``gamma`` takes a single level k (checkouts before the list form)."""
-    if E.gamma.__code__.co_varnames[1] == "k":
-        return [E.gamma(C, k) for k in ks]
-    return E.gamma(C, ks)
+            for side in order:
+                rounds[side].append(run_layers(roots[side]))
+    return runs, rounds
 
 
 def layer_medians(repeat):
@@ -134,7 +134,7 @@ def layer_medians(repeat):
     T4_f2t = S.base_change_complex(
         T4, S.standard_assignment(T4.ring, rings.F2T, U="1"), rings.F2T)
     ks = list(range(-2, 6))
-    cases = {f"equivariant.gamma.T{i}": (_gamma_range, E, C, ks)
+    cases = {f"equivariant.gamma.T{i}": (E.gamma, C, ks)
              for i, C in enumerate(powers, 1)}
     cases["equivariant.h_invariant.T4"] = (E.h_invariant, T4)
     cases["equivariant.j_ideals.T4_f2t"] = (E.j_ideals, T4_f2t, -1, 5)
@@ -161,6 +161,15 @@ def run_layers(root, repeat=LAYER_REPEAT):
     if proc.returncode:
         return None
     return json.loads(proc.stdout)
+
+
+def layers(rounds):
+    """One side's layer record: each round's medians (None for a round
+    whose process failed) and, per layer, the median over the rounds."""
+    done = [r for r in rounds if r is not None]
+    return {"repeat": LAYER_REPEAT, "rounds": rounds,
+            "median_s": {name: statistics.median(r[name] for r in done)
+                         for name in (done[0] if done else ())}}
 
 
 def wins(runs, better):
@@ -219,8 +228,8 @@ def main(argv=None):
     if args.parent:
         roots = {"parent": os.path.abspath(args.parent), "change": root}
 
-    runs = measure(roots, [w["name"] for w in bench["workloads"]],
-                   args.seeds)
+    runs, rounds = measure(roots, [w["name"] for w in bench["workloads"]],
+                           args.seeds)
     mine = [r for r in runs if r["side"] == "change"]
     doc = {
         "n": args.n,
@@ -235,7 +244,7 @@ def main(argv=None):
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "seeds": args.seeds,
         "summary": record(mine, units),
-        "layers": {"repeat": LAYER_REPEAT, "median_s": run_layers(root)},
+        "layers": layers(rounds["change"]),
     }
     if args.parent:
         parent = roots["parent"]
@@ -243,8 +252,7 @@ def main(argv=None):
             "commit": commit(parent), "src_scx_lines": src_lines(parent),
             "summary": record([r for r in runs if r["side"] == "parent"],
                               units),
-            "layers": {"repeat": LAYER_REPEAT,
-                       "median_s": run_layers(parent)}}
+            "layers": layers(rounds["parent"])}
         doc["wins"] = wins(runs, {m["name"]: m["better"]
                                   for m in bench["end_to_end"]})
     doc["runs"] = runs
