@@ -498,6 +498,10 @@ def _check_range(lo, hi):
 def _cmd_jideals(args, out, err):
     _check_range(args.min, args.max)
     ideals = equivariant.j_ideals(_input_complex(args), args.min, args.max)
+    if not ideals:
+        raise UsageError("reversed range: " + (
+            f"--min {args.min} is above the default --max" if args.max is None
+            else f"--max {args.max} is below the default --min"))
     payload = {"J": {str(i): [g.to_str() for g in gens]
                      for i, gens in sorted(ideals.items())}}
     lines = []
@@ -515,9 +519,12 @@ def _cmd_gamma(args, out, err):
     for k in ks:
         _check_limit("--k", k)
     if args.min is not None or args.max is not None:
+        _check_range(args.min, args.max)
         lo = args.min if args.min is not None else 0
         hi = args.max if args.max is not None else lo
-        _check_range(lo, hi)
+        if lo > hi:
+            raise UsageError(f"reversed range: --max {hi} is below the "
+                             f"default --min {lo}")
         ks.extend(range(lo, hi + 1))
     if not ks:
         raise UsageError("gamma needs --k or --min/--max")

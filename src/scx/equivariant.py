@@ -15,22 +15,25 @@ ideal sequence J_i.  The Gamma function refines h by the minimal
 Chern-Simons level of a witnessing cycle.
 
 At each level k the three invariants read one matrix W_k = [A_k;
-T_k], T_k its last row, built by ``_level_system``.  For k >= 1, A_k =
-[d; delta1; delta1 v; ...; delta1 v^(k-2)] and T_k = delta1 v^(k-1), so
-W_k = A_(k+1).  For k <= 0, A_k = [d | -delta2 | -v delta2 | ... |
--v^(-k) delta2] (its kernel holds the solutions of d(alpha) = sum_i v^i
-delta2(a_i)) and T_k is the unit row reading a_(-k).  A witness at
-level k is a kernel vector of A_k that T_k does not kill, and one exists
-exactly when rank W_k > rank A_k over the fraction field: h is the
-largest k with one, Gamma(k) the least Chern-Simons level of one over
-the universal ring, and J_k is generated by the entries of T_k K for a
-kernel basis K of A_k.  The systems nest (W_k leads W_(k+1) for k >= 1,
-A_k leads A_(k-1) for k <= 0), so h reads which rows of one system and
-which columns of another raise the rank (``linalg.pivot_columns``), and
-J_k cuts one kernel basis, of the lowest A_k, by the row T_k K.  Gamma
-reads one U-split S of W_k, whose rows born of T_k sort last: its value
-is the level of the first unknown, in level order, at which S outranks
-its head, the split of A_k (``linalg.raising_column``).
+T_k], T_k its last row, which ``_level_system`` places from the blocks
+delta1 v^j and v^j delta2 that ``_blocks`` builds once per call, up to
+the first zero power of v; the small models read the same blocks.
+For k >= 1, A_k = [d; delta1; delta1 v; ...; delta1 v^(k-2)] and T_k =
+delta1 v^(k-1), so W_k = A_(k+1).  For k <= 0, A_k = [d | -delta2 |
+-v delta2 | ... | -v^(-k) delta2] (its kernel holds the solutions of
+d(alpha) = sum_i v^i delta2(a_i)) and T_k is the unit row reading
+a_(-k).  A witness at level k is a kernel vector of A_k that T_k does
+not kill, and one exists exactly when rank W_k > rank A_k over the
+fraction field: h is the largest k with one, Gamma(k) the least
+Chern-Simons level of one over the universal ring, and J_k is generated
+by the entries of T_k K for a kernel basis K of A_k.  The systems nest
+(W_k leads W_(k+1) for k >= 1, A_k leads A_(k-1) for k <= 0), so h
+reads which rows of one system and which columns of another raise the
+rank (``linalg.pivot_columns``), and J_k cuts one kernel basis, of the
+lowest A_k, by the row T_k K.  Gamma reads one U-split S of W_k, whose
+rows born of T_k sort last: its value is the level of the first
+unknown, in level order, at which S outranks its head, the split of A_k
+(``linalg.raising_column``).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
+from itertools import takewhile
 from math import lcm
 
 from . import linalg, rings, scomplex
@@ -109,7 +113,7 @@ def small_triangle_matrices(C, depth):
     ring, n = C.ring, C.n
     hat_dim, chk_dim, bar_dim = n + depth + 1, n + depth, 2 * depth + 1
     one = Matrix.identity(ring, 1)
-    vp, d1v, vd2 = _triangle_powers(C, depth)
+    d1v, vd2 = _blocks(C, v_powers(C, depth), depth, -depth)
     d_hat, x_hat = _hat_maps(C, depth, vd2)
     # row or column depth + i of the bar basis holds x^i
     return {
@@ -126,13 +130,6 @@ def small_triangle_matrices(C, depth):
             (n + j, depth - j - 1, one) for j in range(depth)]),
         "x_hat": x_hat,
     }
-
-
-def _triangle_powers(C, depth):
-    """v^i for i <= depth, delta1 v^i for i < depth, v^i delta2 for
-    i <= depth."""
-    vp = v_powers(C, depth)
-    return vp, [C.delta1 * P for P in vp[:depth]], [P * C.delta2 for P in vp]
 
 
 def _hat_maps(C, depth, vd2):
@@ -179,7 +176,8 @@ def verify_model_equivalence(C, depth):
     one = Matrix.identity(ring, 1)
     size, small = 2 * n + 1, n + depth + 1
     # no x-degree below exceeds depth, so v^depth is the highest power used
-    vp, d1v, vd2 = _triangle_powers(C, depth)
+    vp = v_powers(C, depth)
+    d1v, vd2 = _blocks(C, vp, depth, -depth)
     minus_dt, chi = -C.dtilde()[1], C.chi_matrix()
     # x_small sends x^depth to 0, a degree no image of phis[k], k < depth,
     # reaches
@@ -188,13 +186,14 @@ def verify_model_equivalence(C, depth):
     # e0 x^k |-> x^k, alpha |-> 0
     phis = [assemble(ring, small, size,
                      [(0, n, vp[k]), (n + k, 2 * n, one)]
-                     + [(n + k - j - 1, n, d1v[j]) for j in range(k)])
+                     + [(n + k - j - 1, n, P) for j, P in enumerate(d1v[:k])])
             for k in range(depth + 1)]
     # Psi_m, the degree-m part of Psi: beta |-> beta x^0, and x^i |->
     # e0 x^i + sum_j v^j delta2 x^(i-j-1) in the alpha slot
     psis = [assemble(ring, size, small,
                      [(2 * n, n + m, one)]
-                     + [(0, n + m + j + 1, vd2[j]) for j in range(depth - m)]
+                     + [(0, n + m + j + 1, P)
+                        for j, P in enumerate(vd2[:depth - m])]
                      + ([(n, 0, Matrix.identity(ring, n))] if m == 0 else []))
             for m in range(depth + 1)]
     # K_j, from degree k to degree k - j - 1: beta |-> -v^j beta as alpha
@@ -258,18 +257,26 @@ def verify_model_equivalence(C, depth):
 # the level systems and the Froyshov invariant
 
 
-def _level_system(C, vp, k):
-    """W_k of the module docstring.  ``vp`` is a list from
-    :func:`v_powers`; powers past its end are its last entry, which is
-    right once that entry is zero."""
-    def vpow(j):
-        return vp[min(j, len(vp) - 1)]
+def _blocks(C, vp, hi, lo):
+    """The blocks of the level systems W_k for lo <= k <= hi: the lists
+    [delta1 v^j for j < hi] and [v^j delta2 for j <= -lo], from ``vp``, a
+    list of :func:`v_powers` reaching v^max(hi - 1, -lo) or a zero power:
+    both stop at the first zero one, so a block past a list's end is 0."""
+    live = list(takewhile(lambda P: not P.is_zero(), vp))
+    return ([C.delta1 * P for P in live[:max(hi, 0)]],
+            [P * C.delta2 for P in live[:max(1 - lo, 0)]])
 
+
+def _level_system(C, blocks, k):
+    """W_k of the module docstring, stacked from the lists of
+    :func:`_blocks`; a block past the end of its list is zero."""
+    d1v, vd2 = blocks
     if k >= 1:
-        return reduce(Matrix.vstack, [C.delta1 * vpow(j) for j in range(k)],
-                      C.d)
-    A = reduce(Matrix.hstack, [-(vpow(j) * C.delta2) for j in range(1 - k)],
-               C.d)
+        W = reduce(Matrix.vstack, d1v[:k], C.d)
+        return W.vstack(Matrix.zeros(C.ring, C.n + k - W.rows, C.n))
+    A = reduce(Matrix.hstack, [-P for P in vd2[:1 - k]], C.d)
+    if A.cols < C.n + 1 - k:
+        A = A.hstack(Matrix.zeros(C.ring, C.n, C.n + 1 - k - A.cols))
     return A.vstack(assemble(C.ring, 1, A.cols,
                              [(0, A.cols - 1, Matrix.identity(C.ring, 1))]))
 
@@ -300,15 +307,17 @@ def h_invariant(C):
     # (T_k) raises its rank exactly when level k has a witness; once
     # delta1 v^(k-1) dies on ker A_k it stays dead: v^(m-k) maps later
     # witnesses back to level k
-    rows = linalg.pivot_columns(_level_system(C, vp, bound).transpose())
+    rows = linalg.pivot_columns(_level_system(
+        C, _blocks(C, vp, bound, bound), bound).transpose())
     h = next((k for k in range(bound) if C.n + k not in rows), bound)
     if h > 0:
         return h
     # for k <= 0, A_k is the first n + 1 - k columns of A_(-b - 1), and
     # level k has a witness exactly when its last column, n - k, does not
     # raise the rank
-    cols = linalg.pivot_columns(
-        _level_system(C, vp, -bound - 1).rows_selected(range(C.n)))
+    low = -bound - 1
+    cols = linalg.pivot_columns(_level_system(
+        C, _blocks(C, vp, low, low), low).rows_selected(range(C.n)))
     for k in range(0, -(bound + 2), -1):
         if C.n - k not in cols:
             return k
@@ -368,18 +377,17 @@ def j_ideals(C, i_min=None, i_max=None):
     if m is None:
         raise UnsupportedRingError(
             "the ideal sequence needs a nilpotent v map")
-    if i_min is None:
-        i_min = -(m + 1)
-    if i_max is None:
-        i_max = m
+    i_min = -(m + 1) if i_min is None else i_min
+    i_max = m if i_max is None else i_max
     # K K' is a kernel basis of A_(i+1) for a kernel basis K of A_i and
     # K' of the row T_i K, and the ideal of that row's entries does not
     # depend on K.  K keeps the unknowns of A_(i_min): rows past the first
     # n are the a_j, which the cuts below level 1 have set to zero.  T_i
     # for i >= 1 is row n + i - 1 of W_(i_max).
-    cut = _level_system(C, vp, i_min)
+    blocks = _blocks(C, vp, max(i_max, 1), i_min)
+    cut = _level_system(C, blocks, i_min)
     cut = cut.rows_selected(range(cut.rows - 1))
-    stack = _level_system(C, vp, max(i_max, 1))
+    stack = _level_system(C, blocks, max(i_max, 1))
     K = Matrix.identity(ring, cut.cols)
     out = {}
     for i in range(i_min, i_max + 1):
@@ -399,23 +407,13 @@ def _j_ideals_zt(C, i_min, i_max):
         raise UnsupportedRingError(
             "over Z[T-Laurent] the ideal sequence is computed only for "
             "complexes with d = 0 and v = 0")
-    ring = C.ring
-    if i_min is None:
-        i_min = -2
-    if i_max is None:
-        i_max = 2
-    out = {}
-    for i in range(i_min, i_max + 1):
-        if i >= 2:
-            out[i] = []
-        elif i == 1:
-            out[i] = _reduce_generators(
-                ring, [C.delta1[0, j] for j in range(C.n)])
-        elif i == 0:
-            out[i] = [rings.one(ring)] if C.delta2.is_zero() else []
-        else:
-            out[i] = [rings.one(ring)]
-    return out
+    ring, one = C.ring, [rings.one(C.ring)]
+    top = {1: _reduce_generators(ring, [C.delta1[0, j] for j in range(C.n)]),
+           0: one if C.delta2.is_zero() else []}
+    i_min = -2 if i_min is None else i_min
+    i_max = 2 if i_max is None else i_max
+    return {i: [] if i >= 2 else list(top.get(i, one))
+            for i in range(i_min, i_max + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +450,7 @@ def gamma(C, ks):
     in level order, at which rank W_k > rank A_k (module docstring) on
     the unknowns so far: the first column at which one U-split of W_k
     outranks its rows not born of T_k.  The refusals are checked and the
-    powers of v built once for all levels.
+    blocks built once for all levels.
 
     Defined for I-graded level-0 complexes over the universal ring with a
     trusted nilpotent v.  Each stored pair (gr_mod4, deg_I) is read as
@@ -476,6 +474,7 @@ def gamma(C, ks):
     # levels as ints in units of 1/D, D a common denominator of the deg_I
     D = lcm(*(Fraction(g.deg_I).denominator for g in C.gens))
     levels = [int(g.deg_I * D) for g in C.gens]
+    blocks = _blocks(C, vp, max(ks, default=0), min(ks, default=0))
     out = {}
     for k in ks:
         # the unknowns (column, U-shift, level): the aligned translates,
@@ -492,7 +491,7 @@ def gamma(C, ks):
         # the first prefix of the unknowns on which W_k outranks A_k: a
         # witness on a prefix is one on every longer prefix (T_k is zero
         # below level 0 for k <= 0); the rows of T_k sort last
-        S, head = _u_split(_level_system(C, vp, k),
+        S, head = _u_split(_level_system(C, blocks, k),
                            [u[:2] for u in unknowns])
         c = linalg.raising_column(S, head)
         out[k] = INFINITY if c is None else Fraction(unknowns[c][2], D)
@@ -542,9 +541,7 @@ def hat_presentation(C):
 
 def bn_p_element(target):
     """The distinguished 4-term image of x under the theta base change."""
-    t1 = rings.var(target, "T1")
-    t2 = rings.var(target, "T2")
-    t3 = rings.var(target, "T3")
+    t1, t2, t3 = (rings.var(target, f"T{i}") for i in (1, 2, 3))
     return (t1 * t2 * t3 + t1 ** -1 * t2 ** -1 * t3
             + t1 ** -1 * t2 * t3 ** -1 + t1 * t2 ** -1 * t3 ** -1)
 
@@ -556,19 +553,15 @@ def bn_presentation(pres, target="bn"):
     reduced theta-web module; ``target="sharp"`` lands in the
     four-variable ring and presents one summand of the unreduced one.
     """
-    if target == "bn":
-        tring = rings.S_BN
-        t_image = rings.var(tring, "T1")
-    elif target == "sharp":
-        tring = rings.R_SHARP
-        t_image = rings.var(tring, "T0")
-    else:
+    targets = {"bn": (rings.S_BN, "T1"), "sharp": (rings.R_SHARP, "T0")}
+    if target not in targets:
         raise ValueError("target must be 'bn' or 'sharp'")
+    tring, t = targets[target]
     src = pres.ring
     if src.base != "F2" or not src.has_x or src.tvars != ("T",):
         raise UnsupportedRingError(
             "the theta base change starts from F2[T-Laurent][x]")
-    hom = rings.homomorphism(src, {"T": t_image, "x": bn_p_element(tring)},
-                             tring)
+    hom = rings.homomorphism(
+        src, {"T": rings.var(tring, t), "x": bn_p_element(tring)}, tring)
     return ModulePresentation(tring, list(pres.generators),
                               pres.relations.map_entries(hom, tring))

@@ -13,9 +13,9 @@ ascending (k1 k2, k1) order; a box solves the congruences of at most one
 ordered pair (i, j), whose certificate is its first box with boundary
 count 0, or 2 for the report's one-dimensional moduli.  Everything else
 here is elementary number theory: torus-knot signatures by lattice
-counting, Alexander polynomials by exact division, and an independent
-Goeritz-style signature oracle: the signs of the continued-fraction
-pivots of the plumbing's Seifert form.
+counting, Alexander polynomials from the semigroup <p, q>, and an
+independent Goeritz-style signature oracle: the signs of the
+continued-fraction pivots of the plumbing's Seifert form.
 """
 
 from __future__ import annotations

@@ -337,10 +337,11 @@ def reference_j_ideals(C, i_min, i_max):
     from its own Smith form, and J_i from the entries of T_i K.  Kept as
     the oracle the loop that cuts one basis by a row per level is
     compared against."""
-    vp = equivariant.v_powers(C, C.n)
+    blocks = equivariant._blocks(C, equivariant.v_powers(C, C.n),
+                                 i_max, i_min)
     out = {}
     for i in range(i_min, i_max + 1):
-        A, T = split_level_system(equivariant._level_system(C, vp, i))
+        A, T = split_level_system(equivariant._level_system(C, blocks, i))
         row = T * linalg.kernel_basis(A)
         out[i] = equivariant._reduce_generators(
             C.ring, [row[0, j] for j in range(row.cols)])

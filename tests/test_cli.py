@@ -148,6 +148,27 @@ def test_reversed_ranges_are_usage_errors(tmp_path):
     assert code == 0 and out == "gamma(1)\t1/3\n"
 
 
+def test_lone_bounds_reversed_by_a_default_are_usage_errors(tmp_path):
+    # the message names the bound the user left to its default, and a
+    # reversed range is never an empty answer
+    path = tmp_path / "t.json"
+    run(["fixture", "--name", "trefoil", "--out", str(path)])
+    gamma = ["gamma", "--in", str(path)]
+    jideals = ["jideals", "--in", str(path), "--specialize", "U=1",
+               "--ring", "f2t"]
+    for argv, message in (
+            (gamma + ["--max", "-2"], "--max -2 is below the default --min 0"),
+            (jideals + ["--max", "-5"], "--max -5 is below the default --min"),
+            (jideals + ["--min", "100"],
+             "--min 100 is above the default --max")):
+        code, out, err = run(argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: reversed range: {message}\n"
+    # a lone bound that the default leaves in order runs
+    assert run(jideals + ["--max", "-2"]) == (0, "J[-2]\tring\n", "")
+    assert run(gamma + ["--min", "3"]) == (0, "gamma(3)\tinfinity\n", "")
+
+
 def test_ranges_beyond_the_limit_are_usage_errors(tmp_path):
     path = tmp_path / "t.json"
     run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])

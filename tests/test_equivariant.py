@@ -307,6 +307,31 @@ def test_h_and_gamma_eliminate_at_most_twice(monkeypatch):
     assert len(sizes) == 10
 
 
+def test_blocks_are_multiplied_once_per_call(monkeypatch):
+    # a call builds delta1 v^j and v^j delta2 once for all the levels it
+    # reads, up to the first zero power of v; Gamma over eight levels of
+    # trefoil^4 made 24 Matrix products when each level built its own,
+    # and blocks past the first zero power add one here, 7 to the check
+    T2, T4 = _trefoil_power(2), _trefoil_power(4)
+    T4_f2t = S.base_change_complex(
+        T4, S.standard_assignment(T4.ring, R.F2T, U="1"), R.F2T)
+    products, mul = [], L.Matrix.__mul__
+
+    def counted(A, B):
+        if isinstance(B, L.Matrix):
+            products.append((A.rows, A.cols, B.cols))
+        return mul(A, B)
+
+    monkeypatch.setattr(L.Matrix, "__mul__", counted)
+    for call, most in ((lambda: E.gamma(T4, range(-2, 6)), 10),
+                       (lambda: E.h_invariant(T4), 7),
+                       (lambda: E.j_ideals(T4_f2t, -1, 5), 21),
+                       (lambda: E.verify_model_equivalence(T2, 5), 65)):
+        products.clear()
+        call()
+        assert len(products) <= most, products
+
+
 def _swap_complex(ring):
     """a at grading 1 and b at grading 3, d = 0, v swapping them (so v is
     not nilpotent), delta1 = (1, 0) and delta2 = 0."""
@@ -420,8 +445,8 @@ def test_level_systems_nest(ring):
     rng = random.Random(2929)
     for _ in range(20):
         C = helpers.random_scomplex(rng, ring, max_gens=10, v_chains=True)
-        vp = E.v_powers(C, C.n)
-        W = {k: E._level_system(C, vp, k) for k in range(-4, 6)}
+        blocks = E._blocks(C, E.v_powers(C, C.n), 5, -4)
+        W = {k: E._level_system(C, blocks, k) for k in range(-4, 6)}
         A = {k: helpers.split_level_system(M)[0] for k, M in W.items()}
         for k in range(-3, 5):
             if k >= 1:
@@ -495,6 +520,7 @@ def test_gamma_tensor_square_monotone():
     assert vals == [Fraction(0), Fraction(0), Fraction(1, 3),
                     Fraction(2, 3)]
     assert E.gamma(T, [3]) == {3: E.INFINITY}
+    assert E.gamma(T, []) == {}
     # non-decreasing and positive for positive k
     finite = [v for v in vals if v is not E.INFINITY]
     assert finite == sorted(finite)
@@ -562,7 +588,8 @@ def _gamma_by_kernels(C, k):
                  for i in range(k % 2, 1 - k, 2)]
     A, T = (helpers.reference_u_split(M, unknowns)
             for M in helpers.split_level_system(
-                E._level_system(C, E.v_powers(C, C.n), k)))
+                E._level_system(C, E._blocks(C, E.v_powers(C, C.n), k, k),
+                                k)))
     for t in sorted({level for *_, level in unknowns}):
         if t < 0 and k <= 0:
             continue

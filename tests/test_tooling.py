@@ -113,8 +113,26 @@ def test_level_systems_are_stacked_in_one_place():
     assert sorted(set(users)) == ["_level_system", "_sum_of_products"]
 
 
+def test_only_blocks_multiplies_by_delta1_or_delta2():
+    # _blocks builds delta1 v^j and v^j delta2 once per call; the level
+    # systems and the small models only place the blocks it returns
+    path = SRC / "equivariant.py"
+
+    def product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    by_delta = _top_level_names_using(path, lambda node: product(node) and any(
+        isinstance(side, ast.Attribute) and side.attr in ("delta1", "delta2")
+        for side in (node.left, node.right)))
+    assert sorted(set(by_delta)) == ["_blocks"]
+    assert "_level_system" not in _top_level_names_using(path, product)
+    defined = {node.name for node in ast.walk(ast.parse(path.read_text(
+        encoding="utf-8"))) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"_triangle_powers", "vpow"}
+
+
 def test_h_search_reads_only_ranks():
-    # h and Gamma read rank profiles of the level systems; kernels
+    # h and Gamma read pivot columns of the level systems; kernels
     # belong to the ideal sequence alone
     users = _top_level_names_using(
         SRC / "equivariant.py",
@@ -445,6 +463,12 @@ def test_trajectory_alternates_parent_and_change(monkeypatch):
     assert record["repeat"] == T.LAYER_REPEAT
     assert T.layers([None, {"g": 1.0}])["median_s"] == {"g": 1.0}
     assert T.layers([None])["median_s"] == {}
+    # the change ran its round first, and so faster, on seed 2 alone
+    assert T.layer_wins(rounds) == {"g": {"won": 2, "pairs": 6}}
+    # a failed round pairs with nothing, and a tie counts for neither
+    assert T.layer_wins({"parent": [None, {"g": 2.0}, {"g": 1.0, "f": 1.0}],
+                         "change": [{"g": 1.0}, {"g": 1.5}, {"g": 1.0}]}) == {
+        "g": {"won": 1, "pairs": 2}}
     assert [r["side"] for r in runs[:4]] == ["parent", "change",
                                              "change", "parent"]
     # seed 2 ties on jobs_per_s and every seed ties on setup_s
@@ -466,5 +490,6 @@ def test_trajectory_layer_microbenchmarks_run():
     assert sorted(medians) == [
         "equivariant.gamma.T1", "equivariant.gamma.T2",
         "equivariant.gamma.T3", "equivariant.gamma.T4",
-        "equivariant.h_invariant.T4", "equivariant.j_ideals.T4_f2t"]
+        "equivariant.h_invariant.T4", "equivariant.j_ideals.T4_f2t",
+        "equivariant.verify_model_equivalence.T4"]
     assert all(s > 0 for s in medians.values())

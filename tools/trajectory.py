@@ -28,11 +28,14 @@ Every record also holds, under ``layers``, the in-process layer
 microbenchmarks of each checkout it measures, run in a fresh process on
 that checkout's ``src/``: the median seconds of ``LAYER_REPEAT`` timed
 calls each of ``equivariant.gamma`` over k = -2..5 on the trefoil powers
-T1-T4, and of ``h_invariant`` and ``j_ideals`` (over F2[T-Laurent], i =
--1..5) on T4.  One round of them runs per side after each seed's bench
-runs, in that seed's order, so the layers alternate as the bench runs
-do; each side keeps every round's medians and, per layer, the median
-over the rounds.
+T1-T4, and of ``h_invariant``, ``j_ideals`` (over F2[T-Laurent], i =
+-1..5) and ``verify_model_equivalence`` (truncation 2) on T4.  One round
+of them runs per side after each seed's bench runs, in that seed's
+order, so the layers alternate as the bench runs do; each side keeps
+every round's medians and, per layer, the median over the rounds.  With
+``--parent`` the file also holds, under ``layer_wins``, per layer the
+rounds in which the change ran faster than the parent, out of the pairs
+of rounds run after the same seed.
 """
 
 from __future__ import annotations
@@ -138,6 +141,8 @@ def layer_medians(repeat):
              for i, C in enumerate(powers, 1)}
     cases["equivariant.h_invariant.T4"] = (E.h_invariant, T4)
     cases["equivariant.j_ideals.T4_f2t"] = (E.j_ideals, T4_f2t, -1, 5)
+    cases["equivariant.verify_model_equivalence.T4"] = (
+        E.verify_model_equivalence, T4, 2)
     out = {}
     for name, (fn, *args) in cases.items():
         times = []
@@ -170,6 +175,21 @@ def layers(rounds):
     return {"repeat": LAYER_REPEAT, "rounds": rounds,
             "median_s": {name: statistics.median(r[name] for r in done)
                          for name in (done[0] if done else ())}}
+
+
+def layer_wins(rounds):
+    """Per layer, the rounds in which the change ran faster than the
+    parent (a tie counts for neither) out of the pairs of rounds run
+    after the same seed in which both sides ran it; ``rounds`` maps each
+    side to its rounds, as :func:`measure` returns them."""
+    out = {}
+    for parent, change in zip(rounds["parent"], rounds["change"]):
+        for name in parent or ():
+            if name in (change or ()):
+                entry = out.setdefault(name, {"won": 0, "pairs": 0})
+                entry["pairs"] += 1
+                entry["won"] += change[name] < parent[name]
+    return out
 
 
 def wins(runs, better):
@@ -255,6 +275,7 @@ def main(argv=None):
             "layers": layers(rounds["parent"])}
         doc["wins"] = wins(runs, {m["name"]: m["better"]
                                   for m in bench["end_to_end"]})
+        doc["layer_wins"] = layer_wins(rounds)
     doc["runs"] = runs
     out = os.path.join(HERE, f"BENCH_{args.n}.json")
     with open(out, "w", encoding="utf-8") as fh:
