@@ -114,10 +114,9 @@ def small_triangle_matrices(C, depth):
     hat_dim, chk_dim, bar_dim = n + depth + 1, n + depth, 2 * depth + 1
     one = Matrix.identity(ring, 1)
     d1v, vd2 = _blocks(C, v_powers(C, depth), depth, -depth)
-    d_hat, x_hat = _hat_maps(C, depth, vd2)
     # row or column depth + i of the bar basis holds x^i
     return {
-        "d_hat": d_hat,
+        "d_hat": _d_hat(C, depth, vd2),
         "d_check": assemble(ring, chk_dim, chk_dim, [(0, 0, C.d)] + [
             (n + j, 0, P) for j, P in enumerate(d1v)]),
         "i": assemble(ring, bar_dim, hat_dim, [
@@ -128,20 +127,41 @@ def small_triangle_matrices(C, depth):
         "p": assemble(ring, chk_dim, bar_dim, [
             (0, depth + i, P) for i, P in enumerate(vd2)] + [
             (n + j, depth - j - 1, one) for j in range(depth)]),
-        "x_hat": x_hat,
+        "x_hat": assemble(ring, hat_dim, hat_dim, [
+            (0, 0, C.v), (n, 0, C.delta1),
+            (n + 1, n, Matrix.identity(ring, depth))]),
     }
 
 
-def _hat_maps(C, depth, vd2):
-    """d_hat and x_hat of :func:`small_triangle_matrices`, from the list
-    ``vd2`` of v^i delta2."""
+def _d_hat(C, depth, vd2):
+    """d_hat of :func:`small_triangle_matrices`; ``vd2`` lists v^i delta2."""
+    size = C.n + depth + 1
+    return assemble(C.ring, size, size, [(0, 0, C.d)] + [
+        (0, C.n + i, -P) for i, P in enumerate(vd2)])
+
+
+def _phi_psi(C, depth, vp, d1v, vd2):
+    """The lists [Phi_k] and [Psi_m], k and m up to ``depth``, of
+    :func:`verify_model_equivalence`, from ``vp`` reaching v^depth and
+    the lists of :func:`_blocks` for ``depth`` and ``-depth``."""
     ring, n = C.ring, C.n
-    size = n + depth + 1
-    return (assemble(ring, size, size, [(0, 0, C.d)] + [
-                (0, n + i, -P) for i, P in enumerate(vd2)]),
-            assemble(ring, size, size, [
-                (0, 0, C.v), (n, 0, C.delta1),
-                (n + 1, n, Matrix.identity(ring, depth))]))
+    one = Matrix.identity(ring, 1)
+    size, small = 2 * n + 1, n + depth + 1
+    # Phi_k: beta x^k |-> (v^k beta, sum_j delta1 v^j beta x^(k-j-1)),
+    # e0 x^k |-> x^k, alpha |-> 0
+    phis = [assemble(ring, small, size,
+                     [(0, n, vp[k]), (n + k, 2 * n, one)]
+                     + [(n + k - j - 1, n, P) for j, P in enumerate(d1v[:k])])
+            for k in range(depth + 1)]
+    # Psi_m, the degree-m part of Psi: beta |-> beta x^0, and x^i |->
+    # e0 x^i + sum_j v^j delta2 x^(i-j-1) in the alpha slot
+    psis = [assemble(ring, size, small,
+                     [(2 * n, n + m, one)]
+                     + [(0, n + m + j + 1, P)
+                        for j, P in enumerate(vd2[:depth - m])]
+                     + ([(n, 0, Matrix.identity(ring, n))] if m == 0 else []))
+            for m in range(depth + 1)]
+    return phis, psis
 
 
 def _sum_of_products(pairs):
@@ -159,43 +179,34 @@ def _bad_columns(lhs, rhs):
 
 def verify_model_equivalence(C, depth):
     """Check, on x-degrees up to ``depth``, that the displayed maps Phi
-    and Psi between the large and small hat models are chain maps with
-    Phi Psi = id and Psi Phi homotopic to the identity via K.
+    and Psi between the large and small hat models are chain maps and
+    that Psi Phi is homotopic to the identity via K.
 
     Each identity is checked one x-degree at a time.  A degree of the
-    large model has the basis of ``C.dtilde()`` (n generators, n shifted
-    ones, e0) and D sends it by -dtilde to itself and by chi one degree
-    up; the small model has the hat basis of
+    large model has the basis of ``C.dtilde()`` (n generators alpha, n
+    shifted ones beta, e0) and D sends it by -dtilde to itself and by chi
+    one degree up; the small model has the hat basis of
     :func:`small_triangle_matrices` (n generators, then x^0..x^depth).
     Every failed identity on a basis element becomes one report item.
+
+    Two more identities hold by the way :func:`_phi_psi` builds Phi and
+    Psi, for any d, v, delta1 and delta2, so only the tests check them:
+    - x Phi_k = Phi_(k+1): both send beta to (v^(k+1) beta, sum_(j<=k)
+      delta1 v^j beta x^(k-j)) and e0 to x^(k+1);
+    - Phi Psi = id: Phi reads only the beta and e0 slots, and Psi_m puts
+      beta (m = 0) and e0 x^m exactly there.
     """
     if depth < 1:
         raise EquivariantError("truncation must be at least 1")
     report = ValidationReport()
     ring, n = C.ring, C.n
-    one = Matrix.identity(ring, 1)
     size, small = 2 * n + 1, n + depth + 1
     # no x-degree below exceeds depth, so v^depth is the highest power used
     vp = v_powers(C, depth)
     d1v, vd2 = _blocks(C, vp, depth, -depth)
+    phis, psis = _phi_psi(C, depth, vp, d1v, vd2)
     minus_dt, chi = -C.dtilde()[1], C.chi_matrix()
-    # x_small sends x^depth to 0, a degree no image of phis[k], k < depth,
-    # reaches
-    d_small, x_small = _hat_maps(C, depth, vd2)
-    # Phi_k: beta x^k |-> (v^k beta, sum_j delta1 v^j beta x^(k-j-1)),
-    # e0 x^k |-> x^k, alpha |-> 0
-    phis = [assemble(ring, small, size,
-                     [(0, n, vp[k]), (n + k, 2 * n, one)]
-                     + [(n + k - j - 1, n, P) for j, P in enumerate(d1v[:k])])
-            for k in range(depth + 1)]
-    # Psi_m, the degree-m part of Psi: beta |-> beta x^0, and x^i |->
-    # e0 x^i + sum_j v^j delta2 x^(i-j-1) in the alpha slot
-    psis = [assemble(ring, size, small,
-                     [(2 * n, n + m, one)]
-                     + [(0, n + m + j + 1, P)
-                        for j, P in enumerate(vd2[:depth - m])]
-                     + ([(n, 0, Matrix.identity(ring, n))] if m == 0 else []))
-            for m in range(depth + 1)]
+    d_small = _d_hat(C, depth, vd2)
     # K_j, from degree k to degree k - j - 1: beta |-> -v^j beta as alpha
     homotopies = [assemble(ring, size, size, [(0, n, -vp[j])])
                   for j in range(depth)]
@@ -211,7 +222,6 @@ def verify_model_equivalence(C, depth):
         chain = _bad_columns(
             _sum_of_products([(phis[k], minus_dt), (phis[k + 1], chi)]),
             d_small * phis[k])
-        x_equivariant = _bad_columns(phis[k + 1], x_small * phis[k])
         # Psi Phi - id = D K + K D, one output degree m <= k at a time
         homotopic = set()
         for m in range(k + 1):
@@ -225,8 +235,6 @@ def verify_model_equivalence(C, depth):
             key = [(c // n, c % n, k) if c < 2 * n else (2, 0, k)]
             if c in chain:
                 report.add(f"Phi fails the chain property on {key}")
-            if c in x_equivariant:
-                report.add(f"Phi fails x-equivariance on {key}")
             if c in homotopic:
                 report.add(f"Psi Phi - id != dK + Kd on {key}")
 
@@ -237,19 +245,10 @@ def verify_model_equivalence(C, depth):
         _bad_columns(_sum_of_products([(minus_dt, here), (chi, below)]),
                      here * d_small)
         for below, here in zip(padded, padded[1:])))
-    # Phi reads no alpha coordinate, so only the other rows of Psi meet it
-    rest = range(n, size)
-    inverse = _bad_columns(
-        _sum_of_products([(P.columns_selected(rest), Q.rows_selected(rest))
-                          for P, Q in zip(phis, psis)]),
-        Matrix.identity(ring, small))
-    for c in range(small):
+    for c in sorted(psi_chain):
         f = {c - n: rings.one(ring)} if c >= n else {}
-        if c in psi_chain:
-            report.add("Psi fails the chain property on a small basis "
-                       f"element {f or 'generator'}")
-        if c in inverse:
-            report.add(f"Phi Psi != id on a small basis element {f}")
+        report.add("Psi fails the chain property on a small basis "
+                   f"element {f or 'generator'}")
     return report
 
 

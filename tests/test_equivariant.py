@@ -73,11 +73,47 @@ def test_model_equivalence_trivial():
 
 def test_model_equivalence_randomized():
     rng = random.Random(888)
-    for ring in (R.ZT, R.F2T):
+    for ring in (R.ZT, R.F2T, R.Z, R.QT):
         for _ in range(12):
             C = helpers.random_scomplex(rng, ring, max_gens=8)
             rep = E.verify_model_equivalence(C, 4)
             assert rep.ok, rep.failures[:4]
+
+
+def _random_maps(rng, C):
+    """C's generators with d, v, delta1 and delta2 random matrices, as a
+    rule not an S-complex."""
+    def draw(rows, cols):
+        return L.Matrix(C.ring, [
+            [helpers.random_poly(rng, C.ring, allow_zero=True)
+             for _ in range(cols)] for _ in range(rows)], cols=cols)
+    return S.SComplex(C.ring, C.gens, draw(C.n, C.n), draw(C.n, C.n),
+                      draw(1, C.n), draw(C.n, 1))
+
+
+def test_model_maps_meet_x_equivariance_and_phi_psi_id_on_any_maps():
+    # the model check leaves out x Phi_k = Phi_(k+1) and Phi Psi = id,
+    # which hold by the way Phi and Psi are built whatever d, v, delta1
+    # and delta2 are; these are the matrices the check builds
+    rng = random.Random(3131)
+    invalid = 0
+    for ring in (R.Z, R.ZT, R.F2T, R.QT):
+        for _ in range(6):
+            C = _random_maps(rng, helpers.random_scomplex(rng, ring,
+                                                          max_gens=8))
+            invalid += not S.validate(C).ok
+            for depth in (1, 2, 4):
+                vp = E.v_powers(C, depth)
+                phis, psis = E._phi_psi(C, depth, vp,
+                                        *E._blocks(C, vp, depth, -depth))
+                x_small = E.small_triangle_matrices(C, depth)["x_hat"]
+                for k in range(depth):
+                    assert x_small * phis[k] == phis[k + 1], (ring, depth, k)
+                small = C.n + depth + 1
+                assert sum((P * Q for P, Q in zip(phis, psis)),
+                           L.Matrix.zeros(ring, small, small)) == \
+                    L.Matrix.identity(ring, small), (ring, depth)
+    assert invalid >= 18, invalid
 
 
 def _trefoil_pair_zt():
@@ -311,7 +347,9 @@ def test_blocks_are_multiplied_once_per_call(monkeypatch):
     # a call builds delta1 v^j and v^j delta2 once for all the levels it
     # reads, up to the first zero power of v; Gamma over eight levels of
     # trefoil^4 made 24 Matrix products when each level built its own,
-    # and blocks past the first zero power add one here, 7 to the check
+    # and blocks past the first zero power add one here, 7 to the check;
+    # the check made 65 while it also multiplied out x Phi_k = Phi_(k+1)
+    # and Phi Psi = id, which hold by construction
     T2, T4 = _trefoil_power(2), _trefoil_power(4)
     T4_f2t = S.base_change_complex(
         T4, S.standard_assignment(T4.ring, R.F2T, U="1"), R.F2T)
@@ -326,7 +364,7 @@ def test_blocks_are_multiplied_once_per_call(monkeypatch):
     for call, most in ((lambda: E.gamma(T4, range(-2, 6)), 10),
                        (lambda: E.h_invariant(T4), 7),
                        (lambda: E.j_ideals(T4_f2t, -1, 5), 21),
-                       (lambda: E.verify_model_equivalence(T2, 5), 65)):
+                       (lambda: E.verify_model_equivalence(T2, 5), 59)):
         products.clear()
         call()
         assert len(products) <= most, products

@@ -463,12 +463,16 @@ def test_trajectory_alternates_parent_and_change(monkeypatch):
     assert record["repeat"] == T.LAYER_REPEAT
     assert T.layers([None, {"g": 1.0}])["median_s"] == {"g": 1.0}
     assert T.layers([None])["median_s"] == {}
-    # the change ran its round first, and so faster, on seed 2 alone
-    assert T.layer_wins(rounds) == {"g": {"won": 2, "pairs": 6}}
-    # a failed round pairs with nothing, and a tie counts for neither
+    # the change ran its round first, and so faster, on seed 2 alone; the
+    # parent's rounds read 3, 8, 11, 15, 20 and 23, so the paired ratios
+    # are 4/3, 7/8, 12/11, 16/15, 19/20 and 24/23
+    assert T.layer_wins(rounds) == {"g": {
+        "won": 2, "pairs": 6, "ratio": (24 / 23 + 16 / 15) / 2}}
+    # a failed round pairs with nothing, and a tie counts for neither win
+    # but its ratio 1 counts in the median
     assert T.layer_wins({"parent": [None, {"g": 2.0}, {"g": 1.0, "f": 1.0}],
                          "change": [{"g": 1.0}, {"g": 1.5}, {"g": 1.0}]}) == {
-        "g": {"won": 1, "pairs": 2}}
+        "g": {"won": 1, "pairs": 2, "ratio": 0.875}}
     assert [r["side"] for r in runs[:4]] == ["parent", "change",
                                              "change", "parent"]
     # seed 2 ties on jobs_per_s and every seed ties on setup_s

@@ -35,7 +35,8 @@ order, so the layers alternate as the bench runs do; each side keeps
 every round's medians and, per layer, the median over the rounds.  With
 ``--parent`` the file also holds, under ``layer_wins``, per layer the
 rounds in which the change ran faster than the parent, out of the pairs
-of rounds run after the same seed.
+of rounds run after the same seed, and the median over those pairs of
+the change's time over the parent's (``ratio``).
 """
 
 from __future__ import annotations
@@ -180,16 +181,19 @@ def layers(rounds):
 def layer_wins(rounds):
     """Per layer, the rounds in which the change ran faster than the
     parent (a tie counts for neither) out of the pairs of rounds run
-    after the same seed in which both sides ran it; ``rounds`` maps each
-    side to its rounds, as :func:`measure` returns them."""
-    out = {}
+    after the same seed in which both sides ran it, and ``ratio``, the
+    median over those pairs of change time / parent time: the pairs ran
+    back to back, so unlike ``median_s`` it compares rounds that saw the
+    same machine speed.  ``rounds`` maps each side to its rounds, as
+    :func:`measure` returns them."""
+    pairs = {}
     for parent, change in zip(rounds["parent"], rounds["change"]):
         for name in parent or ():
             if name in (change or ()):
-                entry = out.setdefault(name, {"won": 0, "pairs": 0})
-                entry["pairs"] += 1
-                entry["won"] += change[name] < parent[name]
-    return out
+                pairs.setdefault(name, []).append((parent[name], change[name]))
+    return {name: {"won": sum(c < p for p, c in both), "pairs": len(both),
+                   "ratio": statistics.median(c / p for p, c in both)}
+            for name, both in pairs.items()}
 
 
 def wins(runs, better):
