@@ -582,6 +582,7 @@ def _cmd_model_check(args, out, err):
     if not 1 <= depth <= TRUNCATION_LIMIT:
         raise UsageError(f"truncation {depth} is outside the range "
                          f"1..{TRUNCATION_LIMIT}")
+    # past the validate gate, a failure line means check and validate disagree
     rep = equivariant.verify_model_equivalence(_input_complex(args), depth)
     payload = {"ok": rep.ok, "truncation": depth, "failures": rep.failures}
     lines = [f"ok\t{str(rep.ok).lower()}", f"truncation\t{depth}"]

@@ -189,6 +189,12 @@ def verify_model_equivalence(C, depth):
     :func:`small_triangle_matrices` (n generators, then x^0..x^depth).
     Every failed identity on a basis element becomes one report item.
 
+    The homotopy is checked at output degrees 0 and 1 only: for m >= 1,
+    degree m of input degree k is degree 1 of k - m + 1.  With j = k - m,
+    id + DK + KD is -dtilde K_(j-1) - K_(j-1) dtilde (id if j = 0) + K_j
+    chi (+ chi K_j if m >= 1); for m >= 1 Psi_m reads only x^m and x^(m+i+1)
+    and Phi_k writes x^i only for i <= k, so Psi_m Phi_k = Psi_1 Phi_(j+1).
+
     Two more identities hold by the way :func:`_phi_psi` builds Phi and
     Psi, for any d, v, delta1 and delta2, so only the tests check them:
     - x Phi_k = Phi_(k+1): both send beta to (v^(k+1) beta, sum_(j<=k)
@@ -210,27 +216,21 @@ def verify_model_equivalence(C, depth):
     # K_j, from degree k to degree k - j - 1: beta |-> -v^j beta as alpha
     homotopies = [assemble(ring, size, size, [(0, n, -vp[j])])
                   for j in range(depth)]
-
-    def d_block(m, k):
-        return minus_dt if m == k else chi if m == k + 1 else None
-
-    def k_block(m, k):
-        return homotopies[k - m - 1] if 0 <= m < k else None
-
     ident = Matrix.identity(ring, size)
+    shifted = set()  # homotopy failures at output degree 1 of degrees <= k
     for k in range(depth):
         chain = _bad_columns(
             _sum_of_products([(phis[k], minus_dt), (phis[k + 1], chi)]),
             d_small * phis[k])
-        # Psi Phi - id = D K + K D, one output degree m <= k at a time
         homotopic = set()
-        for m in range(k + 1):
-            pairs = [(d_block(m, i), k_block(i, k)) for i in (m - 1, m)]
-            pairs += [(k_block(m, i), d_block(i, k)) for i in (k, k + 1)]
-            pairs += [(ident, ident)] if m == k else []
-            homotopic |= _bad_columns(
-                psis[m] * phis[k],
-                _sum_of_products([p for p in pairs if None not in p]))
+        for m in range(min(k, 1) + 1):  # Psi Phi - id = DK + KD, j = k - m
+            j = k - m
+            pairs = [(ident, ident)] if j == 0 else [
+                (minus_dt, homotopies[j - 1]), (homotopies[j - 1], minus_dt)]
+            pairs += [(homotopies[j], chi)] + [(chi, homotopies[j])] * m
+            (shifted if m else homotopic).update(_bad_columns(
+                psis[m] * phis[k], _sum_of_products(pairs)))
+        homotopic |= shifted
         for c in range(size):
             key = [(c // n, c % n, k) if c < 2 * n else (2, 0, k)]
             if c in chain:

@@ -305,27 +305,26 @@ def tensor(C, Cp):
 
     E = _eps_matrix(C)
     one = Matrix.identity(ring, Cp.n)
-    d_one, v_one = kron(C.d, one), kron(C.v, one)
-    delta1_one = kron(C.delta1, one)
+    d_one, v_one, e_d = kron(C.d, one), kron(C.v, one), kron(E, Cp.d)
+    delta1_one, delta2_one = kron(C.delta1, one), kron(C.delta2, one)
     # offsets of the summands (CxC')[1], C and C'
     off2 = C.n * Cp.n
     off3 = 2 * off2
     off4 = off3 + C.n
     total = off4 + Cp.n
     D = assemble(ring, total, total, [
-        (0, 0, d_one + kron(E, Cp.d)),
+        (0, 0, d_one + e_d),
         (off2, 0, kron(E, Cp.v) + kron(-(C.v * E), one)),
         (off3, 0, kron(E, Cp.delta1)),
         (off4, 0, delta1_one),
-        (off2, off2, d_one + kron(-E, Cp.d)),
+        (off2, off2, d_one - e_d),
         (off2, off3, kron(E, Cp.delta2)),
-        (off2, off4, kron(-C.delta2, one)),
+        (off2, off4, -delta2_one),
         (off3, off3, C.d),
         (off4, off4, Cp.d)])
     V = assemble(ring, total, total, [
         (0, 0, v_one), (off2, off2, v_one), (off4, off2, delta1_one),
-        (0, off4, kron(C.delta2, one)), (off3, off3, C.v),
-        (off4, off4, Cp.v)])
+        (0, off4, delta2_one), (off3, off3, C.v), (off4, off4, Cp.v)])
     D1 = assemble(ring, 1, total, [(0, off3, C.delta1),
                                    (0, off4, Cp.delta1)])
     D2 = assemble(ring, total, 1, [(off3, 0, C.delta2),

@@ -295,6 +295,29 @@ def test_model_check(tmp_path):
     assert code == 0 and "ok\ttrue" in out
 
 
+def test_model_check_prints_each_failure(monkeypatch):
+    # model-check refuses what validate refuses, so the failing complex,
+    # the trefoil pair with a delta1 entry bumped, comes in past that gate
+    C = scomplex.tensor(knots.two_bridge_complex(3, 1, "zt"),
+                        knots.two_bridge_complex(3, -1, "zt"))
+    bump = linalg.Matrix.from_entries(C.ring, 1, C.n,
+                                      [(0, 3, rings.one(C.ring))])
+    C = scomplex.SComplex(C.ring, C.gens, C.d, C.v, C.delta1 + bump,
+                          C.delta2, C.v_trusted)
+    monkeypatch.setattr(cli, "_input_complex", lambda args: C)
+    failures = equivariant.verify_model_equivalence(C, 3).failures
+    assert failures
+    argv = ["model-check", "--in", "unread.json", "--truncation", "3"]
+    code, out, err = run(argv)
+    assert (code, err) == (2, "")
+    assert out.splitlines() == ["ok\tfalse", "truncation\t3"] + [
+        f"failure\t{f}" for f in failures]
+    code, out, err = run(argv + ["--json"])
+    assert (code, err) == (2, "")
+    assert json.loads(out) == {"ok": False, "truncation": 3,
+                               "failures": failures}
+
+
 def test_model_check_env_truncation(tmp_path, monkeypatch):
     path = tmp_path / "t.json"
     run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])

@@ -264,6 +264,30 @@ def test_h_zero_witness_morphism():
     assert not S.check_morphism(bad).ok
 
 
+def test_check_morphism_names_each_failing_relation():
+    # the identity of the trefoil pair with 1 added to one entry of lam,
+    # Delta1 or mu; on the trefoil itself d = v = 0, so bumps of Delta1
+    # and mu break nothing there
+    lam_d = "lambda*d - d'*lambda != 0"
+    delta1 = "Delta1*d + delta1 - delta1'*lambda != 0"
+    chain = ("mu*d + lambda*v + Delta2*delta1 - v'*lambda + d'*mu "
+             "- delta2'*Delta1 != 0")
+    C = S.tensor(trefoil(), trefoil())
+    ident = S.SMorphism.identity(C)
+    for name, i, j, failures in (("lam", 0, 0, [lam_d]),
+                                 ("lam", 2, 3, [lam_d, delta1, chain]),
+                                 ("Delta1", 0, 2, [delta1]),
+                                 ("mu", 0, 0, [chain])):
+        M = getattr(ident, name)
+        bump = L.Matrix.from_entries(C.ring, M.rows, M.cols,
+                                     [(i, j, R.one(C.ring))])
+        m = ident._replace(**{name: M + bump})
+        assert S.check_morphism(m).failures == failures, (name, i, j)
+    across = ident._replace(target=knots.two_bridge_complex(3, -1, "zt"))
+    assert S.check_morphism(across).failures == [
+        "source and target over different rings"]
+
+
 def test_random_matrices_fail_morphism():
     rng = random.Random(222)
     C = helpers.random_scomplex(rng, R.ZT, max_gens=6)

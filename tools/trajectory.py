@@ -29,14 +29,16 @@ microbenchmarks of each checkout it measures, run in a fresh process on
 that checkout's ``src/``: the median seconds of ``LAYER_REPEAT`` timed
 calls each of ``equivariant.gamma`` over k = -2..5 on the trefoil powers
 T1-T4, and of ``h_invariant``, ``j_ideals`` (over F2[T-Laurent], i =
--1..5) and ``verify_model_equivalence`` (truncation 2) on T4.  One round
-of them runs per side after each seed's bench runs, in that seed's
-order, so the layers alternate as the bench runs do; each side keeps
-every round's medians and, per layer, the median over the rounds.  With
-``--parent`` the file also holds, under ``layer_wins``, per layer the
-rounds in which the change ran faster than the parent, out of the pairs
-of rounds run after the same seed, and the median over those pairs of
-the change's time over the parent's (``ratio``).
+-1..5) and ``verify_model_equivalence`` (truncation 2) on T4, and of
+``verify_model_equivalence`` on T2 at truncation 5, the depth of most
+model-check jobs of the bench.  One round of them runs per side after
+each seed's bench runs, in that seed's order, so the layers alternate
+as the bench runs do; each side keeps every round's medians and, per
+layer, the median over the rounds.  With ``--parent`` the file also
+holds, under ``layer_wins``, per layer the rounds in which the change
+ran faster than the parent, out of the pairs of rounds run after the
+same seed, and the median over those pairs of the change's time over
+the parent's (``ratio``).
 """
 
 from __future__ import annotations
@@ -144,6 +146,8 @@ def layer_medians(repeat):
     cases["equivariant.j_ideals.T4_f2t"] = (E.j_ideals, T4_f2t, -1, 5)
     cases["equivariant.verify_model_equivalence.T4"] = (
         E.verify_model_equivalence, T4, 2)
+    cases["equivariant.verify_model_equivalence.T2_d5"] = (
+        E.verify_model_equivalence, T2, 5)
     out = {}
     for name, (fn, *args) in cases.items():
         times = []
