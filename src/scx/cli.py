@@ -541,18 +541,25 @@ def _cmd_sharp(args, out, err):
     gens, D = scomplex.sharp_complex(C, twisted=args.twisted)
     payload = {"generators": len(gens), "twisted": args.twisted}
     lines = [f"generators\t{len(gens)}"]
+    # in characteristic 2, D is dtilde twice over (see sharp_complex)
+    copies, D = (2, C.dtilde()[1]) if C.ring.char_two else (1, D)
     if args.twisted or not rings.is_euclidean(C.ring):
-        # total homology rank over the fraction field of the ring
-        r = len(gens) - 2 * linalg.rank(D)
+        # total homology rank over the fraction field of the ring; the
+        # rank bound of linalg.rank holds when D is odd for gr mod 2
+        odd = copies == 1 and all(gens[i][1] % 2 != gens[j][1] % 2
+                                  for i, j, _e in D.nonzero_entries())
+        chi = sum(1 - 2 * (gr % 2) for _name, gr in gens)
+        ceiling = (len(gens) - abs(chi)) // 2 if odd else None
+        r = len(gens) - 2 * copies * linalg.rank(D, ceiling)
         payload["rank_over_fractions"] = r
         lines.append(f"rank_over_fractions\t{r}")
     else:
         H = linalg.homology(D)
-        payload["free_rank"] = H.free_rank
-        payload["torsion"] = [t.to_str() for t in H.torsion]
-        lines.append(f"free_rank\t{H.free_rank}")
-        lines.append("torsion\t" + (", ".join(t.to_str() for t in H.torsion)
-                                    or "none"))
+        torsion = [t.to_str() for t in H.torsion for _ in range(copies)]
+        payload["free_rank"] = copies * H.free_rank
+        payload["torsion"] = torsion
+        lines.append(f"free_rank\t{copies * H.free_rank}")
+        lines.append("torsion\t" + (", ".join(torsion) or "none"))
     _emit(payload, args.json, lines, out)
     return 0
 

@@ -469,8 +469,59 @@ def _eliminate(M):
     return A, pivots
 
 
-def rank(M):
-    """Rank over the fraction field of the ring, for every supported ring."""
+def _rank_at_point(M):
+    """The rank over F_p, p = 2^61 - 1, of the image of M under the ring
+    map U^(1/N) -> 5, each T -> 3 and x -> 7 from a characteristic-0
+    ring, or None when a Q denominator is divisible by p.  Each row is
+    reduced by the pivot rows, keyed by their leading column, until it
+    is zero or leads in a new column."""
+    p, images, pivots = 2 ** 61 - 1, {}, {}
+    for src in M._dicts:
+        row = {}
+        for j, e in src.items():
+            s = 0
+            for key, c in e.slot_terms():
+                if c.__class__ is not int:
+                    if not c.denominator % p:
+                        return None
+                    c = c.numerator * pow(c.denominator, -1, p)
+                m = images.get(key)
+                if m is None:
+                    x, n, ts = key
+                    m = images[key] = (pow(7, x, p) * pow(5, n, p)
+                                       * pow(3, sum(ts), p) % p)
+                s += c * m
+            if s := s % p:
+                row[j] = s
+        while row:
+            c = min(row)
+            pivot = pivots.get(c)
+            if pivot is None:
+                inverse = pow(row[c], -1, p)
+                pivots[c] = {j: a * inverse % p for j, a in row.items()}
+                break
+            q = row[c]
+            for j, a in pivot.items():
+                if b := (row.get(j, 0) - q * a) % p:
+                    row[j] = b
+                else:
+                    del row[j]
+    return len(pivots)
+
+
+def rank(M, ceiling=None):
+    """Rank over the fraction field of the ring, for every supported ring.
+
+    A ``ceiling`` the caller has proved for that rank lets a ring of
+    characteristic 0 skip the sweep: a ring map can only lower a rank, so
+    when the rank at one point of F_p (:func:`_rank_at_point`) reaches
+    the ceiling, it is the rank.  ``sharp`` passes (N - |chi|)/2 for its
+    cone D on N generators: D * D = 0 and D is odd for the mod-2 grading
+    of the generators, so over any field dim H(D) = N - 2 rank D is at
+    least |chi|, the Euler characteristic of that grading."""
+    if (ceiling is not None and not M.ring.char_two
+            and _rank_at_point(M) == ceiling):
+        return ceiling
     return len(_eliminate(M)[1])
 
 

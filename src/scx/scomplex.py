@@ -417,7 +417,8 @@ def sharp_complex(C, twisted=False):
 
     Untwisted: the cone of twice the chi map on the total complex.
     Twisted: the two-by-two block differential with off-diagonal entries
-    (2T^2 + 2T^-2 - 4)*chi and 2*chi; requires a T variable.
+    (2T^2 + 2T^-2 - 4)*chi and 2*chi; requires a T variable.  In
+    characteristic 2 both vanish, so the cone is dtilde twice over.
     """
     names, dt = C.dtilde()
     chi = C.chi_matrix()

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,8 @@ import pytest
 
 import scx
 from scx import cli, equivariant, knots, linalg, rings, scomplex
+
+import helpers
 
 
 def run(argv):
@@ -275,6 +278,49 @@ def test_euler_sharp_and_presentations(tmp_path):
                         "--specialize", "U=1", "--ring", "f2t"])
     assert code == 0
     assert "T1*T2*T3" in out and "T1^2 + T1^-2" in out
+
+
+def test_sharp_prints_what_the_whole_cone_gives(tmp_path):
+    # the oracle eliminates all of sharp_complex's cone, where the verb
+    # reads dtilde alone in characteristic 2 and one point of F_p in
+    # characteristic 0; twisted F2 and untrusted-v inputs are refused
+    rng = random.Random(3311)
+    f2tx = rings.poly_x(rings.F2T)
+    inputs = [helpers.random_scomplex(rng, ring, max_gens=10) for ring in (
+        rings.F2T, rings.F4T, f2tx, rings.ZT, rings.QT, rings.F2)
+        for _ in range(6)]
+    inputs += [knots.two_bridge_complex(p, q, "f2t")
+               for p, q in ((7, 3), (9, 2), (13, 5), (17, 5))]
+    seen = set()
+    for k, C in enumerate(inputs):
+        path = tmp_path / f"c{k}.json"
+        path.write_text(json.dumps(scomplex.to_dict(C)))
+        for twisted in (False, True):
+            argv = ["sharp", "--in", str(path)] + ["--twisted"] * twisted
+            code, out, err = run(argv + ["--json"])
+            try:
+                gens, D = scomplex.sharp_complex(C, twisted)
+            except scomplex.SComplexError as e:
+                assert (code, out, err) == (2, "", f"refused: {e}\n")
+                assert run(argv) == (code, out, err)
+                seen.add("refused")
+                continue
+            want = {"generators": len(gens), "twisted": twisted}
+            table = [f"generators\t{len(gens)}"]
+            if twisted or not rings.is_euclidean(C.ring):
+                r = len(gens) - 2 * linalg.rank(D)
+                want["rank_over_fractions"] = r
+                table.append(f"rank_over_fractions\t{r}")
+            else:
+                H = linalg.homology(D)
+                torsion = [t.to_str() for t in H.torsion]
+                want.update(free_rank=H.free_rank, torsion=torsion)
+                table += [f"free_rank\t{H.free_rank}",
+                          "torsion\t" + (", ".join(torsion) or "none")]
+                seen.add("torsion" if torsion else "free")
+            assert (code, json.loads(out), err) == (0, want, ""), C.ring
+            assert run(argv) == (0, "".join(f"{line}\n" for line in table), "")
+    assert seen == {"refused", "torsion", "free"}
 
 
 def test_hat_presentation_over_the_universal_ring(tmp_path):

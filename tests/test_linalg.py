@@ -1,11 +1,15 @@
 """Matrix products and v-powers, Smith normal form with certificates,
 invariant factors, kernels, solving, homology."""
 
+import io
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
+from scx import cli
 from scx import equivariant as E
 from scx import knots
 from scx import linalg as L
@@ -763,3 +767,81 @@ def test_dense_view_is_read_only_and_built_once():
         view[0][0] = z
     with pytest.raises(AttributeError):
         M.data = ()
+
+
+_P = 2 ** 61 - 1
+
+
+def _pair(ring, gr_a, gr_b, entry):
+    """Generators a, b with d(a) = entry * b and no other map."""
+    z = R.zero(ring)
+    gens = [S.Generator("a", gr_a), S.Generator("b", gr_b)]
+    return S.SComplex(ring, gens, L.Matrix(ring, [[z, z], [entry, z]]),
+                      L.Matrix.zeros(ring, 2, 2), L.Matrix.zeros(ring, 1, 2),
+                      L.Matrix.zeros(ring, 2, 1))
+
+
+def _sharp_ranks(tmp_path, monkeypatch, C, twisted):
+    """rank_over_fractions as ``scx sharp`` prints it, the ceiling it
+    passed to linalg.rank, and the rank the sweep of the whole cone
+    gives, read as the same total homology rank."""
+    ceilings = []
+    rank = L.rank
+
+    def recorded(M, ceiling=None):
+        ceilings.append(ceiling)
+        return rank(M, ceiling)
+
+    monkeypatch.setattr(L, "rank", recorded)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(S.to_dict(C)))
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["sharp", "--in", str(path), "--json"] + ["--twisted"] * twisted
+    assert cli.run(argv, out, err) == 0, err.getvalue()
+    monkeypatch.undo()
+    gens, D = S.sharp_complex(C, twisted)
+    oracle = len(gens) - 2 * L.rank(D)
+    return json.loads(out.getvalue())["rank_over_fractions"], ceilings, oracle
+
+
+def test_sharp_rank_at_a_point_falls_back_below_its_ceiling(tmp_path,
+                                                            monkeypatch):
+    # d(a) = (T - 3) b vanishes at the point T = 3, so there the
+    # untwisted cone keeps only the rank 2 of 2 * chi; over the fraction
+    # field it reaches (N - |chi|)/2 = 4
+    C = _pair(R.ZT, 1, 0, R.var(R.ZT, "T") - R.from_int(R.ZT, 3))
+    D = S.sharp_complex(C)[1]
+    assert L._rank_at_point(D) == 2 < L.rank(D) == 4
+    printed, ceilings, oracle = _sharp_ranks(tmp_path, monkeypatch, C, False)
+    assert ceilings == [4] and printed == oracle == 2
+    # the one-generator zero-maps complex: only 2 * chi joins the copies,
+    # and its rank 1 stays below the ceiling 2 at every point
+    C = S.SComplex.zero_maps(R.ZT, [S.Generator("z", 0)])
+    D = S.sharp_complex(C)[1]
+    assert L._rank_at_point(D) == L.rank(D) == 1
+    printed, ceilings, oracle = _sharp_ranks(tmp_path, monkeypatch, C, False)
+    assert ceilings == [2] and printed == oracle == 4
+
+
+def test_sharp_rank_with_a_denominator_p_is_swept(tmp_path, monkeypatch):
+    # 1/p has no image in F_p: the rank at the point is refused
+    e = R.monomial(R.QT, Fraction(1, _P), t=(1,))
+    C = _pair(R.QT, 1, 0, e)
+    D = S.sharp_complex(C, True)[1]
+    assert L._rank_at_point(D) is None and L.rank(D, 4) == 4
+    printed, ceilings, oracle = _sharp_ranks(tmp_path, monkeypatch, C, True)
+    assert ceilings == [4] and printed == oracle == 2
+
+
+def test_sharp_passes_no_ceiling_for_a_wrong_parity_entry(tmp_path,
+                                                          monkeypatch):
+    # d joins two generators of even gr: D is not odd for gr mod 2, so
+    # the bound on its rank is not read from the Euler characteristic
+    one = R.one(R.ZT)
+    for twisted in (False, True):
+        printed, ceilings, oracle = _sharp_ranks(
+            tmp_path, monkeypatch, _pair(R.ZT, 0, 2, one), twisted)
+        assert ceilings == [None] and printed == oracle == 2
+        printed, ceilings, oracle = _sharp_ranks(
+            tmp_path, monkeypatch, _pair(R.ZT, 1, 2, one), twisted)
+        assert ceilings == [4] and printed == oracle == 2

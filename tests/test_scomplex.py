@@ -289,18 +289,25 @@ def test_check_morphism_names_each_failing_relation():
 
 
 def test_random_matrices_fail_morphism():
+    # every lam is a chain map of a complex whose maps are all zero, so
+    # the draw is repeated until some structure map is nonzero
     rng = random.Random(222)
     C = helpers.random_scomplex(rng, R.ZT, max_gens=6)
+    while not C.n or all(M.is_zero() for M in (C.d, C.v, C.delta1,
+                                               C.delta2)):
+        C = helpers.random_scomplex(rng, R.ZT, max_gens=6)
     n = C.n
-    if n:
-        lam = L.Matrix(R.ZT, [[helpers.random_poly(rng, R.ZT,
-                                                   allow_zero=True)
-                               for _ in range(n)] for _ in range(n)])
-        m = S.SMorphism(C, C, lam, L.Matrix.zeros(R.ZT, n, n),
-                        L.Matrix.zeros(R.ZT, 1, n),
-                        L.Matrix.zeros(R.ZT, n, 1))
-        rep = S.check_morphism(m)
-        assert isinstance(rep.failures, list)
+    lam = L.Matrix(R.ZT, [[helpers.random_poly(rng, R.ZT, allow_zero=True)
+                           for _ in range(n)] for _ in range(n)])
+    m = S.SMorphism(C, C, lam, L.Matrix.zeros(R.ZT, n, n),
+                    L.Matrix.zeros(R.ZT, 1, n), L.Matrix.zeros(R.ZT, n, 1))
+    relations = ["lambda*d - d'*lambda != 0",
+                 "Delta1*d + delta1 - delta1'*lambda != 0",
+                 "d'*Delta2 - delta2' + lambda*delta2 != 0",
+                 "mu*d + lambda*v + Delta2*delta1 - v'*lambda + d'*mu "
+                 "- delta2'*Delta1 != 0"]
+    failures = S.check_morphism(m).failures
+    assert failures and all(f in relations for f in failures), failures
 
 
 def test_euler_characteristics():
@@ -393,13 +400,24 @@ def test_sharp_trivial_rank_two():
 
 
 def test_sharp_untwisted_splits_over_f2():
+    # in characteristic 2, 2 * chi and the twist vanish: the cone is
+    # dtilde twice over, so its homology is that of dtilde twice (each
+    # invariant factor twice, in order) and its rank twice that of dtilde
     rng = random.Random(444)
-    for _ in range(15):
-        C = helpers.random_scomplex(rng, R.F2T, max_gens=6)
-        _names, dt = C.dtilde()
-        reduced = L.homology(dt).free_rank
-        _gens, D = S.sharp_complex(C)
-        assert L.homology(D).free_rank == 2 * reduced
+    torsion, mixed = 0, 0
+    for ring in (R.F2T, R.F4T):
+        for _ in range(15):
+            C = helpers.random_scomplex(rng, ring, max_gens=10)
+            _names, dt = C.dtilde()
+            H = L.homology(dt)
+            HD = L.homology(S.sharp_complex(C)[1])
+            assert HD.free_rank == 2 * H.free_rank
+            assert HD.torsion == [t for t in H.torsion for _ in range(2)]
+            torsion += len(H.torsion)
+            mixed += len({t.to_str() for t in H.torsion}) > 1
+            _gens, D = S.sharp_complex(C, twisted=True)
+            assert L.rank(D) == 2 * L.rank(dt)
+    assert torsion >= 10 and mixed
 
 
 def test_sharp_twisted_needs_t():

@@ -488,10 +488,37 @@ def test_trajectory_alternates_parent_and_change(monkeypatch):
     assert [r["side"] for r in runs] == ["change", "change"]
 
 
+def test_trajectory_refuses_a_directory_that_is_not_a_checkout(
+        tmp_path, monkeypatch, capsys):
+    # an exported tree has no commit to record: refused before any run
+    T = _trajectory()
+    export = tmp_path / "export"
+    export.mkdir()
+    (export / "BENCHMARK.json").write_text(
+        (ROOT / "BENCHMARK.json").read_text(encoding="utf-8"),
+        encoding="utf-8")
+
+    def measure(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(T, "measure", measure)
+    for flag in ("--parent", "--root"):
+        with pytest.raises(SystemExit) as refused:
+            T.main(["--n", "999", flag, str(export)])
+        assert refused.value.code == 2
+        assert (f"{flag} {export} is not the top of a git checkout"
+                in capsys.readouterr().err)
+    assert not T.is_checkout(str(export / "missing"))
+    assert not T.is_checkout(str(ROOT / "tools"))
+    if (ROOT / ".git").exists():
+        assert T.is_checkout(str(ROOT))
+
+
 def test_trajectory_layer_microbenchmarks_run():
     # one timed call each, in a fresh process on this checkout's src/
     medians = _trajectory().run_layers(str(ROOT), repeat=1)
     assert sorted(medians) == [
+        "cli.sharp.T4_qt_twisted", "cli.sharp.tbf2t_47_7",
         "equivariant.gamma.T1", "equivariant.gamma.T2",
         "equivariant.gamma.T3", "equivariant.gamma.T4",
         "equivariant.h_invariant.T4", "equivariant.j_ideals.T4_f2t",

@@ -21,17 +21,27 @@ in DIR and the measured one back to back, the parent first on odd seeds
 and the change first on even ones.  The file then also holds the
 parent's commit, line count and summary, and per workload and metric
 the number of seeds on which the change read better than the parent.
+Make the parent a git checkout of its commit, with ``git worktree add``
+(or ``git clone``):
 
+    git worktree add ../parent HEAD~1
     python3 tools/trajectory.py --n 27 --seeds 1 2 3 4 --parent ../parent
+
+Both ``--root`` and ``--parent`` must name the top of a git checkout,
+so that the record holds the commit it measured; the script refuses any
+other directory, such as a ``git archive`` export, before it runs.
 
 Every record also holds, under ``layers``, the in-process layer
 microbenchmarks of each checkout it measures, run in a fresh process on
 that checkout's ``src/``: the median seconds of ``LAYER_REPEAT`` timed
 calls each of ``equivariant.gamma`` over k = -2..5 on the trefoil powers
 T1-T4, and of ``h_invariant``, ``j_ideals`` (over F2[T-Laurent], i =
--1..5) and ``verify_model_equivalence`` (truncation 2) on T4, and of
+-1..5) and ``verify_model_equivalence`` (truncation 2) on T4, of
 ``verify_model_equivalence`` on T2 at truncation 5, the depth of most
-model-check jobs of the bench.  One round of them runs per side after
+model-check jobs of the bench, and of two ``sharp`` jobs of the
+invariants bench through ``scx.cli.run``: T4 twisted over Q[T-Laurent],
+and the two-bridge knot K(47, 7) over F2[T-Laurent], with inputs written
+once to a temporary directory.  One round of them runs per side after
 each seed's bench runs, in that seed's order, so the layers alternate
 as the bench runs do; each side keeps every round's medians and, per
 layer, the median over the rounds.  With ``--parent`` the file also
@@ -44,12 +54,14 @@ the parent's (``ratio``).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -78,6 +90,17 @@ def src_lines(root):
             with open(os.path.join(src, name), encoding="utf-8") as fh:
                 total += sum(1 for _ in fh)
     return total
+
+
+def is_checkout(root):
+    """Whether ``root`` is the top directory of a git checkout."""
+    try:
+        top = subprocess.run(["git", "rev-parse", "--show-toplevel"],
+                             cwd=root, capture_output=True,
+                             text=True).stdout.strip()
+    except OSError:
+        return False
+    return bool(top) and os.path.samefile(top, root)
 
 
 def commit(root):
@@ -132,7 +155,7 @@ def measure(roots, workloads, seeds):
 def layer_medians(repeat):
     """The median seconds of ``repeat`` timed calls of each layer
     microbenchmark, on the scx that ``sys.path`` finds."""
-    from scx import equivariant as E, knots, rings, scomplex as S
+    from scx import cli, equivariant as E, knots, rings, scomplex as S
     T1 = knots.fixture("trefoil")
     T2 = S.tensor(T1, T1)
     powers = [T1, T2, S.tensor(T2, T1), S.tensor(T2, T2)]
@@ -148,14 +171,28 @@ def layer_medians(repeat):
         E.verify_model_equivalence, T4, 2)
     cases["equivariant.verify_model_equivalence.T2_d5"] = (
         E.verify_model_equivalence, T2, 5)
+
+    def sharp(*argv):
+        if cli.run(["sharp", "--in", *argv], io.StringIO(), io.StringIO()):
+            raise RuntimeError(f"sharp {argv} failed")
+
     out = {}
-    for name, (fn, *args) in cases.items():
-        times = []
-        for _ in range(repeat):
-            start = time.perf_counter()
-            fn(*args)
-            times.append(time.perf_counter() - start)
-        out[name] = statistics.median(times)
+    with tempfile.TemporaryDirectory() as tmp:
+        t4, tb = os.path.join(tmp, "T4.json"), os.path.join(tmp, "tb.json")
+        K = knots.two_bridge_complex(47, 7, "f2t")
+        for path, C in ((t4, T4), (tb, K)):
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(S.to_dict(C), fh)
+        cases["cli.sharp.T4_qt_twisted"] = (
+            sharp, t4, "--twisted", "--specialize", "U=1", "--ring", "qt")
+        cases["cli.sharp.tbf2t_47_7"] = (sharp, tb)
+        for name, (fn, *args) in cases.items():
+            times = []
+            for _ in range(repeat):
+                start = time.perf_counter()
+                fn(*args)
+                times.append(time.perf_counter() - start)
+            out[name] = statistics.median(times)
     return out
 
 
@@ -249,12 +286,16 @@ def main(argv=None):
                     help="a checkout to run in alternated pairs with it")
     args = ap.parse_args(argv)
     root = os.path.abspath(args.root)
-    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
-        bench = json.load(fh)
-    units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     roots = {"change": root}
     if args.parent:
         roots = {"parent": os.path.abspath(args.parent), "change": root}
+    for side, path in roots.items():
+        if not is_checkout(path):
+            ap.error(f"{'--root' if side == 'change' else '--parent'} "
+                     f"{path} is not the top of a git checkout")
+    with open(os.path.join(root, "BENCHMARK.json"), encoding="utf-8") as fh:
+        bench = json.load(fh)
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
 
     runs, rounds = measure(roots, [w["name"] for w in bench["workloads"]],
                            args.seeds)
