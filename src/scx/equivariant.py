@@ -29,8 +29,9 @@ Chern-Simons level of one over the universal ring, and J_k is generated
 by the entries of T_k K for a kernel basis K of A_k.  The systems nest
 (W_k leads W_(k+1) for k >= 1, A_k leads A_(k-1) for k <= 0), so h
 reads which rows of one system and which columns of another raise the
-rank (``linalg.pivot_columns``), and J_k cuts one kernel basis, of the
-lowest A_k, by the row T_k K.  Gamma reads one U-split S of W_k, whose
+rank (``linalg.pivot_columns``), and every J_k is one pivot of a
+Euclidean sweep of the lowest A_k stacked with the rows T_k
+(``linalg.kernel_gcds``).  Gamma reads one U-split S of W_k, whose
 rows born of T_k sort last: its value is the level of the first
 unknown, in level order, at which S outranks its head, the split of A_k
 (``linalg.raising_column``).
@@ -328,8 +329,9 @@ def h_invariant(C):
 
 
 def _reduce_generators(ring, gens):
-    """Collapse a generator list: gcd over the Euclidean rings, otherwise
-    normalized associates with divisors removed."""
+    """Collapse a generator list, zeros and Nones dropped: gcd over the
+    Euclidean rings, otherwise normalized associates with divisors
+    removed."""
     gens = [g for g in gens if g]
     if not gens:
         return []
@@ -355,7 +357,12 @@ def j_ideals(C, i_min=None, i_max=None):
     level systems (module docstring).
 
     Over Z and the field Laurent rings J_i is the gcd of the entries of
-    T_i K, K a kernel basis of A_i that the level below cuts by one row.
+    T_i K, K a kernel basis of A_i.  The systems nest: A_(i+1) is A_i cut
+    by the row T_i, starting from A_(i_min).  So one matrix stacks
+    A_(i_min) and the rows T_i, and ``linalg.kernel_gcds`` reads every
+    J_i from one Euclidean sweep of it: when the sweep reaches row T_i,
+    its rows below the rank hold a kernel basis of the rows above, and
+    the pivot its Euclid loop leaves is the gcd of T_i on that basis.
     Over Z[T-Laurent] the module theory is out of reach in general; the
     computation is honest only when d = 0 and v = 0 (which covers the
     generated two-bridge complexes with trusted v) and is refused
@@ -378,27 +385,21 @@ def j_ideals(C, i_min=None, i_max=None):
             "the ideal sequence needs a nilpotent v map")
     i_min = -(m + 1) if i_min is None else i_min
     i_max = m if i_max is None else i_max
-    # K K' is a kernel basis of A_(i+1) for a kernel basis K of A_i and
-    # K' of the row T_i K, and the ideal of that row's entries does not
-    # depend on K.  K keeps the unknowns of A_(i_min): rows past the first
-    # n are the a_j, which the cuts below level 1 have set to zero.  T_i
-    # for i >= 1 is row n + i - 1 of W_(i_max).
+    # T_i reads the unknown a_(-i) of A_(i_min) for i <= 0, and for i >= 1
+    # is row n + i - 1 of W_(i_max) on the first n unknowns: the cuts
+    # below level 1 have set the a_j to zero
     blocks = _blocks(C, vp, max(i_max, 1), i_min)
-    cut = _level_system(C, blocks, i_min)
-    cut = cut.rows_selected(range(cut.rows - 1))
+    A = _level_system(C, blocks, i_min)
     stack = _level_system(C, blocks, max(i_max, 1))
-    K = Matrix.identity(ring, cut.cols)
-    out = {}
-    for i in range(i_min, i_max + 1):
-        K = K * linalg.kernel_basis(cut)
-        if i >= 1:
-            cut = (stack.rows_selected([C.n + i - 1])
-                   * K.rows_selected(range(C.n)))
-        else:
-            cut = K.rows_selected([C.n - i])
-        out[i] = _reduce_generators(ring, [e for *_, e in
-                                           cut.nonzero_entries()])
-    return out
+    levels, top = range(i_min, i_max + 1), A.rows - 1
+    gcds = linalg.kernel_gcds(assemble(
+        ring, top + len(levels), A.cols,
+        [(0, 0, A.rows_selected(range(top)))] + [
+            (top + k, 0, stack.rows_selected([C.n + i - 1])) if i >= 1
+            else (top + k, C.n - i, Matrix.identity(ring, 1))
+            for k, i in enumerate(levels)]))
+    return {i: _reduce_generators(ring, [gcds[top + k]])
+            for k, i in enumerate(levels)}
 
 
 def _j_ideals_zt(C, i_min, i_max):

@@ -7,7 +7,9 @@ every matrix of the package is built from those entries by
 diagonal Smith reduction with transform certificates over the Euclidean
 rings (Z, the constant fields, and one-variable Laurent rings over a
 field) and the invariant factors read from it, kernels, exact linear
-solving, the homology of a differential from its Smith form, and over
+solving, the homology of a differential from its Smith form, the gcds
+of each row on the kernel of the rows above it from the pivots of one
+Euclidean (Hermite-style) echelon sweep of the transpose, and over
 any integral domain the fraction-field ranks and the columns that raise
 them, read from the pivot columns of one division-free forward sweep to
 echelon (not reduced) form, which a back pass turns into fraction-field
@@ -372,6 +374,37 @@ def kernel_basis(M):
     if len(free) != M.cols - r:
         raise LinalgError("Smith form rank disagrees with its free columns")
     return snf.V.columns_selected(free)
+
+
+def kernel_gcds(M):
+    """Per row c of M over a Euclidean ring, the gcd (up to units) of the
+    values of row c on the kernel of the rows above it, or None when they
+    are all zero.  One Euclidean sweep brings the rows of M^T, one per
+    unknown, to echelon form column by column by invertible row
+    operations.  When column c is reached, the rows below the rank are
+    zero in the columns before c, and since the operations are
+    invertible they form a basis of the kernel of the rows of M above c;
+    their entries in column c are row c's values on that basis.  The
+    holder of least Euclidean norm reduces the others until one row alone
+    holds the column, and that row's entry is their gcd."""
+    if not is_euclidean(M.ring):
+        raise LinalgError(f"{M.ring} is not Euclidean; no gcds there")
+    A, r, out = M.transpose()._dicts, 0, []
+    for c in range(M.rows):
+        held = [i for i in range(r, len(A)) if c in A[i]]
+        while len(held) > 1:
+            p = min(held, key=lambda i: enorm(A[i][c]))
+            for i in held:
+                if i != p:
+                    _add_into(A[i], A[p], -divmod_euclid(A[i][c], A[p][c])[0])
+            held = [i for i in held if c in A[i]]
+        if not held:
+            out.append(None)
+            continue
+        A[r], A[held[0]] = A[held[0]], A[r]
+        out.append(A[r][c])
+        r += 1
+    return out
 
 
 def solve_matrix(M, B):

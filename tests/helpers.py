@@ -332,11 +332,11 @@ def reference_u_split(M, unknowns):
 
 
 def reference_j_ideals(C, i_min, i_max):
-    """``equivariant.j_ideals`` over the Euclidean rings as it was before
-    one kernel basis served every level: a kernel basis K of each A_i
-    from its own Smith form, and J_i from the entries of T_i K.  Kept as
-    the oracle the loop that cuts one basis by a row per level is
-    compared against."""
+    """``equivariant.j_ideals`` over the Euclidean rings from one Smith
+    form per level: a kernel basis K of each A_i from its own Smith
+    form, and J_i from the entries of T_i K.  The oracle of the one
+    Euclidean sweep that reads every J_i: the two share no
+    elimination."""
     blocks = equivariant._blocks(C, equivariant.v_powers(C, C.n),
                                  i_max, i_min)
     out = {}

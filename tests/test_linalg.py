@@ -86,6 +86,58 @@ def test_kernel_examples():
     assert L.kernel_basis(L.Matrix(R.QT, [[t ** 2 - t ** -2]])).cols == 0
 
 
+def _sweep_input(rng, ring):
+    """At most 8 rows, each zero, a combination of the rows above, random,
+    or random times a non-unit more often than not; the first row is
+    zero in about a third of the draws."""
+    n = rng.randint(1, 7)
+    rows = [[R.zero(ring)] * n] if rng.random() < 0.3 else []
+    while len(rows) < rng.randint(1, 8):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append([R.zero(ring)] * n)
+        elif kind == 1 and rows:
+            coeffs = [helpers.random_poly(rng, ring, allow_zero=True)
+                      for _ in rows]
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)),
+                             R.zero(ring)) for j in range(n)])
+        else:
+            f = helpers.random_poly(rng, ring) if kind == 3 else R.one(ring)
+            rows.append([f * helpers.random_poly(rng, ring, allow_zero=True)
+                         * helpers.random_poly(rng, ring) for _ in range(n)])
+    return L.Matrix(ring, rows, cols=n)
+
+
+@pytest.mark.parametrize("ring", [R.Z, R.F2T, R.F4T, R.QT],
+                         ids=lambda r: r.tag)
+def test_kernel_gcds_are_the_gcds_on_smith_form_kernels(ring):
+    # entry c is the gcd of row c on a kernel basis of the rows above it,
+    # here from the Smith form, or None when that row is zero there
+    rng = random.Random(3434)
+    seen = set()
+    for _ in range(40):
+        M = _sweep_input(rng, ring)
+        gcds = L.kernel_gcds(M)
+        assert len(gcds) == M.rows
+        for c, g in enumerate(gcds):
+            row = (M.rows_selected([c])
+                   * L.kernel_basis(M.rows_selected(range(c))))
+            values = [e for *_, e in row.nonzero_entries()]
+            want = None
+            for e in values:
+                want = R.normalize_associate(e if want is None
+                                             else R.gcd(want, e))
+            assert (g if g is None else R.normalize_associate(g)) == want
+            seen.add("none" if g is None else "unit" if g.is_unit()
+                     else "proper")
+    assert seen == {"none", "unit", "proper"}
+
+
+def test_kernel_gcds_are_refused_off_the_euclidean_rings():
+    with pytest.raises(L.LinalgError):
+        L.kernel_gcds(helpers.int_matrix(R.ZT, [[1, 2]]))
+
+
 def test_solve_examples():
     assert str(L.solve_matrix(zm([[2]]), zm([[4]]))[0, 0]) == "2"
     assert L.solve_matrix(zm([[2]]), zm([[3]])) is None

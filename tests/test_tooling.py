@@ -132,8 +132,8 @@ def test_only_blocks_multiplies_by_delta1_or_delta2():
 
 
 def test_h_search_reads_only_ranks():
-    # h and Gamma read pivot columns of the level systems; kernels
-    # belong to the ideal sequence alone
+    # h and Gamma read pivot columns of the level systems; the kernel
+    # gcds of one Euclidean sweep belong to the ideal sequence alone
     users = _top_level_names_using(
         SRC / "equivariant.py",
         lambda node: isinstance(node, ast.Attribute)
@@ -160,27 +160,28 @@ def test_gamma_reads_one_level_system():
                     for name in ast.walk(node))]
 
 
-def test_ideal_sequence_runs_one_multi_row_smith_form(monkeypatch):
-    # every level below the first cuts the one kernel basis by a single
-    # row, so trefoil^4 over F2[T-Laurent] reduces one 42-column system
-    # and six rows, not seven systems
+def test_ideal_sequence_runs_one_euclidean_sweep(monkeypatch):
+    # every J_i of trefoil^4 over F2[T-Laurent] is one pivot of a single
+    # sweep of the stacked system: no Smith form and no kernel basis (one
+    # 42-column kernel basis and six one-row ones before the sweep)
     from scx import equivariant as E, knots, scomplex as S
     T1 = knots.fixture("trefoil")
     T2 = S.tensor(T1, T1)
     T4 = S.tensor(T2, T2)
     C = S.base_change_complex(
         T4, S.standard_assignment(T4.ring, R.F2T, U="1"), R.F2T)
-    rows = []
-    kernel_basis = L.kernel_basis
+    calls = []
+    for name in ("kernel_gcds", "kernel_basis", "smith_normal_form"):
+        original = getattr(L, name)
 
-    def recording(M):
-        rows.append(M.rows)
-        return kernel_basis(M)
+        def recording(M, name=name, original=original):
+            calls.append((name, M.rows, M.cols))
+            return original(M)
 
-    monkeypatch.setattr(L, "kernel_basis", recording)
+        monkeypatch.setattr(L, name, recording)
     E.j_ideals(C, -1, 5)
-    assert len(rows) == 7
-    assert sum(1 for r in rows if r > 1) == 1
+    assert [name for name, *_ in calls] == ["kernel_gcds"]
+    assert calls[0][2] == 42
 
 
 def _functions_calling(name):
@@ -521,7 +522,9 @@ def test_trajectory_layer_microbenchmarks_run():
         "cli.sharp.T4_qt_twisted", "cli.sharp.tbf2t_47_7",
         "equivariant.gamma.T1", "equivariant.gamma.T2",
         "equivariant.gamma.T3", "equivariant.gamma.T4",
-        "equivariant.h_invariant.T4", "equivariant.j_ideals.T4_f2t",
+        "equivariant.h_invariant.T4", "equivariant.j_ideals.T3_qt",
+        "equivariant.j_ideals.T4_f2t", "equivariant.j_ideals.T5_f2t",
+        "equivariant.j_ideals.tbz_41_3",
         "equivariant.verify_model_equivalence.T2_d5",
         "equivariant.verify_model_equivalence.T4"]
     assert all(s > 0 for s in medians.values())

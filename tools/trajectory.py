@@ -37,6 +37,8 @@ that checkout's ``src/``: the median seconds of ``LAYER_REPEAT`` timed
 calls each of ``equivariant.gamma`` over k = -2..5 on the trefoil powers
 T1-T4, and of ``h_invariant``, ``j_ideals`` (over F2[T-Laurent], i =
 -1..5) and ``verify_model_equivalence`` (truncation 2) on T4, of
+``j_ideals`` on T3 over Q[T-Laurent] (i = -1..4), on the two-bridge knot
+K(41, 3) over Z (i = -1..3) and on T5 over F2[T-Laurent] (i = -1..5), of
 ``verify_model_equivalence`` on T2 at truncation 5, the depth of most
 model-check jobs of the bench, and of two ``sharp`` jobs of the
 invariants bench through ``scx.cli.run``: T4 twisted over Q[T-Laurent],
@@ -160,13 +162,23 @@ def layer_medians(repeat):
     T2 = S.tensor(T1, T1)
     powers = [T1, T2, S.tensor(T2, T1), S.tensor(T2, T2)]
     T4 = powers[-1]
-    T4_f2t = S.base_change_complex(
-        T4, S.standard_assignment(T4.ring, rings.F2T, U="1"), rings.F2T)
+
+    def over(C, ring):
+        return S.base_change_complex(
+            C, S.standard_assignment(C.ring, ring, U="1"), ring)
+
     ks = list(range(-2, 6))
     cases = {f"equivariant.gamma.T{i}": (E.gamma, C, ks)
              for i, C in enumerate(powers, 1)}
     cases["equivariant.h_invariant.T4"] = (E.h_invariant, T4)
-    cases["equivariant.j_ideals.T4_f2t"] = (E.j_ideals, T4_f2t, -1, 5)
+    cases["equivariant.j_ideals.T4_f2t"] = (
+        E.j_ideals, over(T4, rings.F2T), -1, 5)
+    cases["equivariant.j_ideals.T3_qt"] = (
+        E.j_ideals, over(powers[2], rings.QT), -1, 4)
+    cases["equivariant.j_ideals.tbz_41_3"] = (
+        E.j_ideals, knots.two_bridge_complex(41, 3, "z"), -1, 3)
+    cases["equivariant.j_ideals.T5_f2t"] = (
+        E.j_ideals, over(S.tensor(T4, T1), rings.F2T), -1, 5)
     cases["equivariant.verify_model_equivalence.T4"] = (
         E.verify_model_equivalence, T4, 2)
     cases["equivariant.verify_model_equivalence.T2_d5"] = (
