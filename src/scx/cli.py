@@ -544,13 +544,9 @@ def _cmd_sharp(args, out, err):
     # in characteristic 2, D is dtilde twice over (see sharp_complex)
     copies, D = (2, C.dtilde()[1]) if C.ring.char_two else (1, D)
     if args.twisted or not rings.is_euclidean(C.ring):
-        # total homology rank over the fraction field of the ring; the
-        # rank bound of linalg.rank holds when D is odd for gr mod 2
-        odd = copies == 1 and all(gens[i][1] % 2 != gens[j][1] % 2
-                                  for i, j, _e in D.nonzero_entries())
-        chi = sum(1 - 2 * (gr % 2) for _name, gr in gens)
-        ceiling = (len(gens) - abs(chi)) // 2 if odd else None
-        r = len(gens) - 2 * copies * linalg.rank(D, ceiling)
+        # total homology rank over the fraction field of the ring, with
+        # the rank bound that linalg.rank proves for d-tilde and the cone
+        r = len(gens) - 2 * copies * linalg.rank(D, (D.rows - 1) // 2)
         payload["rank_over_fractions"] = r
         lines.append(f"rank_over_fractions\t{r}")
     else:

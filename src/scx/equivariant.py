@@ -329,20 +329,10 @@ def h_invariant(C):
 
 
 def _reduce_generators(ring, gens):
-    """Collapse a generator list, zeros and Nones dropped: gcd over the
-    Euclidean rings, otherwise normalized associates with divisors
-    removed."""
-    gens = [g for g in gens if g]
-    if not gens:
-        return []
-    if rings.is_euclidean(ring):
-        g = gens[0]
-        for other in gens[1:]:
-            g = rings.gcd(g, other)
-        g = rings.normalize_associate(g)
-        return [rings.one(ring)] if g.is_unit() else [g]
+    """Collapse a generator list over Z[T-Laurent], zeros dropped:
+    normalized associates with divisors removed."""
     normed = []
-    for g in gens:
+    for g in filter(None, gens):
         g = rings.normalize_associate(g)
         if g not in normed:
             normed.append(g)
@@ -398,8 +388,9 @@ def j_ideals(C, i_min=None, i_max=None):
             (top + k, 0, stack.rows_selected([C.n + i - 1])) if i >= 1
             else (top + k, C.n - i, Matrix.identity(ring, 1))
             for k, i in enumerate(levels)]))
-    return {i: _reduce_generators(ring, [gcds[top + k]])
-            for k, i in enumerate(levels)}
+    # a unit normalizes to 1
+    return {i: [rings.normalize_associate(g)] if g else []
+            for i, g in zip(levels, gcds[top:])}
 
 
 def _j_ideals_zt(C, i_min, i_max):

@@ -13,7 +13,8 @@ Euclidean (Hermite-style) echelon sweep of the transpose, and over
 any integral domain the fraction-field ranks and the columns that raise
 them, read from the pivot columns of one division-free forward sweep to
 echelon (not reduced) form, which a back pass turns into fraction-field
-kernels."""
+kernels.  Products and row operations sum each entry in one term dict by
+the multiply-accumulate kernel of :mod:`scx.rings`, and wrap it once."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from collections import namedtuple
 from math import prod
 
 from .rings import (LaurentPoly, RingMismatchError, divide,
-                    divmod_euclid, enorm, gcd, is_euclidean,
+                    divmod_euclid, enorm, gcd, is_euclidean, kernel,
                     normalize_associate, normalizing_unit, one,
                     rational_terms, zero)
 
@@ -41,11 +42,18 @@ def _nonzero(ring, e):
 
 def _add_into(row, src, q=None):
     """row += q * src (row += src without q) on row dicts, in place, with
-    cancelled sums dropped; only the entries of src are visited."""
+    cancelled sums dropped; only the entries of src are visited.  Each
+    sum a + q * e is built in one term dict."""
+    # q = 1 adds e itself, so that a product by 1 stays free
+    mac = None if q is None or q.is_one() else kernel(q.ring)
     for j, e in src.items():
-        e = e if q is None else q * e
         a = row.get(j)
-        e = e if a is None else a + e
+        if mac:
+            acc = {} if a is None else dict(a.slot_terms())
+            mac(acc, q, e)
+            e = LaurentPoly._trusted(q.ring, acc)
+        elif a is not None:
+            e = a + e
         if e:
             row[j] = e
         else:
@@ -167,17 +175,21 @@ class Matrix:
             raise LinalgError(
                 f"shape mismatch {self.rows}x{self.cols} * "
                 f"{other.rows}x{other.cols}")
-        # only stored entries meet; sums that cancel are dropped per row
-        right = other._dicts
-        out = []
+        # only stored entries meet; each output entry is summed in one
+        # term dict and wrapped once, and sums that cancel are dropped
+        ring, right, out = self.ring, other._dicts, []
+        mac = kernel(ring)
         for arow in self._dicts:
             row = {}
             for k, a in arow.items():
                 for j, b in right[k].items():
-                    s = row.get(j)
-                    row[j] = a * b if s is None else s + a * b
-            out.append({j: e for j, e in row.items() if e})
-        return Matrix._trusted(self.ring, out, other.cols)
+                    acc = row.get(j)
+                    if acc is None:
+                        row[j] = acc = {}
+                    mac(acc, a, b)
+            out.append({j: LaurentPoly._trusted(ring, acc)
+                        for j, acc in row.items() if acc} if row else row)
+        return Matrix._trusted(ring, out, other.cols)
 
     def _compat(self, other, same_shape=False):
         if not isinstance(other, Matrix):
@@ -472,14 +484,23 @@ def det(M):
 def _clear(A, pivot, c, rows):
     """Clear column c from each row A[i], i in ``rows``, that holds it: the
     row becomes p*row - q*pivot (p = pivot[c], q = A[i][c]), walking only
-    the nonzero entries of both."""
+    the nonzero entries of both; an entry p*e - q*f is built in one term
+    dict."""
     p = pivot[c]
-    for i in rows:
-        q = A[i].get(c)
-        if q is not None:
-            row = {j: p * e for j, e in A[i].items()}
-            _add_into(row, pivot, -q)
-            A[i] = row
+    ring, mac = p.ring, kernel(p.ring)
+    for i in [i for i in rows if c in A[i]]:
+        row, q = A[i], -A[i][c]
+        out = {j: q * f for j, f in pivot.items() if j not in row}
+        for j, e in row.items():
+            if j not in pivot:
+                out[j] = p * e
+                continue
+            acc = {}
+            mac(acc, p, e)
+            mac(acc, q, pivot[j])
+            if acc:
+                out[j] = LaurentPoly._trusted(ring, acc)
+        A[i] = out
 
 
 def _eliminate(M):
@@ -548,10 +569,14 @@ def rank(M, ceiling=None):
     A ``ceiling`` the caller has proved for that rank lets a ring of
     characteristic 0 skip the sweep: a ring map can only lower a rank, so
     when the rank at one point of F_p (:func:`_rank_at_point`) reaches
-    the ceiling, it is the rank.  ``sharp`` passes (N - |chi|)/2 for its
-    cone D on N generators: D * D = 0 and D is odd for the mod-2 grading
-    of the generators, so over any field dim H(D) = N - 2 rank D is at
-    least |chi|, the Euler characteristic of that grading."""
+    the ceiling, it is the rank.  ``sharp`` passes (size - 1) // 2 for
+    dtilde and for its cone D, bounds that hold over any field.  dtilde
+    squares to zero on 2n + 1 generators, so dim H(dtilde) is odd.
+    Untwisted, H(D) is the kernel plus the cokernel of the nilpotent
+    2 chi_* on H(dtilde); twisted, D splits over an algebraic closure
+    into dtilde +- l*chi, l^2 = 2w != 0, each of square zero (dtilde chi
+    + chi dtilde = 0, chi^2 = 0) on 2n + 1 generators.  Either way dim
+    H(D) >= 2, so rank D <= (N - 2)/2 on N = 4n + 2 generators."""
     if (ceiling is not None and not M.ring.char_two
             and _rank_at_point(M) == ceiling):
         return ceiling

@@ -16,7 +16,8 @@ read in value units where a polynomial is built from outside data
 (``LaurentPoly(...)``, ``monomial``, ``var``, ``parse``), which check
 once that N*u is an integer, and is given back in value units by
 ``terms_dict``, ``sorted_terms`` and printing; arithmetic results are
-not checked again.  All arithmetic is exact; nothing in this module
+not checked again.  Every product of terms runs in one kernel,
+:func:`kernel`.  All arithmetic is exact; nothing in this module
 touches floating point.
 """
 
@@ -405,25 +406,9 @@ class LaurentPoly:
             return self
         if self.is_one():
             return other
-        ring = self.ring
-        base = ring.base
-        z_or_q, f2 = base == "Z" or base == "Q", base == "F2"
-        one_t = len(ring.tvars) == 1
-        out = {}
-        get = out.get
-        right = list(other._terms.items())
-        for (x1, n1, t1), c1 in self._terms.items():
-            for (x2, n2, t2), c2 in right:
-                k = (x1 + x2, n1 + n2,
-                     (t1[0] + t2[0],) if one_t else tuple(map(add, t1, t2)))
-                if z_or_q:
-                    out[k] = get(k, 0) + c1 * c2
-                elif f2:
-                    out[k] = get(k, 0) ^ c1 & c2
-                else:
-                    out[k] = get(k, 0) ^ _cmul(base, c1, c2)
-        return LaurentPoly._trusted(ring,
-                                    {k: c for k, c in out.items() if c})
+        acc = {}
+        kernel(self.ring)(acc, self, other)
+        return LaurentPoly._trusted(self.ring, acc)
 
     def __rmul__(self, other):
         if isinstance(other, int):
@@ -506,6 +491,55 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"<{self.ring.tag}: {self.to_str()}>"
+
+
+# ---------------------------------------------------------------------------
+# the multiply-accumulate kernel
+
+
+def _kernel_for(base, nt):
+    z_or_q, f2, one_t = base == "Z" or base == "Q", base == "F2", nt == 1
+    unit = {(0, 0, (0,) * nt): 1}
+
+    def mac(acc, a, b):
+        left, right = a._terms, b._terms
+        if not acc and (left == unit or right == unit):
+            # a product by 1 into an empty sum copies the other factor
+            acc.update(right if left == unit else left)
+            return
+        get = acc.get
+        right = list(right.items())
+        for (x1, n1, t1), c1 in left.items():
+            for (x2, n2, t2), c2 in right:
+                k = (x1 + x2, n1 + n2,
+                     (t1[0] + t2[0],) if one_t else tuple(map(add, t1, t2)))
+                if z_or_q:
+                    s = get(k, 0) + c1 * c2
+                elif f2:
+                    s = get(k, 0) ^ c1 & c2
+                else:
+                    s = get(k, 0) ^ _cmul(base, c1, c2)
+                if s:
+                    acc[k] = s
+                else:
+                    # c1 * c2 is nonzero, so a zero sum means k was present
+                    del acc[k]
+
+    return mac
+
+
+# one kernel per base and number of T variables (R_SHARP has the most)
+_KERNELS = {(base, nt): _kernel_for(base, nt)
+            for base in ("Z", "Q", "F2", "F4") for nt in range(5)}
+
+
+def kernel(ring):
+    """The multiply-accumulate kernel ``mac(acc, a, b)`` of ``ring``: acc
+    += a*b on a term dict, in place, cancelled terms dropped, for
+    ``LaurentPoly._trusted`` to wrap.  Its coefficient rule (+ * over Z
+    and Q, ^ & over F2, F4's product) and key rule (one T-exponent or the
+    general tuple) are bound when it is built, and callers read no key."""
+    return _KERNELS[ring.base, len(ring.tvars)]
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +715,13 @@ def _divide_general(a, b):
     # strictly falling terms can visit the box's points at most once each.
     ring = a.ring
     base = ring.base
-    z_or_q = base == "Z" or base == "Q"
+    mac = kernel(ring)
     lo, hi = _exponent_box(a)
     blo, bhi = _exponent_box(b)
     lo = [p - q for p, q in zip(lo, blo)]
     hi = [p - q for p, q in zip(hi, bhi)]
     bkey = max(b._terms)
     bc = b._terms[bkey]
-    right = list(b._terms.items())
     r = dict(a._terms)
     q_terms = {}
     while r:
@@ -704,16 +737,8 @@ def _divide_general(a, b):
             return None
         q_terms[(x, n, ts)] = c
         # r -= c * X^x U^(n/N) T^ts * b
-        for (bx, bn, bts), d in right:
-            k = (x + bx, n + bn, tuple(map(add, ts, bts)))
-            if z_or_q:
-                s = r.get(k, 0) - c * d
-            else:
-                s = r.get(k, 0) ^ _cmul(base, c, d)
-            if s:
-                r[k] = s
-            else:
-                del r[k]
+        mac(r, LaurentPoly._trusted(ring, {(x, n, ts): c if ring.char_two
+                                           else -c}), b)
     return LaurentPoly._trusted(ring, q_terms)
 
 

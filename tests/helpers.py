@@ -343,8 +343,11 @@ def reference_j_ideals(C, i_min, i_max):
     for i in range(i_min, i_max + 1):
         A, T = split_level_system(equivariant._level_system(C, blocks, i))
         row = T * linalg.kernel_basis(A)
-        out[i] = equivariant._reduce_generators(
-            C.ring, [row[0, j] for j in range(row.cols)])
+        # gcd normalizes, so a unit gcd is 1
+        g = rings.zero(C.ring)
+        for j in range(row.cols):
+            g = rings.gcd(g, row[0, j])
+        out[i] = [g] if g else []
     return out
 
 

@@ -440,3 +440,152 @@ def test_ring_descriptors_are_plain_values():
     assert str(R.poly_x(R.QT)) == "Ring(POLY_X(QT))"
     assert R.universal(3).variables() == ["U", "T"]
     assert R.F2T.char_two and R.Q.is_field and not R.QT.is_field
+
+
+# ---------------------------------------------------------------------------
+# the multiply-accumulate kernel against a term-by-term reference
+
+KERNEL_RINGS = (R.Z, R.Q, R.F2, R.F4, R.ZT, R.F2T, R.F4T, R.QT, R.S_BN,
+                R.R_SHARP, R.universal(6), R.poly_x(R.universal(2)),
+                R.poly_x(R.QT))
+
+
+def _naive_cmul(base, a, b):
+    if base == "F2":
+        return a * b % 2
+    if base == "F4":
+        # carry-less product of the bit polynomials, reduced by x^2+x+1
+        p = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+        return p ^ 0b111 if p & 4 else p
+    return a * b
+
+
+def _naive_sum_of_products(ring, pairs):
+    """sum a*b over ``pairs``, one pair of terms at a time, in value
+    units, built through the checked constructor."""
+    out = {}
+    for a, b in pairs:
+        for (x1, u1, t1), c1 in a.terms_dict().items():
+            for (x2, u2, t2), c2 in b.terms_dict().items():
+                k = (x1 + x2, Fraction(u1) + u2,
+                     tuple(p + q for p, q in zip(t1, t2)))
+                c = _naive_cmul(ring.base, c1, c2)
+                s = out.get(k, 0)
+                out[k] = s ^ c if ring.char_two else s + c
+    return R.LaurentPoly(ring, out)
+
+
+def _kernel_poly(rng, ring, terms=4, coeffs=None):
+    coeffs = coeffs or {
+        "Z": [-3, -2, -1, 1, 2, 3], "F2": [1], "F4": [1, 2, 3],
+        "Q": [Fraction(n, d) for n in (-2, -1, 1, 3) for d in (1, 2, 3)],
+    }[ring.base]
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        u = Fraction(rng.randint(-4, 4), ring.udenom) if ring.udenom else 0
+        key = (rng.randint(0, 2) if ring.has_x else 0, u,
+               tuple(rng.randint(-2, 2) for _ in ring.tvars))
+        out[key] = rng.choice(coeffs)
+    return R.LaurentPoly(ring, out)
+
+
+def _accumulated(ring, pairs, acc=None):
+    acc = {} if acc is None else acc
+    mac = R.kernel(ring)
+    for a, b in pairs:
+        mac(acc, a, b)
+    assert all(acc.values()), "a zero coefficient is stored"
+    return R.LaurentPoly._trusted(ring, acc)
+
+
+def test_kernel_is_the_term_by_term_sum_of_products():
+    rng = random.Random(35)
+    for ring in KERNEL_RINGS:
+        for _ in range(30):
+            pairs = [(_kernel_poly(rng, ring), _kernel_poly(rng, ring))
+                     for _ in range(rng.randint(1, 3))]
+            assert _accumulated(ring, pairs) == _naive_sum_of_products(
+                ring, pairs), ring
+            a, b = pairs[0]
+            assert a * b == _naive_sum_of_products(ring, [(a, b)])
+            # an accumulator may start as a copy of a sum's terms
+            acc = dict(a.slot_terms())
+            assert _accumulated(ring, [(a, b)], acc) == a + a * b
+
+
+def test_kernel_drops_what_cancels():
+    rng = random.Random(36)
+    for ring in KERNEL_RINGS:
+        a, b = _kernel_poly(rng, ring), _kernel_poly(rng, ring)
+        c = _kernel_poly(rng, ring)
+        # a*b + (-a)*b is zero, and a*b + c*b - a*b leaves c*b alone
+        assert _accumulated(ring, [(a, b), (-a, b)]) == R.zero(ring)
+        assert _accumulated(ring, [(a, b), (c, b), (-a, b)]) == c * b
+        t = R.var(ring, ring.tvars[0]) if ring.tvars else R.one(ring)
+        one = R.one(ring)
+        # (t + 1)(t - 1) = t^2 - 1: the cross terms cancel inside one product
+        assert _accumulated(ring, [(t + one, t - one)]) == t * t - one
+
+
+def test_kernel_products_by_one_and_by_units():
+    rng = random.Random(37)
+    for ring in KERNEL_RINGS:
+        one = R.one(ring)
+        units = [one, -one]
+        if ring.tvars:
+            units.append(-R.var(ring, ring.tvars[-1], -3))
+        if ring.udenom:
+            units.append(R.var(ring, "U", Fraction(1, ring.udenom)))
+        if ring.base == "Q":
+            units.append(R.monomial(ring, Fraction(-2, 3)))
+        if ring.base == "F4":
+            units.append(R.var(ring, "x"))
+        for _ in range(10):
+            a = _kernel_poly(rng, ring)
+            for u in units:
+                naive = _naive_sum_of_products(ring, [(a, u)])
+                assert _accumulated(ring, [(a, u)]) == naive
+                assert _accumulated(ring, [(u, a)]) == naive
+                # onto a nonempty accumulator, and back by the inverse
+                assert _accumulated(ring, [(a, one), (a, u)]) == a + naive
+                assert _accumulated(ring, [(naive, u.unit_inverse())]) == a
+
+
+def test_kernel_keeps_integral_q_coefficients_ints():
+    rng = random.Random(38)
+    for ring in (R.Q, R.QT, R.poly_x(R.QT)):
+        for _ in range(20):
+            a, b = (_kernel_poly(rng, ring, coeffs=[-3, -1, 2, 5])
+                    for _ in range(2))
+            p = _accumulated(ring, [(a, b), (b, a), (a, a)])
+            assert p == _naive_sum_of_products(ring, [(a, b), (b, a), (a, a)])
+            assert {type(c) for c in p.terms_dict().values()} <= {int}
+
+
+class _Unlooped(dict):
+    """Terms whose pairs the kernel's term loop would read."""
+
+    def items(self):
+        raise AssertionError("the term loop ran on a product by 1")
+
+
+def test_a_product_by_one_runs_no_term_loop(monkeypatch):
+    # a factor 1 returns the other operand as it is: the kernel is not
+    # run; and the kernel copies the other factor into an empty sum
+    for ring in (R.ZT, R.QT, R.F2T, R.F4, R.universal(3), R.S_BN):
+        key = (ring.base, len(ring.tvars))
+        p = R.var(ring, ring.tvars[0]) + R.one(ring) if ring.tvars \
+            else R.var(ring, "x")
+        terms = dict(p.slot_terms())
+        watched = R.LaurentPoly._trusted(ring, _Unlooped(terms))
+        for a, b in ((watched, R.one(ring)), (R.one(ring), watched)):
+            acc = {}
+            R.kernel(ring)(acc, a, b)
+            assert acc == terms
+
+        def refused(acc, a, b):
+            raise AssertionError("the kernel ran on a product by 1")
+
+        monkeypatch.setitem(R._KERNELS, key, refused)
+        assert p * R.one(ring) is p and R.one(ring) * p is p
+        monkeypatch.undo()

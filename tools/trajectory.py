@@ -40,10 +40,12 @@ T1-T4, and of ``h_invariant``, ``j_ideals`` (over F2[T-Laurent], i =
 ``j_ideals`` on T3 over Q[T-Laurent] (i = -1..4), on the two-bridge knot
 K(41, 3) over Z (i = -1..3) and on T5 over F2[T-Laurent] (i = -1..5), of
 ``verify_model_equivalence`` on T2 at truncation 5, the depth of most
-model-check jobs of the bench, and of two ``sharp`` jobs of the
-invariants bench through ``scx.cli.run``: T4 twisted over Q[T-Laurent],
-and the two-bridge knot K(47, 7) over F2[T-Laurent], with inputs written
-once to a temporary directory.  One round of them runs per side after
+model-check jobs of the bench, of ``h_invariant`` on T4 over
+Q[T-Laurent], of the product d*d and of ``validate`` on the
+121-generator M32 = T3 (x) dual(T2) over the universal ring, and of two
+``sharp`` jobs of the invariants bench through ``scx.cli.run``: T4
+twisted over Q[T-Laurent], and the two-bridge knot K(47, 7) over
+F2[T-Laurent], with inputs written once to a temporary directory.  One round of them runs per side after
 each seed's bench runs, in that seed's order, so the layers alternate
 as the bench runs do; each side keeps every round's medians and, per
 layer, the median over the rounds.  With ``--parent`` the file also
@@ -162,6 +164,7 @@ def layer_medians(repeat):
     T2 = S.tensor(T1, T1)
     powers = [T1, T2, S.tensor(T2, T1), S.tensor(T2, T2)]
     T4 = powers[-1]
+    M32 = S.tensor(powers[2], S.dual(T2))
 
     def over(C, ring):
         return S.base_change_complex(
@@ -171,6 +174,8 @@ def layer_medians(repeat):
     cases = {f"equivariant.gamma.T{i}": (E.gamma, C, ks)
              for i, C in enumerate(powers, 1)}
     cases["equivariant.h_invariant.T4"] = (E.h_invariant, T4)
+    cases["equivariant.h_invariant.T4_qt"] = (
+        E.h_invariant, over(T4, rings.QT))
     cases["equivariant.j_ideals.T4_f2t"] = (
         E.j_ideals, over(T4, rings.F2T), -1, 5)
     cases["equivariant.j_ideals.T3_qt"] = (
@@ -183,6 +188,8 @@ def layer_medians(repeat):
         E.verify_model_equivalence, T4, 2)
     cases["equivariant.verify_model_equivalence.T2_d5"] = (
         E.verify_model_equivalence, T2, 5)
+    cases["linalg.matmul.M32_dd"] = (M32.d.__mul__, M32.d)
+    cases["scomplex.validate.M32"] = (S.validate, M32)
 
     def sharp(*argv):
         if cli.run(["sharp", "--in", *argv], io.StringIO(), io.StringIO()):
