@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
 from itertools import takewhile
 from math import lcm
 
@@ -165,17 +164,11 @@ def _phi_psi(C, depth, vp, d1v, vd2):
     return phis, psis
 
 
-def _sum_of_products(pairs):
-    """sum_i A_i B_i as one product [A_1 | A_2 | ...] [B_1; B_2; ...]."""
-    lefts, rights = zip(*pairs)
-    return reduce(Matrix.hstack, lefts) * reduce(Matrix.vstack, rights)
-
-
-def _bad_columns(lhs, rhs):
-    """The column indices where two matrices of one shape differ."""
-    if lhs == rhs:
-        return set()
-    return {j for _i, j, _e in (lhs - rhs).nonzero_entries()}
+def _failed_columns(pairs):
+    """The columns where sum_i A_i B_i over the (A_i, B_i) of ``pairs``
+    is nonzero: where an identity, its right side moved over, fails."""
+    return {j for _i, j, _e in
+            linalg.sum_of_products(pairs).nonzero_entries()}
 
 
 def verify_model_equivalence(C, depth):
@@ -212,25 +205,28 @@ def verify_model_equivalence(C, depth):
     vp = v_powers(C, depth)
     d1v, vd2 = _blocks(C, vp, depth, -depth)
     phis, psis = _phi_psi(C, depth, vp, d1v, vd2)
-    minus_dt, chi = -C.dtilde()[1], C.chi_matrix()
-    d_small = _d_hat(C, depth, vd2)
+    # each identity moves its right side over by a negated factor
+    dt, chi = C.dtilde()[1], C.chi_matrix()
+    minus_dt, minus_chi = -dt, -chi
+    minus_d_small = -_d_hat(C, depth, vd2)
     # K_j, from degree k to degree k - j - 1: beta |-> -v^j beta as alpha
     homotopies = [assemble(ring, size, size, [(0, n, -vp[j])])
                   for j in range(depth)]
     ident = Matrix.identity(ring, size)
+    minus_ident = -ident
     shifted = set()  # homotopy failures at output degree 1 of degrees <= k
     for k in range(depth):
-        chain = _bad_columns(
-            _sum_of_products([(phis[k], minus_dt), (phis[k + 1], chi)]),
-            d_small * phis[k])
+        chain = _failed_columns([(phis[k], minus_dt), (phis[k + 1], chi),
+                                 (minus_d_small, phis[k])])
         homotopic = set()
         for m in range(min(k, 1) + 1):  # Psi Phi - id = DK + KD, j = k - m
             j = k - m
-            pairs = [(ident, ident)] if j == 0 else [
-                (minus_dt, homotopies[j - 1]), (homotopies[j - 1], minus_dt)]
-            pairs += [(homotopies[j], chi)] + [(chi, homotopies[j])] * m
-            (shifted if m else homotopic).update(_bad_columns(
-                psis[m] * phis[k], _sum_of_products(pairs)))
+            pairs = [(psis[m], phis[k])] + (
+                [(minus_ident, ident)] if j == 0 else
+                [(dt, homotopies[j - 1]), (homotopies[j - 1], dt)])
+            pairs += [(homotopies[j], minus_chi)] + [
+                (minus_chi, homotopies[j])] * m
+            (shifted if m else homotopic).update(_failed_columns(pairs))
         homotopic |= shifted
         for c in range(size):
             key = [(c // n, c % n, k) if c < 2 * n else (2, 0, k)]
@@ -243,8 +239,8 @@ def verify_model_equivalence(C, depth):
     no_psi = Matrix.zeros(ring, size, small)
     padded = [no_psi] + psis + [no_psi]
     psi_chain = set().union(*(
-        _bad_columns(_sum_of_products([(minus_dt, here), (chi, below)]),
-                     here * d_small)
+        _failed_columns([(minus_dt, here), (chi, below),
+                         (here, minus_d_small)])
         for below, here in zip(padded, padded[1:])))
     for c in sorted(psi_chain):
         f = {c - n: rings.one(ring)} if c >= n else {}
@@ -268,17 +264,16 @@ def _blocks(C, vp, hi, lo):
 
 
 def _level_system(C, blocks, k):
-    """W_k of the module docstring, stacked from the lists of
+    """W_k of the module docstring, placed from the lists of
     :func:`_blocks`; a block past the end of its list is zero."""
     d1v, vd2 = blocks
     if k >= 1:
-        W = reduce(Matrix.vstack, d1v[:k], C.d)
-        return W.vstack(Matrix.zeros(C.ring, C.n + k - W.rows, C.n))
-    A = reduce(Matrix.hstack, [-P for P in vd2[:1 - k]], C.d)
-    if A.cols < C.n + 1 - k:
-        A = A.hstack(Matrix.zeros(C.ring, C.n, C.n + 1 - k - A.cols))
-    return A.vstack(assemble(C.ring, 1, A.cols,
-                             [(0, A.cols - 1, Matrix.identity(C.ring, 1))]))
+        return assemble(C.ring, C.n + k, C.n, [(0, 0, C.d)] + [
+            (C.n + j, 0, P) for j, P in enumerate(d1v[:k])])
+    cols = C.n + 1 - k
+    return assemble(C.ring, C.n + 1, cols, [(0, 0, C.d)] + [
+        (0, C.n + i, -P) for i, P in enumerate(vd2[:1 - k])] + [
+        (C.n, cols - 1, Matrix.identity(C.ring, 1))])
 
 
 def _search_bound(C, vp):

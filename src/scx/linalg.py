@@ -13,8 +13,10 @@ Euclidean (Hermite-style) echelon sweep of the transpose, and over
 any integral domain the fraction-field ranks and the columns that raise
 them, read from the pivot columns of one division-free forward sweep to
 echelon (not reduced) form, which a back pass turns into fraction-field
-kernels.  Products and row operations sum each entry in one term dict by
-the multiply-accumulate kernel of :mod:`scx.rings`, and wrap it once."""
+kernels.  One product loop, :func:`sum_of_products`, builds sum_i A_i B_i
+(``A * B`` is its one pair); it and the row operations sum each entry in
+one term dict by the multiply-accumulate kernel of :mod:`scx.rings`, and
+wrap it once.  :func:`assemble` places disjoint blocks."""
 
 from __future__ import annotations
 
@@ -170,26 +172,7 @@ class Matrix:
             return Matrix._trusted(
                 self.ring, [{j: p for j, e in row.items() if (p := e * other)}
                             for row in self._dicts], self.cols)
-        self._compat(other)
-        if self.cols != other.rows:
-            raise LinalgError(
-                f"shape mismatch {self.rows}x{self.cols} * "
-                f"{other.rows}x{other.cols}")
-        # only stored entries meet; each output entry is summed in one
-        # term dict and wrapped once, and sums that cancel are dropped
-        ring, right, out = self.ring, other._dicts, []
-        mac = kernel(ring)
-        for arow in self._dicts:
-            row = {}
-            for k, a in arow.items():
-                for j, b in right[k].items():
-                    acc = row.get(j)
-                    if acc is None:
-                        row[j] = acc = {}
-                    mac(acc, a, b)
-            out.append({j: LaurentPoly._trusted(ring, acc)
-                        for j, acc in row.items() if acc} if row else row)
-        return Matrix._trusted(ring, out, other.cols)
+        return sum_of_products([(self, other)])
 
     def _compat(self, other, same_shape=False):
         if not isinstance(other, Matrix):
@@ -198,22 +181,6 @@ class Matrix:
             raise RingMismatchError(f"{self.ring} vs {other.ring}")
         if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
             raise LinalgError("shape mismatch")
-
-    def hstack(self, other):
-        self._compat(other)
-        if self.rows != other.rows:
-            raise LinalgError("row count mismatch")
-        c = self.cols
-        return Matrix._trusted(self.ring, [
-            {**r1, **{c + j: e for j, e in r2.items()}}
-            for r1, r2 in zip(self._dicts, other._dicts)], c + other.cols)
-
-    def vstack(self, other):
-        self._compat(other)
-        if self.cols != other.cols:
-            raise LinalgError("column count mismatch")
-        return Matrix._trusted(self.ring, self._dicts + other._dicts,
-                               self.cols)
 
     def columns_selected(self, js):
         js = [range(self.cols)[j] for j in js]
@@ -240,10 +207,44 @@ class Matrix:
         return f"<Matrix {self.rows}x{self.cols} over {self.ring.tag}: {body}>"
 
 
+def sum_of_products(pairs):
+    """sum_i A_i B_i over the list ``pairs`` of (A_i, B_i), of one ring
+    and one product shape: the one product loop (``A * B`` is one pair).
+    Each entry is summed from stored factors in one term dict by the
+    :mod:`scx.rings` kernel and wrapped once; a cancelled sum is dropped."""
+    A0, B0 = pairs[0]
+    for A, B in pairs:
+        A._compat(B)
+        A0._compat(A)
+        if A.cols != B.rows:
+            raise LinalgError(
+                f"shape mismatch {A.rows}x{A.cols} * {B.rows}x{B.cols}")
+        if (A.rows, B.cols) != (A0.rows, B0.cols):
+            raise LinalgError(f"a {A.rows}x{B.cols} product does not add "
+                              f"to a {A0.rows}x{B0.cols} sum")
+    ring, sums = A0.ring, [None] * A0.rows
+    mac = kernel(ring)
+    for A, B in pairs:
+        right = B._dicts
+        for i, arow in enumerate(A._dicts):
+            if arow:
+                row = sums[i] = sums[i] or {}
+                for k, a in arow.items():
+                    for j, b in right[k].items():
+                        acc = row.get(j)
+                        if acc is None:
+                            row[j] = acc = {}
+                        mac(acc, a, b)
+    return Matrix._trusted(ring, [
+        {j: LaurentPoly._trusted(ring, acc) for j, acc in row.items() if acc}
+        if row else {} for row in sums], B0.cols)
+
+
 def assemble(ring, rows, cols, pieces):
     """The rows x cols matrix over ``ring`` that is zero but for the
     (row, col, block) pieces, each block placed with its top left entry
-    at (row, col); a later piece overwrites an earlier one."""
+    at (row, col).  The pieces must be disjoint: a piece that writes an
+    entry an earlier piece set raises :class:`LinalgError`."""
     dicts = [{} for _ in range(rows)]
     for r, c, M in pieces:
         if M.ring != ring:
@@ -251,11 +252,13 @@ def assemble(ring, rows, cols, pieces):
         if r < 0 or c < 0 or r + M.rows > rows or c + M.cols > cols:
             raise LinalgError(f"{M.rows}x{M.cols} block at ({r}, {c}) "
                               f"leaves a {rows}x{cols} matrix")
-        for i, row in enumerate(M._dicts):
-            dst = dicts[r + i]
-            for j in [j for j in dst if c <= j < c + M.cols]:
-                del dst[j]
-            dst.update({c + j: e for j, e in row.items()})
+        for dst, row in zip(dicts[r:r + M.rows], M._dicts):
+            if row:
+                size = len(dst) + len(row)
+                dst.update({c + j: e for j, e in row.items()} if c else row)
+                if len(dst) != size:
+                    raise LinalgError(f"{M.rows}x{M.cols} block at ({r}, "
+                                      f"{c}) overlaps an earlier piece")
     return Matrix._trusted(ring, dicts, cols)
 
 

@@ -22,7 +22,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import rings
-from .linalg import Matrix, assemble, kron
+from .linalg import Matrix, assemble, kron, sum_of_products
 from .rings import RingError, RingMismatchError
 
 
@@ -185,7 +185,8 @@ def validate(C):
         report.add("delta1*d != 0")
     if not (C.d * C.delta2).is_zero():
         report.add("d*delta2 != 0")
-    if not (C.d * C.v - C.v * C.d - C.delta2 * C.delta1).is_zero():
+    if not sum_of_products([(C.d, C.v), (-C.v, C.d),
+                            (-C.delta2, C.delta1)]).is_zero():
         report.add("d*v - v*d - delta2*delta1 != 0")
 
     _entry_gradings_ok(report, "d", C.d, grs, grs, 1)

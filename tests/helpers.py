@@ -351,6 +351,61 @@ def reference_j_ideals(C, i_min, i_max):
     return out
 
 
+def reference_bad_columns(pairs, rhs):
+    """The columns where sum_i A_i B_i over the (A_i, B_i) of ``pairs``,
+    its products summed with +, differs from ``rhs``, read off their
+    difference."""
+    lhs = sum((A * B for A, B in pairs[1:]), pairs[0][0] * pairs[0][1])
+    return {j for _i, j, _e in (lhs - rhs).nonzero_entries()}
+
+
+def reference_model_check(C, depth):
+    """The failure list of ``equivariant.verify_model_equivalence`` with
+    each identity lhs = rhs read by :func:`reference_bad_columns`, its
+    two sides built apart and compared by a difference, not as one sum
+    of products with the right side moved over."""
+    ring, n = C.ring, C.n
+    size, small = 2 * n + 1, n + depth + 1
+    vp = equivariant.v_powers(C, depth)
+    d1v, vd2 = equivariant._blocks(C, vp, depth, -depth)
+    phis, psis = equivariant._phi_psi(C, depth, vp, d1v, vd2)
+    minus_dt, chi = -C.dtilde()[1], C.chi_matrix()
+    d_small = equivariant._d_hat(C, depth, vd2)
+    homotopies = [linalg.assemble(ring, size, size, [(0, n, -vp[j])])
+                  for j in range(depth)]
+    ident = Matrix.identity(ring, size)
+    failures, shifted = [], set()
+    for k in range(depth):
+        chain = reference_bad_columns(
+            [(phis[k], minus_dt), (phis[k + 1], chi)], d_small * phis[k])
+        homotopic = set()
+        for m in range(min(k, 1) + 1):
+            j = k - m
+            pairs = [(ident, ident)] if j == 0 else [
+                (minus_dt, homotopies[j - 1]), (homotopies[j - 1], minus_dt)]
+            pairs += [(homotopies[j], chi)] + [(chi, homotopies[j])] * m
+            (shifted if m else homotopic).update(reference_bad_columns(
+                pairs, psis[m] * phis[k]))
+        homotopic |= shifted
+        for c in range(size):
+            key = [(c // n, c % n, k) if c < 2 * n else (2, 0, k)]
+            if c in chain:
+                failures.append(f"Phi fails the chain property on {key}")
+            if c in homotopic:
+                failures.append(f"Psi Phi - id != dK + Kd on {key}")
+    no_psi = Matrix.zeros(ring, size, small)
+    padded = [no_psi] + psis + [no_psi]
+    psi_chain = set().union(*(
+        reference_bad_columns([(minus_dt, here), (chi, below)],
+                              here * d_small)
+        for below, here in zip(padded, padded[1:])))
+    for c in sorted(psi_chain):
+        f = {c - n: rings.one(ring)} if c >= n else {}
+        failures.append("Psi fails the chain property on a small basis "
+                        f"element {f or 'generator'}")
+    return failures
+
+
 def int_matrix(ring, rows, cols=None):
     return Matrix(ring, [[rings.from_int(ring, v) for v in row]
                          for row in rows], cols=cols)

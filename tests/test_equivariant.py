@@ -137,6 +137,27 @@ def _bumped(C, name, i, j):
                       maps["delta2"], C.v_trusted)
 
 
+def test_model_check_matches_the_reference_on_bumped_entries():
+    # one sum of products per identity, the right side moved over, finds
+    # the columns that the two sides built apart and subtracted find
+    rng = random.Random(3636)
+    failing = passing = 0
+    for ring in (R.Z, R.ZT, R.F2T, R.QT):
+        for _ in range(5):
+            C = helpers.random_scomplex(rng, ring, max_gens=6)
+            name = rng.choice(["d", "v", "delta1", "delta2"])
+            M = getattr(C, name)
+            B = _bumped(C, name, rng.randrange(M.rows), rng.randrange(M.cols))
+            for depth in (1, 2, 4):
+                for X in (C, B):
+                    failures = E.verify_model_equivalence(X, depth).failures
+                    assert failures == helpers.reference_model_check(
+                        X, depth), (ring, name, depth)
+                    failing += bool(failures)
+                    passing += not failures
+    assert failing >= 10 and passing >= 60, (failing, passing)
+
+
 def test_model_equivalence_pair_passes():
     assert E.verify_model_equivalence(_trefoil_pair_zt(), 3).ok
 
@@ -356,22 +377,26 @@ def test_blocks_are_multiplied_once_per_call(monkeypatch):
     # the check made 65 while it also multiplied out x Phi_k = Phi_(k+1)
     # and Phi Psi = id, which hold by construction, and 59 while it read
     # the homotopy at every output degree, not at degrees 0 and 1 only;
-    # J_i made 21 while it multiplied a kernel basis by each level's cut
+    # J_i made 21 while it multiplied a kernel basis by each level's cut.
+    # Every product is a pair of linalg.sum_of_products, A * B included,
+    # and each pair counts: the check multiplies 79 pairs in 26 sums.
+    # The counts of the check above are Matrix products, which saw each
+    # of its stacked sums as one: 47 of them held the same 79 pairs
     T2, T4 = _trefoil_power(2), _trefoil_power(4)
     T4_f2t = S.base_change_complex(
         T4, S.standard_assignment(T4.ring, R.F2T, U="1"), R.F2T)
-    products, mul = [], L.Matrix.__mul__
+    products, sum_of_products = [], L.sum_of_products
 
-    def counted(A, B):
-        if isinstance(B, L.Matrix):
-            products.append((A.rows, A.cols, B.cols))
-        return mul(A, B)
+    def counted(pairs):
+        pairs = list(pairs)
+        products.extend((A.rows, A.cols, B.cols) for A, B in pairs)
+        return sum_of_products(pairs)
 
-    monkeypatch.setattr(L.Matrix, "__mul__", counted)
+    monkeypatch.setattr(L, "sum_of_products", counted)
     for call, most in ((lambda: E.gamma(T4, range(-2, 6)), 10),
                        (lambda: E.h_invariant(T4), 7),
                        (lambda: E.j_ideals(T4_f2t, -1, 5), 9),
-                       (lambda: E.verify_model_equivalence(T2, 5), 47)):
+                       (lambda: E.verify_model_equivalence(T2, 5), 79)):
         products.clear()
         call()
         assert len(products) <= most, products
@@ -760,10 +785,11 @@ def test_bn_presentation_sharp_variant():
 
 
 def _column_space_ranks(*mats):
-    stacked = mats[0]
-    for M in mats[1:]:
-        stacked = stacked.hstack(M)
-    return L.rank(stacked)
+    pieces, cols = [], 0
+    for M in mats:
+        pieces.append((0, cols, M))
+        cols += M.cols
+    return L.rank(L.assemble(mats[0].ring, mats[0].rows, cols, pieces))
 
 
 def test_small_triangle_chain_identities_and_exactness():
@@ -784,7 +810,9 @@ def test_small_triangle_chain_identities_and_exactness():
         # exactness at the hat spot: ker(i_*) = im(j_*)
         Z = L.kernel_basis(d_hat)
         B = d_hat  # columns span the boundaries
-        ker_i = L.kernel_basis(d_hat.vstack(i_m))
+        ker_i = L.kernel_basis(L.assemble(
+            C.ring, d_hat.rows + i_m.rows, d_hat.cols,
+            [(0, 0, d_hat), (d_hat.rows, 0, i_m)]))
         Z_chk = L.kernel_basis(d_chk)
         j_cycles = j_m * Z_chk
         lhs = _column_space_ranks(ker_i, B)

@@ -563,6 +563,52 @@ def test_product_with_a_scalar():
         assert (A * R.zero(ring)).is_zero()
 
 
+@pytest.mark.parametrize("ring", [R.Z, R.ZT, R.F2T, R.F4, R.universal(3)],
+                         ids=lambda r: r.tag)
+def test_sum_of_products_is_the_sum_of_the_products(ring):
+    rng = random.Random(1111)
+    for _ in range(30):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(0, 4)
+            pairs.append((_random_sparse(rng, ring, m, k),
+                          _random_sparse(rng, ring, k, n)))
+        P = L.sum_of_products(pairs)
+        N = L.Matrix.zeros(ring, m, n)
+        for A, B in pairs:
+            N = N + _naive_product(A, B)
+        assert P == N and _same_entries(P, N)
+        assert _stores_no_zero(P)
+        # a pair and its negation cancel to a zero that stores nothing
+        A, B = pairs[0]
+        Z = L.sum_of_products(pairs + [(-A, B)] + [(A, -B)
+                                                   for A, B in pairs[1:]])
+        assert Z.is_zero() and list(Z.nonzero_entries()) == []
+        assert L.sum_of_products([(A, B)]) == A * B
+
+
+def test_sum_of_products_refuses_mismatched_pairs():
+    rng = random.Random(1212)
+    ring = R.ZT
+    A = _random_sparse(rng, ring, 2, 3)
+    B = _random_sparse(rng, ring, 3, 4)
+    with pytest.raises(L.LinalgError, match=r"shape mismatch 2x3 \* 2x3"):
+        L.sum_of_products([(A, B), (A, A)])
+    # every product must have the shape of the first
+    with pytest.raises(L.LinalgError, match="does not add"):
+        L.sum_of_products([(A, B), (B.transpose(), B)])
+    other = L.Matrix.identity(R.F2T, 3)
+    with pytest.raises(R.RingMismatchError):
+        L.sum_of_products([(A, other)])
+    # a pair over another ring than the first, each pair consistent
+    with pytest.raises(R.RingMismatchError):
+        L.sum_of_products([(A, B), (L.Matrix.zeros(R.F2T, 2, 3),
+                                    L.Matrix.zeros(R.F2T, 3, 4))])
+    with pytest.raises(TypeError):
+        L.sum_of_products([(A, "B")])
+
+
 def test_entries_must_share_the_matrix_ring():
     zt = R.ZT
     with pytest.raises(R.RingMismatchError):
@@ -621,21 +667,27 @@ def test_assemble_places_blocks():
         L.assemble(ring, 2, 2, [(0, 0, L.Matrix.identity(R.F2T, 2))])
 
 
-def test_assemble_later_piece_overwrites_earlier():
-    # the later block wins on the overlap, its zeros included; entries
-    # of the earlier block outside the overlap stay
+def test_assemble_refuses_overlapping_pieces():
+    # the pieces must be disjoint: an entry set twice names the later block
     ring = R.ZT
     t = R.var(ring, "T")
     z, o = R.zero(ring), R.one(ring)
     full = L.Matrix(ring, [[t, t, t], [t, t, t]])
     later = L.Matrix(ring, [[o, z], [z, 2 * o]])
-    M = L.assemble(ring, 2, 3, [(0, 0, full), (0, 1, later)])
-    assert M == L.Matrix(ring, [[t, o, z], [t, z, 2 * o]])
-    assert [(i, j) for i, j, _e in M.nonzero_entries()] == [
-        (0, 0), (0, 1), (1, 0), (1, 2)]
+    with pytest.raises(L.LinalgError, match=r"2x2 block at \(0, 1\) "
+                       "overlaps an earlier piece"):
+        L.assemble(ring, 2, 3, [(0, 0, full), (0, 1, later)])
+    with pytest.raises(L.LinalgError, match=r"1x1 block at \(1, 1\)"):
+        L.assemble(ring, 2, 2, [(0, 0, L.Matrix.identity(ring, 2)),
+                                (1, 1, L.Matrix(ring, [[t]]))])
+    # blocks may share a region where one of them is zero: only stored
+    # entries are placed
     M = L.assemble(ring, 2, 3, [(0, 0, full),
                                 (0, 0, L.Matrix.zeros(ring, 2, 2))])
-    assert M == L.Matrix(ring, [[z, z, t], [z, z, t]])
+    assert M == full
+    M = L.assemble(ring, 2, 3, [(0, 1, later),
+                                (0, 0, L.Matrix(ring, [[t, z], [t, z]]))])
+    assert M == L.Matrix(ring, [[t, o, z], [t, z, 2 * o]])
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +767,8 @@ def test_cancellation_stores_no_zero(ring):
         Z = A + (-A)
         assert Z.is_zero() and list(Z.nonzero_entries()) == []
         assert (A - A).is_zero() and Z == L.Matrix.zeros(ring, m, k)
-        # [A | -A] [B; B] cancels entry by entry
-        P = A.hstack(-A) * B.vstack(B)
+        # A B - A B cancels entry by entry
+        P = L.sum_of_products([(A, B), (-A, B)])
         assert P.is_zero() and P == L.Matrix.zeros(ring, m, n)
         for M in (A * B, A + A, L.kron(A, B), A.transpose(),
                   A * R.zero(ring), L.assemble(ring, m + k, k + n, [

@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from scx import equivariant as E
 from scx import linalg as L
 from scx import rings as R
 
@@ -103,14 +104,30 @@ def test_complexes_are_read_through_one_input_path():
             assert "_load_complex" not in path.read_text(encoding="utf-8")
 
 
-def test_level_systems_are_stacked_in_one_place():
-    # h, J_k and Gamma read (A_k, T_k) from _level_system; only it and the
-    # model check's sum of products stack matrices
-    users = _top_level_names_using(
-        SRC / "equivariant.py",
-        lambda node: isinstance(node, ast.Attribute)
-        and node.attr in ("hstack", "vstack"))
-    assert sorted(set(users)) == ["_level_system", "_sum_of_products"]
+def test_identities_are_read_as_one_sum_of_products():
+    # no src function stacks matrices: blocks are placed by assemble, and
+    # the model check and validate read each identity as one sum of
+    # products that must vanish, its right side moved over by a negated
+    # factor, with no stacked operands and no subtraction
+    assert not any(hasattr(L.Matrix, name) for name in ("hstack", "vstack"))
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not [node.lineno for node in ast.walk(tree)
+                    if getattr(node, "attr", None) in ("hstack", "vstack")
+                    or getattr(node, "name", None) == "reduce"], path.name
+
+    def sums(node):
+        return isinstance(node, ast.Call) and "sum_of_products" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    assert set(_top_level_names_using(SRC / "equivariant.py", sums)) == {
+        "_failed_columns"}
+    assert set(_top_level_names_using(
+        SRC / "equivariant.py", lambda node: isinstance(node, ast.Name)
+        and node.id == "_failed_columns")) == {"verify_model_equivalence"}
+    assert set(_top_level_names_using(SRC / "scomplex.py", sums)) == {
+        "validate"}
+    assert not hasattr(E, "_sum_of_products")
 
 
 def test_only_blocks_multiplies_by_delta1_or_delta2():
@@ -527,6 +544,7 @@ def test_trajectory_layer_microbenchmarks_run():
         "equivariant.j_ideals.T4_f2t", "equivariant.j_ideals.T5_f2t",
         "equivariant.j_ideals.tbz_41_3",
         "equivariant.verify_model_equivalence.T2_d5",
+        "equivariant.verify_model_equivalence.T3_d3",
         "equivariant.verify_model_equivalence.T4", "linalg.matmul.M32_dd",
         "scomplex.validate.M32"]
     assert all(s > 0 for s in medians.values())

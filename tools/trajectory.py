@@ -40,7 +40,8 @@ T1-T4, and of ``h_invariant``, ``j_ideals`` (over F2[T-Laurent], i =
 ``j_ideals`` on T3 over Q[T-Laurent] (i = -1..4), on the two-bridge knot
 K(41, 3) over Z (i = -1..3) and on T5 over F2[T-Laurent] (i = -1..5), of
 ``verify_model_equivalence`` on T2 at truncation 5, the depth of most
-model-check jobs of the bench, of ``h_invariant`` on T4 over
+model-check jobs of the bench, and on T3 at truncation 3, the bench's
+mid-size model check, of ``h_invariant`` on T4 over
 Q[T-Laurent], of the product d*d and of ``validate`` on the
 121-generator M32 = T3 (x) dual(T2) over the universal ring, and of two
 ``sharp`` jobs of the invariants bench through ``scx.cli.run``: T4
@@ -188,6 +189,8 @@ def layer_medians(repeat):
         E.verify_model_equivalence, T4, 2)
     cases["equivariant.verify_model_equivalence.T2_d5"] = (
         E.verify_model_equivalence, T2, 5)
+    cases["equivariant.verify_model_equivalence.T3_d3"] = (
+        E.verify_model_equivalence, powers[2], 3)
     cases["linalg.matmul.M32_dd"] = (M32.d.__mul__, M32.d)
     cases["scomplex.validate.M32"] = (S.validate, M32)
 
