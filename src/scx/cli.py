@@ -243,7 +243,9 @@ _quote = json.encoder.encode_basestring_ascii
 def _indented(obj, nl):
     """The text of ``obj`` in json.dumps's indent=2 layout, with ``nl`` the
     newline and indent of its own line; TypeError on a value it does not
-    write."""
+    write.  A list of strings, such as a row of a wire matrix, is quoted
+    by one join when none of them needs an escape, else string by
+    string."""
     cls = obj.__class__
     if cls is str:
         return _quote(obj)
@@ -264,9 +266,16 @@ def _indented(obj, nl):
         sep = "," + inner
         try:
             # the rows of a wire matrix hold only strings
-            body = sep.join(map(_quote, obj))
+            raw = "".join(obj)
         except TypeError:
             body = sep.join([_indented(v, inner) for v in obj])
+        else:
+            # every escape lengthens the text, so when quoting the joined
+            # row adds only its two quotes no cell needs one
+            if len(_quote(raw)) == len(raw) + 2:
+                body = '"' + ('"' + sep + '"').join(obj) + '"'
+            else:
+                body = sep.join(map(_quote, obj))
         return "[" + inner + body + nl + "]"
     if cls is int:
         return repr(obj)
@@ -282,9 +291,9 @@ def _indented(obj, nl):
 def _dumps(obj):
     """``json.dumps(obj, indent=2)``, byte for byte.  With an indent set,
     json runs its pure-Python encoder; this builds the same text with the
-    C string quoter and str.join.  A value other than a dict with str
-    keys, a list or tuple, a str, an int, a bool or None goes to
-    json.dumps."""
+    C string quoter and str.join (:func:`_indented`), one join per row
+    of clean strings.  A value other than a dict with str keys, a list
+    or tuple, a str, an int, a bool or None goes to json.dumps."""
     try:
         return _indented(obj, "\n")
     except TypeError:

@@ -414,13 +414,8 @@ def _u_split(M, slots):
     stored U-slot of the product), rows in that order, and the number of
     its rows born of the rows of M before the last."""
     N = M.ring.udenom
-    rows = {}
     M = M.columns_selected([j for j, _s in slots])
-    for i, j, e in M.nonzero_entries():
-        shift = slots[j][1] * N
-        for (_x, n, ts), c in e.slot_terms():
-            rows.setdefault((i, n + shift), {}).setdefault(j, {})[
-                (0, 0, ts)] = c
+    rows = rings.u_split(N, M.nonzero_entries(), slots)
     keys = sorted(rows)
     head = sum(i < M.rows - 1 for i, _n in keys)
     zt = rings.ZT
@@ -499,7 +494,7 @@ class ModulePresentation(namedtuple("ModulePresentation",
         return {
             "ring": rings.ring_to_dict(self.ring),
             "generators": list(self.generators),
-            "relations": scomplex.matrix_strings(self.relations),
+            "relations": scomplex.matrix_strings(self.relations, {}),
         }
 
 

@@ -25,7 +25,7 @@ from math import prod
 
 from .rings import (LaurentPoly, RingMismatchError, divide,
                     divmod_euclid, enorm, gcd, is_euclidean, kernel,
-                    normalize_associate, normalizing_unit, one,
+                    key_at_point, normalize_associate, normalizing_unit, one,
                     rational_terms, zero)
 
 
@@ -208,10 +208,12 @@ class Matrix:
 
 
 def sum_of_products(pairs):
-    """sum_i A_i B_i over the list ``pairs`` of (A_i, B_i), of one ring
-    and one product shape: the one product loop (``A * B`` is one pair).
-    Each entry is summed from stored factors in one term dict by the
+    """sum_i A_i B_i over the nonempty list ``pairs`` of (A_i, B_i), of
+    one ring and one product shape: the one product loop (``A * B`` is
+    one pair).  Each entry is summed in one term dict by the
     :mod:`scx.rings` kernel and wrapped once; a cancelled sum is dropped."""
+    if not pairs:
+        raise LinalgError("no pairs were given to sum")
     A0, B0 = pairs[0]
     for A, B in pairs:
         A._compat(B)
@@ -544,9 +546,7 @@ def _rank_at_point(M):
                     c = c.numerator * pow(c.denominator, -1, p)
                 m = images.get(key)
                 if m is None:
-                    x, n, ts = key
-                    m = images[key] = (pow(7, x, p) * pow(5, n, p)
-                                       * pow(3, sum(ts), p) % p)
+                    m = images[key] = key_at_point(key, p)
                 s += c * m
             if s := s % p:
                 row[j] = s

@@ -493,6 +493,27 @@ class LaurentPoly:
         return f"<{self.ring.tag}: {self.to_str()}>"
 
 
+def u_split(N, entries, slots):
+    """The U-homogeneous parts of the entries (i, j, p) of a matrix over
+    the universal ring with U-denominator ``N``, entry j times U^s for
+    (_, s) = slots[j]: {(i, stored U-slot n): {j: the term dict over
+    Z[T-Laurent] of its terms of slot n}}."""
+    rows = {}
+    for i, j, p in entries:
+        shift = slots[j][1] * N
+        for (_x, n, ts), c in p._terms.items():
+            rows.setdefault((i, n + shift), {}).setdefault(j, {})[
+                (0, 0, ts)] = c
+    return rows
+
+
+def key_at_point(key, p):
+    """The image mod the prime ``p`` of the monomial of the stored term
+    key ``key`` under x -> 7, U^(1/N) -> 5 and each T -> 3."""
+    x, n, ts = key
+    return pow(7, x, p) * pow(5, n, p) * pow(3, sum(ts), p) % p
+
+
 # ---------------------------------------------------------------------------
 # the multiply-accumulate kernel
 

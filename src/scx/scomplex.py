@@ -476,25 +476,31 @@ def _echo(value):
     return r if len(r) <= 40 else f"{r[:40]}... ({len(r)} characters)"
 
 
-def matrix_strings(M):
+def matrix_strings(M, written):
     """The rows of M as lists of polynomial strings, "0" where no entry
-    is stored: the wire format of a matrix."""
+    is stored: the wire format of a matrix.  ``written`` maps each
+    polynomial already printed in this document to its string, so a
+    polynomial is printed once and equal cells share one string."""
     out = [["0"] * M.cols for _ in range(M.rows)]
     for i, j, e in M.nonzero_entries():
-        out[i][j] = e.to_str()
+        s = written.get(e)
+        if s is None:
+            s = written[e] = e.to_str()
+        out[i][j] = s
     return out
 
 
 def to_dict(C):
+    written = {}
     return {
         "ring": rings.ring_to_dict(C.ring),
         "generators": [{"name": g.name, "gr_mod4": g.gr_mod4,
                         "deg_I": _frac_str(g.deg_I), "hol": _frac_str(g.hol)}
                        for g in C.gens],
-        "d": matrix_strings(C.d),
-        "v": matrix_strings(C.v),
-        "delta1": matrix_strings(C.delta1)[0] if C.n else [],
-        "delta2": [row[0] for row in matrix_strings(C.delta2)],
+        "d": matrix_strings(C.d, written),
+        "v": matrix_strings(C.v, written),
+        "delta1": matrix_strings(C.delta1, written)[0] if C.n else [],
+        "delta2": [row[0] for row in matrix_strings(C.delta2, written)],
         "v_trusted": C.v_trusted,
     }
 

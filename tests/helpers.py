@@ -406,6 +406,32 @@ def reference_model_check(C, depth):
     return failures
 
 
+def reference_matrix_strings(M):
+    """The wire rows of M written cell by cell: ``to_str`` of each stored
+    entry, "0" elsewhere."""
+    out = [["0"] * M.cols for _ in range(M.rows)]
+    for i, j, e in M.nonzero_entries():
+        out[i][j] = e.to_str()
+    return out
+
+
+def reference_to_dict(C):
+    """``scomplex.to_dict`` with every cell printed on its own by
+    :func:`reference_matrix_strings`."""
+    return {
+        "ring": rings.ring_to_dict(C.ring),
+        "generators": [{"name": g.name, "gr_mod4": g.gr_mod4,
+                        "deg_I": None if g.deg_I is None else str(g.deg_I),
+                        "hol": None if g.hol is None else str(g.hol)}
+                       for g in C.gens],
+        "d": reference_matrix_strings(C.d),
+        "v": reference_matrix_strings(C.v),
+        "delta1": reference_matrix_strings(C.delta1)[0] if C.n else [],
+        "delta2": [row[0] for row in reference_matrix_strings(C.delta2)],
+        "v_trusted": C.v_trusted,
+    }
+
+
 def int_matrix(ring, rows, cols=None):
     return Matrix(ring, [[rings.from_int(ring, v) for v in row]
                          for row in rows], cols=cols)

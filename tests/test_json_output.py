@@ -1,5 +1,7 @@
 """The CLI's JSON writer against ``json.dumps(obj, indent=2)``: every
-``--json`` report and ``--out`` file must be byte-identical to it."""
+``--json`` report and ``--out`` file must be byte-identical to it; and
+``scomplex.to_dict``, which prints each distinct polynomial once,
+against a writer that prints every cell."""
 
 import io
 import json
@@ -12,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from scx import cli, rings, scomplex  # noqa: E402
+from scx import cli, knots, rings, scomplex  # noqa: E402
 
 import helpers  # noqa: E402
 
@@ -76,6 +78,57 @@ def test_complex_files_are_written_as_json_dumps_writes_them():
             docs.append(scomplex.to_dict(helpers.random_scomplex(rng, ring)))
     for doc in docs:
         assert cli._indented(doc, "\n") == json.dumps(doc, indent=2)
+
+
+def _trefoil_products():
+    """T1-T4, the trefoil and its tensor powers, and M32 = T3 (x) dual(T2)."""
+    T1 = knots.fixture("trefoil")
+    T2 = scomplex.tensor(T1, T1)
+    T3 = scomplex.tensor(T2, T1)
+    return {"T1": T1, "T2": T2, "T3": T3, "T4": scomplex.tensor(T2, T2),
+            "M32": scomplex.tensor(T3, scomplex.dual(T2))}
+
+
+def test_to_dict_equals_the_per_cell_writer():
+    # one string per distinct polynomial writes the same document as a
+    # to_str per cell, on every ring and on the trefoil products
+    complexes = list(_trefoil_products().values())
+    for seed in range(8):
+        rng = random.Random(seed)
+        for ring in (rings.universal(3), rings.ZT, rings.F2T, rings.F4T,
+                     rings.QT):
+            complexes.append(helpers.random_scomplex(rng, ring))
+    for C in complexes:
+        doc = scomplex.to_dict(C)
+        assert doc == helpers.reference_to_dict(C)
+        assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_to_dict_prints_each_distinct_polynomial_once(monkeypatch):
+    M32 = _trefoil_products()["M32"]
+    entries = [e for M in (M32.d, M32.v, M32.delta1, M32.delta2)
+               for _i, _j, e in M.nonzero_entries()]
+    printed = []
+    to_str = rings.LaurentPoly.to_str
+
+    def counted(self):
+        printed.append(self)
+        return to_str(self)
+
+    monkeypatch.setattr(rings.LaurentPoly, "to_str", counted)
+    scomplex.to_dict(M32)
+    assert len(printed) == len(set(entries)) < len(entries)
+    assert set(printed) == set(entries)
+
+
+@pytest.mark.parametrize("bad", ['a"b', "\\", "\n", "\x7f", "é",
+                                 "\U0001f600"])
+def test_a_row_with_one_escaped_cell_is_quoted_cell_by_cell(bad):
+    # the one-join quoting of a row holds only when no cell needs an
+    # escape; one such cell among clean ones must still be escaped
+    for row in ([bad], [bad, "0", "T"], ["0", bad, "U^2*T"], ["0", "1", bad]):
+        for obj in (row, [row, ["0", "0"]], {"d": [["0"], row], "n": 1}):
+            assert cli._indented(obj, "\n") == json.dumps(obj, indent=2)
 
 
 def _run(argv):

@@ -607,6 +607,9 @@ def test_sum_of_products_refuses_mismatched_pairs():
                                     L.Matrix.zeros(R.F2T, 3, 4))])
     with pytest.raises(TypeError):
         L.sum_of_products([(A, "B")])
+    # an empty sum has no shape or ring to take
+    with pytest.raises(L.LinalgError, match="no pairs were given"):
+        L.sum_of_products([])
 
 
 def test_entries_must_share_the_matrix_ring():

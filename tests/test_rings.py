@@ -589,3 +589,31 @@ def test_a_product_by_one_runs_no_term_loop(monkeypatch):
         monkeypatch.setitem(R._KERNELS, key, refused)
         assert p * R.one(ring) is p and R.one(ring) * p is p
         monkeypatch.undo()
+
+
+def test_term_keys_are_read_by_two_helpers():
+    # the readers of the stored (x, n, ts) keys that linalg and
+    # equivariant use: a monomial's value at one point of F_p, and the
+    # U-homogeneous parts of the entries of a matrix over a universal ring
+    p = 2 ** 61 - 1
+    for m, value in (
+            (R.monomial(R.poly_x(R.universal(3)), 4, u=Fraction(2, 3), t=-2,
+                        x=3), 7 ** 3 * 5 ** 2 * pow(3, -2, p) % p),
+            (R.monomial(R.R_SHARP, 1, t=(1, 2, 0, -1)), 9),
+            (R.one(R.QT), 1)):
+        (key, _c), = m.slot_terms()
+        assert R.key_at_point(key, p) == value
+    U = R.universal(3)
+    f = R.parse(U, "2*U^{1/3}*T - T^-1 + 3*U^{1/3} + U")
+    g = R.parse(U, "U^{2/3}*T^2")
+    # entry j is multiplied by U^s for (_, s) = slots[j]
+    parts = R.u_split(3, [(0, 0, f), (0, 1, g), (1, 1, f)],
+                      [(0, 0), (1, Fraction(-1, 3))])
+    assert {key: {j: R.LaurentPoly._trusted(R.ZT, terms)
+                  for j, terms in row.items()}
+            for key, row in parts.items()} == {
+        (0, 1): {0: R.parse(R.ZT, "2*T + 3"), 1: R.parse(R.ZT, "T^2")},
+        (0, 0): {0: R.parse(R.ZT, "-T^-1")}, (0, 3): {0: R.one(R.ZT)},
+        (1, 0): {1: R.parse(R.ZT, "2*T + 3")},
+        (1, -1): {1: R.parse(R.ZT, "-T^-1")}, (1, 2): {1: R.one(R.ZT)}}
+    assert R.u_split(3, [], []) == {}

@@ -363,6 +363,72 @@ def test_parser_builds_polynomials_through_the_constructors():
     assert not hasattr(R, "_var_key")
 
 
+def _term_key_unpacks(tree):
+    """The lines of ``tree`` that reach into a stored term key (x, n, ts):
+    terms read other than through ``slot_terms()``, a ``slot_terms()``
+    loop whose key is not one plain name, or a key so named that its
+    function unpacks, indexes or iterates.  Copying the terms whole
+    (``dict(p.slot_terms())``) and holding a key whole, as a memo key or
+    the argument of a ``rings`` helper, are not reaching in."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in (
+                "_terms", "sorted_terms", "terms_dict"):
+            lines.append(node.lineno)
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "slot_terms"):
+            continue
+        loop = parents[node]
+        if getattr(getattr(loop, "func", None), "id", None) == "dict":
+            continue
+        target = getattr(loop, "target", None)
+        if not (isinstance(loop, (ast.For, ast.comprehension))
+                and isinstance(target, ast.Tuple)
+                and all(isinstance(e, ast.Name) for e in target.elts)):
+            lines.append(node.lineno)
+            continue
+        fn = loop
+        while not isinstance(fn, (ast.FunctionDef, ast.Module)):
+            fn = parents[fn]
+        key = target.elts[0].id
+        for use in ast.walk(fn):
+            if (isinstance(use, ast.Name) and use.id == key
+                    and isinstance(use.ctx, ast.Load)):
+                up = parents[use]
+                if (isinstance(up, ast.Starred)
+                        or use in (getattr(up, "value", None),
+                                   getattr(up, "iter", None))
+                        and not isinstance(up, ast.Call)):
+                    lines.append(use.lineno)
+    return lines
+
+
+def test_term_keys_are_unpacked_only_in_rings():
+    # the stored key (x, n, ts) of a term has one home: outside rings,
+    # linalg's point rank takes each monomial's value from
+    # rings.key_at_point and gamma's U-split the U-homogeneous parts from
+    # rings.u_split
+    found = {path.name: _term_key_unpacks(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py")) if path.name != "rings.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the guard sees the unpacks the helpers replaced
+    for source in ("def f(e):\n    for (x, n, ts), c in e.slot_terms():\n"
+                   "        pass\n",
+                   "def f(e, m):\n    for key, c in e.slot_terms():\n"
+                   "        x, n, ts = key\n",
+                   "def f(e, m):\n    for key, c in e.slot_terms():\n"
+                   "        m[key] = key[1]\n",
+                   "def f(e):\n    return e.terms_dict()\n"):
+        assert _term_key_unpacks(ast.parse(source)), source
+    assert not _term_key_unpacks(ast.parse(
+        "def f(e, m, p):\n    for key, c in e.slot_terms():\n"
+        "        m[key] = m.get(key) or g(key, p)\n"
+        "    return dict(e.slot_terms())\n"))
+
+
 def test_specializations_build_one_ring_map():
     # base change is one homomorphism per assignment: outside rings no
     # module reaches for the per-polynomial base_change, and each
@@ -536,7 +602,8 @@ def test_trajectory_layer_microbenchmarks_run():
     # one timed call each, in a fresh process on this checkout's src/
     medians = _trajectory().run_layers(str(ROOT), repeat=1)
     assert sorted(medians) == [
-        "cli.sharp.T4_qt_twisted", "cli.sharp.tbf2t_47_7",
+        "cli._dumps.M32", "cli.sharp.T4_qt_twisted", "cli.sharp.tbf2t_47_7",
+        "cli.tensor.M32",
         "equivariant.gamma.T1", "equivariant.gamma.T2",
         "equivariant.gamma.T3", "equivariant.gamma.T4",
         "equivariant.h_invariant.T4", "equivariant.h_invariant.T4_qt",
@@ -546,5 +613,5 @@ def test_trajectory_layer_microbenchmarks_run():
         "equivariant.verify_model_equivalence.T2_d5",
         "equivariant.verify_model_equivalence.T3_d3",
         "equivariant.verify_model_equivalence.T4", "linalg.matmul.M32_dd",
-        "scomplex.validate.M32"]
+        "scomplex.to_dict.M32", "scomplex.validate.M32"]
     assert all(s > 0 for s in medians.values())

@@ -42,18 +42,20 @@ K(41, 3) over Z (i = -1..3) and on T5 over F2[T-Laurent] (i = -1..5), of
 ``verify_model_equivalence`` on T2 at truncation 5, the depth of most
 model-check jobs of the bench, and on T3 at truncation 3, the bench's
 mid-size model check, of ``h_invariant`` on T4 over
-Q[T-Laurent], of the product d*d and of ``validate`` on the
-121-generator M32 = T3 (x) dual(T2) over the universal ring, and of two
-``sharp`` jobs of the invariants bench through ``scx.cli.run``: T4
-twisted over Q[T-Laurent], and the two-bridge knot K(47, 7) over
-F2[T-Laurent], with inputs written once to a temporary directory.  One round of them runs per side after
-each seed's bench runs, in that seed's order, so the layers alternate
-as the bench runs do; each side keeps every round's medians and, per
-layer, the median over the rounds.  With ``--parent`` the file also
-holds, under ``layer_wins``, per layer the rounds in which the change
-ran faster than the parent, out of the pairs of rounds run after the
-same seed, and the median over those pairs of the change's time over
-the parent's (``ratio``).
+Q[T-Laurent], of the product d*d, of ``validate``, of ``to_dict`` and of
+the JSON writer ``cli._dumps`` on the 121-generator M32 = T3 (x)
+dual(T2) over the universal ring, and of three verbs through
+``scx.cli.run``: two ``sharp`` jobs of the invariants bench, T4 twisted
+over Q[T-Laurent] and the two-bridge knot K(47, 7) over F2[T-Laurent],
+and ``tensor --a T3 --b D2 --out M32`` with the input memo emptied
+before each call, with inputs written once to a temporary directory.
+One round of them runs per side after each seed's bench runs, in that
+seed's order, so the layers alternate as the bench runs do; each side
+keeps every round's medians and, per layer, the median over the rounds.
+With ``--parent`` the file also holds, under ``layer_wins``, per layer
+the rounds in which the change ran faster than the parent, out of the
+pairs of rounds run after the same seed, and the median over those
+pairs of the change's time over the parent's (``ratio``).
 """
 
 from __future__ import annotations
@@ -193,21 +195,33 @@ def layer_medians(repeat):
         E.verify_model_equivalence, powers[2], 3)
     cases["linalg.matmul.M32_dd"] = (M32.d.__mul__, M32.d)
     cases["scomplex.validate.M32"] = (S.validate, M32)
+    cases["scomplex.to_dict.M32"] = (S.to_dict, M32)
+    cases["cli._dumps.M32"] = (cli._dumps, S.to_dict(M32))
 
-    def sharp(*argv):
-        if cli.run(["sharp", "--in", *argv], io.StringIO(), io.StringIO()):
-            raise RuntimeError(f"sharp {argv} failed")
+    def verb(*argv):
+        if cli.run(list(argv), io.StringIO(), io.StringIO()):
+            raise RuntimeError(f"{argv} failed")
+
+    def tensor(*argv):
+        # a cold input memo: both operands are read and parsed
+        cli._inputs.clear()
+        verb("tensor", *argv)
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        t4, tb = os.path.join(tmp, "T4.json"), os.path.join(tmp, "tb.json")
+        t3, d2, t4, tb = (os.path.join(tmp, f"{name}.json")
+                          for name in ("T3", "D2", "T4", "tb"))
         K = knots.two_bridge_complex(47, 7, "f2t")
-        for path, C in ((t4, T4), (tb, K)):
+        for path, C in ((t3, powers[2]), (d2, S.dual(T2)), (t4, T4),
+                        (tb, K)):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(S.to_dict(C), fh)
         cases["cli.sharp.T4_qt_twisted"] = (
-            sharp, t4, "--twisted", "--specialize", "U=1", "--ring", "qt")
-        cases["cli.sharp.tbf2t_47_7"] = (sharp, tb)
+            verb, "sharp", "--in", t4, "--twisted", "--specialize", "U=1",
+            "--ring", "qt")
+        cases["cli.sharp.tbf2t_47_7"] = (verb, "sharp", "--in", tb)
+        cases["cli.tensor.M32"] = (tensor, "--a", t3, "--b", d2, "--out",
+                                   os.path.join(tmp, "M32.json"))
         for name, (fn, *args) in cases.items():
             times = []
             for _ in range(repeat):
