@@ -7,9 +7,15 @@ model-check, batch.  Reports are TSV tables by default and JSON with
 validation failures and refused computations.
 
 ``_build_parser`` declares each verb once, with its handler, and runs
-once per process.  ``_input_complex`` is the one way a verb reads
-``--in``: parse the file, then ``validate`` it for h, jideals, gamma and
-model-check (the paper defines them only for S-complexes), then apply
+once per process.  From its actions it also builds the table with which
+``_read_plain`` reads a plain argv, a verb and then its options spelled
+in full with their values, into the Namespace argparse would give; any
+other argv, ``--help`` and every usage error among them, goes to
+argparse, which writes every message and help text.
+
+``_input_complex`` is the one way a verb reads ``--in``: parse the
+file, then ``validate`` it for h, jideals, gamma and model-check (the
+paper defines them only for S-complexes), then apply
 ``--specialize``/``--ring``.  A process parses and validates each file
 text once and applies each specialization of it once, as ``scx batch``
 asks several invariants of one complex: ``_load_complex`` keeps them,
@@ -52,7 +58,21 @@ KNOT_P_LIMIT, TORUS_PQ_LIMIT = 1001, 100_000
 # batch over 84 inputs of 43 and 349 KB (10.9 MB) peaks at 19.1 MiB of
 # RSS, against 16.9 MiB with nothing kept.
 INPUT_MEMO_LIMIT, INPUT_MEMO_CHARS = 64, 1_000_000
-_inputs = {}
+
+
+class _Kept(dict):
+    """The entries of ``_inputs``, with ``chars`` the sum of their sizes;
+    :func:`_kept` alone adds and removes entries, and ``clear`` empties
+    the table."""
+
+    chars = 0
+
+    def clear(self):
+        super().clear()
+        self.chars = 0
+
+
+_inputs = _Kept()
 
 
 class UsageError(Exception):
@@ -64,6 +84,10 @@ class _HelpShown(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """argparse's parser with its failures raised as UsageError; the one
+    :func:`_build_parser` returns holds, as ``table``, the verb table of
+    :func:`_read_plain`."""
+
     def error(self, message):
         raise UsageError(message)
 
@@ -163,7 +187,156 @@ def _build_parser():
 
     p = add("batch", _cmd_batch, "run commands from a file, one per line")
     p.add_argument("--file", required=True)
+    top.table = _verb_table(top)
     return top
+
+
+_SUPPRESS = argparse.SUPPRESS
+# the action classes _read_plain reads: (takes one value, appends it)
+_KINDS = {argparse._StoreAction: (True, False),
+          argparse._StoreTrueAction: (False, False),
+          argparse._AppendAction: (True, True)}
+
+
+def _plain(parser):
+    """Whether argparse reads ``parser``'s argv as it stands: "-" the only
+    prefix, no argument files and no exclusive groups."""
+    return (parser.prefix_chars == "-"
+            and parser.fromfile_prefix_chars is None
+            and not parser._mutually_exclusive_groups)
+
+
+def _option(p, a):
+    """(dest, takes one value, appends, type function or constant,
+    choices): how :func:`_read_plain` reads the action ``a`` of the verb
+    parser ``p``, or None for an action it does not model."""
+    kind = _KINDS.get(type(a))
+    if kind is None or a.dest is _SUPPRESS:
+        return None
+    one, add = kind
+    if not one:
+        return a.dest, False, False, a.const, None
+    if (a.nargs is not None
+            # argparse converts a str default that it did not replace
+            or isinstance(a.default, str) and a.type is not None
+            # and copies an append default by slicing a list
+            or add and a.default is not None and type(a.default) is not list):
+        return None
+    # add_argument checked that the type function is callable
+    return (a.dest, True, add, p._registry_get("type", a.type, a.type),
+            a.choices)
+
+
+def _start(parser):
+    """What argparse sets before it reads an argv with ``parser``: each
+    action's default but SUPPRESS, then each ``set_defaults`` value that
+    no action set."""
+    values = {}
+    for a in parser._actions:
+        if a.dest is not _SUPPRESS and a.default is not _SUPPRESS:
+            values.setdefault(a.dest, a.default)
+    for k, v in parser._defaults.items():
+        values.setdefault(k, v)
+    return values
+
+
+def _verb_table(top):
+    """The verb table of :func:`_read_plain`, read off the actions of the
+    parser ``top``: verb -> (options, defaults, required, negative).
+    ``options`` maps each option string to its :func:`_option`;
+    ``defaults`` is the Namespace of the verb given no option, built as
+    argparse builds it (the top parser's :func:`_start`, the verb, then
+    the verb parser's); ``required`` holds the dests it needs;
+    ``negative`` matches a value that may begin with "-", argparse's
+    negative numbers, or is None when an option looks like one.
+
+    Empty unless ``top`` has only -h/--help and the verbs, named in the
+    Namespace.  A verb is left out, for argparse to read, when an action
+    but help is one that :func:`_option` does not model, when two share
+    a dest, or when an option string neither begins with "--" nor has two
+    characters (such a string could prefix a negative number)."""
+    if ([type(a) for a in top._actions]
+            != [argparse._HelpAction, argparse._SubParsersAction]
+            or set(top._option_string_actions) != {"-h", "--help"}
+            or top._actions[1].dest is _SUPPRESS or not _plain(top)):
+        return {}
+    verbs = top._actions[1]
+    table = {}
+    for name, p in verbs.choices.items():
+        actions = [a for a in p._actions
+                   if type(a) is not argparse._HelpAction]
+        specs = [_option(p, a) for a in actions]
+        dests = [a.dest for a in actions]
+        if (None in specs or len(set(dests)) < len(dests) or not _plain(p)
+                or name[:1] == "-"
+                or any(s[:2] != "--" and len(s) != 2
+                       for s in p._option_string_actions)):
+            continue
+        table[name] = (
+            {s: spec for a, spec in zip(actions, specs)
+             for s in a.option_strings},
+            {**_start(top), verbs.dest: name, **_start(p)},
+            frozenset(a.dest for a in actions if a.required),
+            None if p._has_negative_number_optionals
+            else p._negative_number_matcher.match)
+    return table
+
+
+def _read_plain(argv, table):
+    """The Namespace argparse gives a plain ``argv``: a verb of ``table``
+    (see :func:`_verb_table`), then its options, each spelled in full and
+    followed by its value unless it is a flag, where a value begins with
+    "-" only when argparse reads it as a negative number.  Each value goes
+    through the option's type and is checked against its choices; an
+    appended value goes on a copy of the list; the last of a repeated
+    option wins.  None for any other argv and for one that argparse
+    refuses, a missing required option included: argparse then reads it,
+    and writes its messages."""
+    verb = table.get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    options, defaults, required, negative = verb
+    args = argparse.Namespace()
+    values = args.__dict__
+    values.update(defaults)
+    seen = set()
+    i, end = 1, len(argv)
+    while i < end:
+        option = options.get(argv[i])
+        if option is None:
+            return None
+        dest, one, add, make, choices = option
+        i += 1
+        if one:
+            if i == end:
+                return None
+            text = argv[i]
+            i += 1
+            if text[:1] == "-" and not (negative and negative(text)):
+                return None
+            try:
+                value = make(text)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if choices is not None and value not in choices:
+                return None
+            if add:
+                value = (values.get(dest) or []) + [value]
+        else:
+            value = make
+        values[dest] = value
+        seen.add(dest)
+    return args if required <= seen else None
+
+
+def _parse_argv(argv, out):
+    """The Namespace of ``argv``: :func:`_read_plain`'s when it reads it,
+    else argparse's, which writes a help text to ``out``."""
+    args = _read_plain(argv, _build_parser().table)
+    if args is None:
+        with contextlib.redirect_stdout(out):
+            args = _build_parser().parse_args(argv)
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +403,11 @@ def _kept(key, size, make):
     entry = _inputs.pop(key, None)
     if entry is None:
         entry = (make(), size)
+        _inputs.chars += size
     _inputs[key] = entry
     while (len(_inputs) > INPUT_MEMO_LIMIT
-           or sum(n for _, n in _inputs.values()) > INPUT_MEMO_CHARS):
-        del _inputs[next(iter(_inputs))]
+           or _inputs.chars > INPUT_MEMO_CHARS):
+        _inputs.chars -= _inputs.pop(next(iter(_inputs)))[1]
     return entry[0]
 
 
@@ -547,11 +721,12 @@ def _cmd_gamma(args, out, err):
 
 def _cmd_sharp(args, out, err):
     C = _input_complex(args)
-    gens, D = scomplex.sharp_complex(C, twisted=args.twisted)
+    dtilde = C.dtilde()
+    gens, D = scomplex.sharp_complex(C, args.twisted, dtilde)
     payload = {"generators": len(gens), "twisted": args.twisted}
     lines = [f"generators\t{len(gens)}"]
     # in characteristic 2, D is dtilde twice over (see sharp_complex)
-    copies, D = (2, C.dtilde()[1]) if C.ring.char_two else (1, D)
+    copies, D = (2, dtilde[1]) if C.ring.char_two else (1, D)
     if args.twisted or not rings.is_euclidean(C.ring):
         # total homology rank over the fraction field of the ring, with
         # the rank bound that linalg.rank proves for d-tilde and the cone
@@ -633,8 +808,7 @@ def run(argv, out=None, err=None, batch_depth=0):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        with contextlib.redirect_stdout(out):
-            args = _build_parser().parse_args(argv)
+        args = _parse_argv(argv, out)
         if not args.verb:
             raise UsageError("a verb is required (try --help)")
         args.batch_depth = batch_depth

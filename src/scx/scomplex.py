@@ -411,17 +411,18 @@ def standard_assignment(src, target, **overrides):
 # the unreduced (mapping cone) model
 
 
-def sharp_complex(C, twisted=False):
+def sharp_complex(C, twisted=False, dtilde=None):
     """Mapping-cone model of the unreduced theory, as the generators
     [(name, gr_mod4)] and the square differential of the cone, like
-    :meth:`SComplex.dtilde`.
+    :meth:`SComplex.dtilde`, which a caller that has built it passes as
+    ``dtilde``.
 
     Untwisted: the cone of twice the chi map on the total complex.
     Twisted: the two-by-two block differential with off-diagonal entries
     (2T^2 + 2T^-2 - 4)*chi and 2*chi; requires a T variable.  In
     characteristic 2 both vanish, so the cone is dtilde twice over.
     """
-    names, dt = C.dtilde()
+    names, dt = dtilde or C.dtilde()
     chi = C.chi_matrix()
     ring = C.ring
     size = dt.rows

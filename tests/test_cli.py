@@ -1,6 +1,8 @@
 """Command-line behavior: verbs, exit codes, files, determinism."""
 
 import argparse
+import contextlib
+import functools
 import io
 import json
 import os
@@ -857,6 +859,258 @@ def test_every_ring_name_each_verb_accepts(tmp_path):
             assert out.splitlines()[1] == f"ring\t{ring.tag}"
     assert run(["two-bridge", "--p", "3", "--q", "1", "--ring", "sbn"]) == (
         2, "", "refused: unknown ring name 'sbn'\n")
+
+
+# ---------------------------------------------------------------------------
+# the plain-argv reader: argparse's Namespace or nothing
+
+
+def _bench_argv():
+    """Every argv of eight seed-1 decks of each bench workload, from
+    bench/jobs.py, which is only read."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import jobs
+    finally:
+        sys.path.remove(bench)
+    argvs = []
+    for workload in jobs.WORKLOADS:
+        pool = jobs.pool(workload, 1)
+        for index in range(8):
+            argvs += [job["argv"]
+                      for job in jobs.deck(workload, 1, index, pool)]
+    return argvs
+
+
+def _argparse_args(parser, argv):
+    """argparse's Namespace of ``argv``, or None when it refuses it or
+    shows a help text."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return parser.parse_args(argv)
+    except (cli.UsageError, cli._HelpShown):
+        return None
+
+
+class _Workdir:
+    """A directory holding the trefoil under every input name of ``argvs``;
+    ``outcome`` is what ``scx argv`` gives there, a raised exception
+    included.  The files are written afresh before each run that may
+    write one, so that both runs of an argv read the same inputs."""
+
+    def __init__(self, path, argvs):
+        self.path = path
+        self.text = json.dumps(scomplex.to_dict(knots.fixture("trefoil")))
+        self.names = sorted({argv[i + 1] for argv in argvs
+                             for i, a in enumerate(argv[:-1])
+                             if a in ("--in", "--a", "--b")})
+        self.restore()
+
+    def restore(self):
+        for name in self.names:
+            (self.path / name).write_text(self.text)
+
+    def outcome(self, argv):
+        # --out, its abbreviations and its =-joined forms begin "--o"
+        if any(a[:3] == "--o" for a in argv):
+            self.restore()
+        try:
+            return run(argv)
+        except Exception as e:  # the same failure either way
+            return type(e).__name__, str(e)
+
+
+def _same_with_and_without_the_reader(monkeypatch, workdir, argv):
+    # the reader returns argparse's Namespace or nothing, and scx says the
+    # same with it as with argparse alone
+    read = cli._read_plain(argv, cli._build_parser().table)
+    # a separately built parser: a default list that the reader changed
+    # in place would differ from its own
+    assert read is None or read == _argparse_args(_separate_parser(), argv)
+    with_reader = workdir.outcome(argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_read_plain", lambda argv, table: None)
+        assert workdir.outcome(argv) == with_reader, argv
+    return read
+
+
+_separate_parser = functools.cache(cli._build_parser.__wrapped__)
+
+
+def test_the_reader_reads_every_bench_argv_as_argparse_does(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argvs = _bench_argv()
+    workdir = _Workdir(tmp_path, argvs)
+    negative = 0
+    for argv in argvs:
+        # every one is plain, "--min -2" and the like included
+        assert _same_with_and_without_the_reader(
+            monkeypatch, workdir, argv) is not None, argv
+        negative += any(a[:1] == "-" and a[1:].isdigit() for a in argv)
+    assert negative
+
+
+# values argparse reads in different ways: negative and float-like
+# numbers, "-"-leading strings, spaces, choices and other words
+_ODD_VALUES = ["-2", "-0", "-17", "-2\n", "-1.5", "-.5", ".5", "1.5", "1e3",
+               "0x1", "-", "--", "---", "-x", "-h", "--help", "- 1", "-2 ",
+               "", "x", "bn", "sharp", "reverse", "trefoil", "U=1", "7", "0"]
+_OTHER_VERBS = ["hh", "H", "gam", "help", "", "-h", "--help", "--json"]
+
+
+def test_the_reader_agrees_with_argparse_on_every_odd_value(tmp_path,
+                                                            monkeypatch):
+    # each value of one bench argv per verb and set of options, replaced
+    # by each odd value: a choice, a type or a "-" that the reader left
+    # unchecked would show here
+    monkeypatch.chdir(tmp_path)
+    argvs = _bench_argv()
+    workdir = _Workdir(tmp_path, argvs)
+    shapes = {}
+    for argv in argvs:
+        shapes.setdefault((argv[0], *(a for a in argv if a[:2] == "--")),
+                          argv)
+    for argv in shapes.values():
+        for i in range(2, len(argv)):
+            if argv[i - 1][:2] == "--" and argv[i][:2] != "--":
+                for value in _ODD_VALUES:
+                    _same_with_and_without_the_reader(
+                        monkeypatch, workdir, argv[:i] + [value] + argv[i + 1:])
+
+
+def test_the_reader_agrees_with_argparse_on_mutated_argv(tmp_path,
+                                                         monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.chdir(tmp_path)
+    argvs = _bench_argv()
+    workdir = _Workdir(tmp_path, argvs)
+    table = cli._build_parser().table
+    options = sorted({s for verb in table.values() for s in verb[0]})
+    # no "/" or NUL, so that an --out file stays in the directory
+    tokens = st.one_of(st.sampled_from(_ODD_VALUES + options),
+                       st.integers(-200, 200).map(str),
+                       st.text(st.characters(blacklist_characters="/\x00"),
+                               max_size=3))
+
+    def groups(argv):
+        """The tokens after the verb, one list per option and its values."""
+        out = []
+        for a in argv[1:]:
+            if a[:2] == "--" or not out:
+                out.append([a])
+            else:
+                out[-1].append(a)
+        return out
+
+    def index(draw, argv, lo=0, extra=0):
+        return draw(st.integers(lo, len(argv) - 1 + extra))
+
+    def drop(draw, argv):
+        i = index(draw, argv)
+        return argv[:i] + argv[i + 1:]
+
+    def cut(draw, argv):
+        return argv[:index(draw, argv, extra=1)]
+
+    def repeat(draw, argv):
+        return argv + draw(st.sampled_from(groups(argv)))
+
+    def reorder(draw, argv):
+        return argv[:1] + sum(draw(st.permutations(groups(argv))), [])
+
+    def abbreviate(draw, argv):
+        i = draw(st.sampled_from([i for i, a in enumerate(argv)
+                                  if a[:2] == "--" and len(a) > 2]))
+        return (argv[:i] + [argv[i][:draw(st.integers(2, len(argv[i]) - 1))]]
+                + argv[i + 1:])
+
+    def join(draw, argv):
+        i = draw(st.sampled_from([i for i, a in enumerate(argv[:-1])
+                                  if a[:2] == "--"]))
+        return argv[:i] + [argv[i] + "=" + argv[i + 1]] + argv[i + 2:]
+
+    def replace(draw, argv):
+        i = index(draw, argv, lo=1)
+        return argv[:i] + [draw(tokens)] + argv[i + 1:]
+
+    def insert(draw, argv):
+        i = index(draw, argv, extra=1)
+        return argv[:i] + [draw(tokens)] + argv[i:]
+
+    def reverb(draw, argv):
+        verb = draw(st.one_of(st.sampled_from(_OTHER_VERBS + list(table)),
+                              st.text(max_size=4)))
+        return [verb] + argv[1:]
+
+    @st.composite
+    def mutated(draw):
+        # a bench argv, mutated while it still has a verb and then an
+        # option of more than two characters with a value after it
+        argv = list(draw(st.sampled_from(argvs)))
+        for _ in range(draw(st.integers(0, 3))):
+            op = draw(st.sampled_from([drop, cut, repeat, reorder, abbreviate,
+                                       join, replace, insert, reverb]))
+            if len(argv) >= 3 and argv[1][:2] == "--" and len(argv[1]) > 2:
+                argv = op(draw, argv)
+        return argv
+
+    @hypothesis.settings(max_examples=400, deadline=None, database=None,
+                         derandomize=True)
+    @hypothesis.given(mutated())
+    def check(argv):
+        _same_with_and_without_the_reader(monkeypatch, workdir, argv)
+
+    check()
+
+
+def _scratch_parser(**verbs):
+    """A parser built as _build_parser builds scx's, with one verb per
+    keyword: its name, and the add_argument calls as (args, kwargs)."""
+    top = cli._Parser(prog="scratch")
+    sub = top.add_subparsers(dest="verb")
+    for name, arguments in verbs.items():
+        p = sub.add_parser(name)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=name)
+        for args, kwargs in arguments:
+            p.add_argument(*args, **kwargs)
+    return top
+
+
+def test_the_verb_table_holds_every_verb_and_option():
+    top = cli._build_parser()
+    verbs = next(a for a in top._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(top.table) == list(verbs)
+    for name, parser in verbs.items():
+        assert set(top.table[name][0]) == (
+            set(parser._option_string_actions) - {"-h", "--help"}), name
+
+
+def test_an_argv_the_reader_does_not_model_goes_to_argparse():
+    plain = [(("--in",), {}), (("--k",), {"type": int, "action": "append"})]
+    top = _scratch_parser(
+        plain=plain,
+        count=plain + [(("--v",), {"action": "count"})],
+        extend=[(("--k",), {"type": int, "action": "extend", "nargs": "+"})],
+        two=[(("--in",), {"nargs": 2})],
+        typed=[(("--in",), {"type": str.upper, "default": "x"})],
+        short=[(("-5x",), {})])
+    table = cli._verb_table(top)
+    assert list(table) == ["plain"]
+    for argv in (["plain", "--in", "-1", "--k", "-2", "--k", "3"],
+                 ["plain", "--json"]):
+        assert cli._read_plain(argv, table) == top.parse_args(argv)
+    assert cli._read_plain(["count", "--in", "x"], table) is None
+    # an option of the top parser, or an exclusive group, empties it
+    top.add_argument("--verbose", action="store_true")
+    assert cli._verb_table(top) == {}
+    top = _scratch_parser(plain=plain)
+    top._actions[1].choices["plain"].add_mutually_exclusive_group()
+    assert cli._verb_table(top) == {}
 
 
 # ---------------------------------------------------------------------------

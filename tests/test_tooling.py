@@ -602,8 +602,8 @@ def test_trajectory_layer_microbenchmarks_run():
     # one timed call each, in a fresh process on this checkout's src/
     medians = _trajectory().run_layers(str(ROOT), repeat=1)
     assert sorted(medians) == [
-        "cli._dumps.M32", "cli.sharp.T4_qt_twisted", "cli.sharp.tbf2t_47_7",
-        "cli.tensor.M32",
+        "cli._dumps.M32", "cli.h.T1", "cli.parse.invariants",
+        "cli.sharp.T4_qt_twisted", "cli.sharp.tbf2t_47_7", "cli.tensor.M32",
         "equivariant.gamma.T1", "equivariant.gamma.T2",
         "equivariant.gamma.T3", "equivariant.gamma.T4",
         "equivariant.h_invariant.T4", "equivariant.h_invariant.T4_qt",

@@ -44,11 +44,16 @@ model-check jobs of the bench, and on T3 at truncation 3, the bench's
 mid-size model check, of ``h_invariant`` on T4 over
 Q[T-Laurent], of the product d*d, of ``validate``, of ``to_dict`` and of
 the JSON writer ``cli._dumps`` on the 121-generator M32 = T3 (x)
-dual(T2) over the universal ring, and of three verbs through
-``scx.cli.run``: two ``sharp`` jobs of the invariants bench, T4 twisted
-over Q[T-Laurent] and the two-bridge knot K(47, 7) over F2[T-Laurent],
-and ``tensor --a T3 --b D2 --out M32`` with the input memo emptied
-before each call, with inputs written once to a temporary directory.
+dual(T2) over the universal ring, of ``cli._parse_argv``, the step of
+``scx.cli.run`` from argv to its Namespace, over the distinct argv of
+the first seed-1 ``invariants`` deck of ``bench/jobs.py`` (``gamma
+--min -2`` among them; a checkout without it runs argparse, as its
+``run`` did), and of four verbs through ``scx.cli.run``: two ``sharp``
+jobs of the invariants bench, T4 twisted over Q[T-Laurent] and the
+two-bridge knot K(47, 7) over F2[T-Laurent], ``h --in T1`` on a warm
+input memo, and ``tensor --a T3 --b D2 --out M32`` with the input memo
+emptied before each call, with inputs written once to a temporary
+directory.
 One round of them runs per side after each seed's bench runs, in that
 seed's order, so the layers alternate as the bench runs do; each side
 keeps every round's medians and, per layer, the median over the rounds.
@@ -61,6 +66,7 @@ pairs of the change's time over the parent's (``ratio``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -198,6 +204,27 @@ def layer_medians(repeat):
     cases["scomplex.to_dict.M32"] = (S.to_dict, M32)
     cases["cli._dumps.M32"] = (cli._dumps, S.to_dict(M32))
 
+    sys.path.insert(0, os.path.join(HERE, "bench"))
+    try:
+        import jobs
+    finally:
+        del sys.path[0]
+    deck = jobs.deck("invariants", 1, 0, jobs.pool("invariants", 1))
+    shapes = list(dict.fromkeys(tuple(job["argv"]) for job in deck))
+    parse_argv = getattr(cli, "_parse_argv", None)
+    if parse_argv is None:
+        # a cli without the plain-argv reader: all of it is argparse
+        def parse_argv(argv, out):
+            with contextlib.redirect_stdout(out):
+                return cli._build_parser().parse_args(argv)
+
+    def parse(argvs):
+        sink = io.StringIO()
+        for argv in argvs:
+            parse_argv(list(argv), sink)
+
+    cases["cli.parse.invariants"] = (parse, shapes)
+
     def verb(*argv):
         if cli.run(list(argv), io.StringIO(), io.StringIO()):
             raise RuntimeError(f"{argv} failed")
@@ -209,17 +236,18 @@ def layer_medians(repeat):
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        t3, d2, t4, tb = (os.path.join(tmp, f"{name}.json")
-                          for name in ("T3", "D2", "T4", "tb"))
+        t1, t3, d2, t4, tb = (os.path.join(tmp, f"{name}.json")
+                              for name in ("T1", "T3", "D2", "T4", "tb"))
         K = knots.two_bridge_complex(47, 7, "f2t")
-        for path, C in ((t3, powers[2]), (d2, S.dual(T2)), (t4, T4),
-                        (tb, K)):
+        for path, C in ((t1, T1), (t3, powers[2]), (d2, S.dual(T2)),
+                        (t4, T4), (tb, K)):
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(S.to_dict(C), fh)
         cases["cli.sharp.T4_qt_twisted"] = (
             verb, "sharp", "--in", t4, "--twisted", "--specialize", "U=1",
             "--ring", "qt")
         cases["cli.sharp.tbf2t_47_7"] = (verb, "sharp", "--in", tb)
+        cases["cli.h.T1"] = (verb, "h", "--in", t1)
         cases["cli.tensor.M32"] = (tensor, "--a", t3, "--b", d2, "--out",
                                    os.path.join(tmp, "M32.json"))
         for name, (fn, *args) in cases.items():
