@@ -7,11 +7,14 @@ model-check, batch.  Reports are TSV tables by default and JSON with
 validation failures and refused computations.
 
 ``_build_parser`` declares each verb once, with its handler, and runs
-once per process.  From its actions it also builds the table with which
-``_read_plain`` reads a plain argv, a verb and then its options spelled
-in full with their values, into the Namespace argparse would give; any
-other argv, ``--help`` and every usage error among them, goes to
-argparse, which writes every message and help text.
+once per process.  From the verb parsers it declares it also builds the
+table with which ``_read_plain`` reads a plain argv, a verb and then its
+options spelled in full with their values, into the Namespace argparse
+would give.  The table models the option kinds scx declares (store,
+``store_true`` and append), so a verb declared with any other kind fails
+as the parser is built.  Any other argv, ``--help`` and every usage
+error among them, goes to argparse, which writes every message and help
+text.
 
 ``_input_complex`` is the one way a verb reads ``--in``: parse the
 file, then ``validate`` it for h, jideals, gamma and model-check (the
@@ -86,7 +89,7 @@ class _HelpShown(Exception):
 class _Parser(argparse.ArgumentParser):
     """argparse's parser with its failures raised as UsageError; the one
     :func:`_build_parser` returns holds, as ``table``, the verb table of
-    :func:`_read_plain`."""
+    :func:`_read_plain`, read off its own verb parsers."""
 
     def error(self, message):
         raise UsageError(message)
@@ -191,94 +194,41 @@ def _build_parser():
     return top
 
 
-_SUPPRESS = argparse.SUPPRESS
 # the action classes _read_plain reads: (takes one value, appends it)
 _KINDS = {argparse._StoreAction: (True, False),
           argparse._StoreTrueAction: (False, False),
           argparse._AppendAction: (True, True)}
 
 
-def _plain(parser):
-    """Whether argparse reads ``parser``'s argv as it stands: "-" the only
-    prefix, no argument files and no exclusive groups."""
-    return (parser.prefix_chars == "-"
-            and parser.fromfile_prefix_chars is None
-            and not parser._mutually_exclusive_groups)
-
-
-def _option(p, a):
-    """(dest, takes one value, appends, type function or constant,
-    choices): how :func:`_read_plain` reads the action ``a`` of the verb
-    parser ``p``, or None for an action it does not model."""
-    kind = _KINDS.get(type(a))
-    if kind is None or a.dest is _SUPPRESS:
-        return None
-    one, add = kind
-    if not one:
-        return a.dest, False, False, a.const, None
-    if (a.nargs is not None
-            # argparse converts a str default that it did not replace
-            or isinstance(a.default, str) and a.type is not None
-            # and copies an append default by slicing a list
-            or add and a.default is not None and type(a.default) is not list):
-        return None
-    # add_argument checked that the type function is callable
-    return (a.dest, True, add, p._registry_get("type", a.type, a.type),
-            a.choices)
-
-
-def _start(parser):
-    """What argparse sets before it reads an argv with ``parser``: each
-    action's default but SUPPRESS, then each ``set_defaults`` value that
-    no action set."""
-    values = {}
-    for a in parser._actions:
-        if a.dest is not _SUPPRESS and a.default is not _SUPPRESS:
-            values.setdefault(a.dest, a.default)
-    for k, v in parser._defaults.items():
-        values.setdefault(k, v)
-    return values
-
-
 def _verb_table(top):
-    """The verb table of :func:`_read_plain`, read off the actions of the
-    parser ``top``: verb -> (options, defaults, required, negative).
-    ``options`` maps each option string to its :func:`_option`;
-    ``defaults`` is the Namespace of the verb given no option, built as
-    argparse builds it (the top parser's :func:`_start`, the verb, then
-    the verb parser's); ``required`` holds the dests it needs;
-    ``negative`` matches a value that may begin with "-", argparse's
-    negative numbers, or is None when an option looks like one.
-
-    Empty unless ``top`` has only -h/--help and the verbs, named in the
-    Namespace.  A verb is left out, for argparse to read, when an action
-    but help is one that :func:`_option` does not model, when two share
-    a dest, or when an option string neither begins with "--" nor has two
-    characters (such a string could prefix a negative number)."""
-    if ([type(a) for a in top._actions]
-            != [argparse._HelpAction, argparse._SubParsersAction]
-            or set(top._option_string_actions) != {"-h", "--help"}
-            or top._actions[1].dest is _SUPPRESS or not _plain(top)):
-        return {}
+    """The verb table of :func:`_read_plain`, read off the verb parsers
+    that :func:`_build_parser` declares in ``top``: verb -> (options,
+    defaults, required, negative).  ``options`` maps each option string
+    but -h/--help to (dest, takes one value, appends, type function or
+    the flag's constant, choices); ``defaults`` is the Namespace of the
+    verb given no option, with ``set_defaults`` filled in as argparse
+    fills it; ``required`` holds the dests it needs; ``negative`` matches
+    a value that argparse reads as a negative number.  An action of a
+    kind not in ``_KINDS`` raises KeyError, and
+    ``test_every_verb_keeps_its_options`` pins every other shape this
+    takes for granted."""
     verbs = top._actions[1]
     table = {}
     for name, p in verbs.choices.items():
         actions = [a for a in p._actions
                    if type(a) is not argparse._HelpAction]
-        specs = [_option(p, a) for a in actions]
-        dests = [a.dest for a in actions]
-        if (None in specs or len(set(dests)) < len(dests) or not _plain(p)
-                or name[:1] == "-"
-                or any(s[:2] != "--" and len(s) != 2
-                       for s in p._option_string_actions)):
-            continue
+        options = {}
+        for a in actions:
+            one, add = _KINDS[type(a)]
+            options[a.option_strings[0]] = (
+                a.dest, one, add, (a.type or str) if one else a.const,
+                a.choices)
         table[name] = (
-            {s: spec for a, spec in zip(actions, specs)
-             for s in a.option_strings},
-            {**_start(top), verbs.dest: name, **_start(p)},
+            options,
+            {**p._defaults, verbs.dest: name,
+             **{a.dest: a.default for a in actions}},
             frozenset(a.dest for a in actions if a.required),
-            None if p._has_negative_number_optionals
-            else p._negative_number_matcher.match)
+            p._negative_number_matcher.match)
     return table
 
 
@@ -312,7 +262,7 @@ def _read_plain(argv, table):
                 return None
             text = argv[i]
             i += 1
-            if text[:1] == "-" and not (negative and negative(text)):
+            if text[:1] == "-" and not negative(text):
                 return None
             try:
                 value = make(text)
@@ -476,8 +426,11 @@ def _dumps(obj):
 
 def _write_or_print(out, text, stream):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise UsageError(f"cannot write {out}: {e}")
     else:
         stream.write(text + "\n")
 

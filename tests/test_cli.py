@@ -685,6 +685,20 @@ def test_unreadable_files_are_usage_errors(tmp_path):
     assert err.startswith(f"usage error: {script}: No closing quotation")
 
 
+def test_an_unwritable_out_is_a_usage_error(tmp_path):
+    path = _trefoil(tmp_path)
+    argvs = (["fixture", "--name", "trefoil"],
+             ["two-bridge", "--p", "3", "--q", "1"],
+             ["tensor", "--a", path, "--b", path], ["dual", "--in", path])
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "out.json"):
+        for argv in argvs:
+            code, out, err = run(argv + ["--out", str(target)])
+            assert (code, out) == (1, ""), argv
+            assert err.startswith(f"usage error: cannot write {target}: ")
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
 def test_specializing_a_missing_variable_is_a_usage_error(tmp_path):
     path = _trefoil(tmp_path)
     code, out, err = run(["h", "--in", path, "--specialize", "U=1",
@@ -768,56 +782,71 @@ def test_values_do_not_leak_between_calls(tmp_path):
     assert fresh[3] == (0, "1\n", "")
 
 
-_JSON = {"--json": ("json", False, False, None, None, "_StoreTrueAction")}
-_IN = {"--in": ("infile", True, None, None, None, "_StoreAction")}
+# (nargs, const, action) of the three kinds of option scx declares
+_FLAG = (0, True, "_StoreTrueAction")
+_STORE = (None, None, "_StoreAction")
+_APPEND = (None, None, "_AppendAction")
+_JSON = {"--json": ("json", False, False, None, None, *_FLAG)}
+_IN = {"--in": ("infile", True, None, None, None, *_STORE)}
 _SPECIALIZE = {
-    "--specialize": ("specialize", False, [], None, None, "_AppendAction"),
-    "--ring": ("ring", False, None, None, None, "_StoreAction")}
-_P_Q = {"--p": ("p", True, None, None, "int", "_StoreAction"),
-        "--q": ("q", True, None, None, "int", "_StoreAction")}
-_OUT = {"--out": ("out", False, None, None, None, "_StoreAction")}
-_RANGE = {"--min": ("min", False, None, None, "int", "_StoreAction"),
-          "--max": ("max", False, None, None, "int", "_StoreAction")}
-# option -> (dest, required, default, choices, type, action) of every
-# verb, in the order scx --help lists them, as recorded before each verb
-# was declared in one place
+    "--specialize": ("specialize", False, [], None, None, *_APPEND),
+    "--ring": ("ring", False, None, None, None, *_STORE)}
+_P_Q = {"--p": ("p", True, None, None, "int", *_STORE),
+        "--q": ("q", True, None, None, "int", *_STORE)}
+_OUT = {"--out": ("out", False, None, None, None, *_STORE)}
+_RANGE = {"--min": ("min", False, None, None, "int", *_STORE),
+          "--max": ("max", False, None, None, "int", *_STORE)}
+# option -> (dest, required, default, choices, type, nargs, const,
+# action) of every verb, in the order scx --help lists them, as recorded
+# before each verb was declared in one place
 VERB_OPTIONS = {
     "two-bridge": {**_JSON, **_P_Q, **_OUT, "--ring": (
-        "ring", False, "universal", None, None, "_StoreAction")},
+        "ring", False, "universal", None, None, *_STORE)},
     "lens": {**_JSON, **_P_Q},
     "torus": {**_JSON, **_P_Q},
     "fixture": {**_JSON, **_OUT, "--name": (
         "name", True, None, ("trivial", "trefoil", "t34", "t35"), None,
-        "_StoreAction")},
+        *_STORE)},
     "validate": {**_JSON, **_IN},
     "tensor": {**_JSON, **_OUT,
-               "--a": ("a", True, None, None, None, "_StoreAction"),
-               "--b": ("b", True, None, None, None, "_StoreAction")},
+               "--a": ("a", True, None, None, None, *_STORE),
+               "--b": ("b", True, None, None, None, *_STORE)},
     "dual": {**_JSON, **_IN, **_OUT, "--grading": (
-        "grading", False, "reverse", ("reverse",), None,
-        "_StoreAction")},
+        "grading", False, "reverse", ("reverse",), None, *_STORE)},
     "h": {**_JSON, **_IN, **_SPECIALIZE},
     "euler": {**_JSON, **_IN, **_SPECIALIZE},
     "jideals": {**_JSON, **_IN, **_SPECIALIZE, **_RANGE},
     "gamma": {**_JSON, **_IN, **_RANGE, "--k": (
-        "k", False, [], None, "int", "_AppendAction")},
+        "k", False, [], None, "int", *_APPEND)},
     "sharp": {**_JSON, **_IN, **_SPECIALIZE, "--twisted": (
-        "twisted", False, False, None, None, "_StoreTrueAction")},
+        "twisted", False, False, None, None, *_FLAG)},
     "hat-presentation": {**_JSON, **_IN, **_SPECIALIZE},
     "bn-presentation": {**_JSON, **_IN, **_SPECIALIZE, "--target": (
-        "target", False, "bn", ("bn", "sharp"), None, "_StoreAction")},
+        "target", False, "bn", ("bn", "sharp"), None, *_STORE)},
     "model-check": {**_JSON, **_IN, "--truncation": (
-        "truncation", False, None, None, "int", "_StoreAction")},
+        "truncation", False, None, None, "int", *_STORE)},
     "batch": {**_JSON,
-              "--file": ("file", True, None, None, None, "_StoreAction")},
+              "--file": ("file", True, None, None, None, *_STORE)},
 }
 
 
 def test_every_verb_keeps_its_options():
+    # cli._verb_table reads these shapes and takes them for granted: the
+    # top parser holds only -h/--help and the verbs, and no parser reads
+    # another prefix, argument files, exclusive groups or an option that
+    # looks like a negative number
     top = cli._build_parser()
-    verbs = next(a for a in top._actions
-                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert [type(a) for a in top._actions] == [argparse._HelpAction,
+                                               argparse._SubParsersAction]
+    assert set(top._option_string_actions) == {"-h", "--help"}
+    assert top._actions[1].dest == "verb" and top._defaults == {}
+    verbs = top._actions[1].choices
     assert list(verbs) == list(VERB_OPTIONS)
+    for parser in (top, *verbs.values()):
+        assert parser.prefix_chars == "-"
+        assert parser.fromfile_prefix_chars is None
+        assert not parser._mutually_exclusive_groups
+        assert not parser._has_negative_number_optionals
     for name, parser in verbs.items():
         options = {}
         for a in parser._actions:
@@ -827,7 +856,8 @@ def test_every_verb_keeps_its_options():
             options[a.option_strings[0]] = (
                 a.dest, a.required, a.default,
                 tuple(a.choices) if a.choices else None,
-                a.type.__name__ if a.type else None, type(a).__name__)
+                a.type.__name__ if a.type else None, a.nargs, a.const,
+                type(a).__name__)
         assert options == VERB_OPTIONS[name], name
 
 
@@ -1066,20 +1096,6 @@ def test_the_reader_agrees_with_argparse_on_mutated_argv(tmp_path,
     check()
 
 
-def _scratch_parser(**verbs):
-    """A parser built as _build_parser builds scx's, with one verb per
-    keyword: its name, and the add_argument calls as (args, kwargs)."""
-    top = cli._Parser(prog="scratch")
-    sub = top.add_subparsers(dest="verb")
-    for name, arguments in verbs.items():
-        p = sub.add_parser(name)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(handler=name)
-        for args, kwargs in arguments:
-            p.add_argument(*args, **kwargs)
-    return top
-
-
 def test_the_verb_table_holds_every_verb_and_option():
     top = cli._build_parser()
     verbs = next(a for a in top._actions
@@ -1088,29 +1104,6 @@ def test_the_verb_table_holds_every_verb_and_option():
     for name, parser in verbs.items():
         assert set(top.table[name][0]) == (
             set(parser._option_string_actions) - {"-h", "--help"}), name
-
-
-def test_an_argv_the_reader_does_not_model_goes_to_argparse():
-    plain = [(("--in",), {}), (("--k",), {"type": int, "action": "append"})]
-    top = _scratch_parser(
-        plain=plain,
-        count=plain + [(("--v",), {"action": "count"})],
-        extend=[(("--k",), {"type": int, "action": "extend", "nargs": "+"})],
-        two=[(("--in",), {"nargs": 2})],
-        typed=[(("--in",), {"type": str.upper, "default": "x"})],
-        short=[(("-5x",), {})])
-    table = cli._verb_table(top)
-    assert list(table) == ["plain"]
-    for argv in (["plain", "--in", "-1", "--k", "-2", "--k", "3"],
-                 ["plain", "--json"]):
-        assert cli._read_plain(argv, table) == top.parse_args(argv)
-    assert cli._read_plain(["count", "--in", "x"], table) is None
-    # an option of the top parser, or an exclusive group, empties it
-    top.add_argument("--verbose", action="store_true")
-    assert cli._verb_table(top) == {}
-    top = _scratch_parser(plain=plain)
-    top._actions[1].choices["plain"].add_mutually_exclusive_group()
-    assert cli._verb_table(top) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -47,10 +47,9 @@ the JSON writer ``cli._dumps`` on the 121-generator M32 = T3 (x)
 dual(T2) over the universal ring, of ``cli._parse_argv``, the step of
 ``scx.cli.run`` from argv to its Namespace, over the distinct argv of
 the first seed-1 ``invariants`` deck of ``bench/jobs.py`` (``gamma
---min -2`` among them; a checkout without it runs argparse, as its
-``run`` did), and of four verbs through ``scx.cli.run``: two ``sharp``
-jobs of the invariants bench, T4 twisted over Q[T-Laurent] and the
-two-bridge knot K(47, 7) over F2[T-Laurent], ``h --in T1`` on a warm
+--min -2`` among them), and of four verbs through ``scx.cli.run``: two
+``sharp`` jobs of the invariants bench, T4 twisted over Q[T-Laurent] and
+the two-bridge knot K(47, 7) over F2[T-Laurent], ``h --in T1`` on a warm
 input memo, and ``tensor --a T3 --b D2 --out M32`` with the input memo
 emptied before each call, with inputs written once to a temporary
 directory.
@@ -66,7 +65,6 @@ pairs of the change's time over the parent's (``ratio``).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
 import json
 import os
@@ -211,17 +209,10 @@ def layer_medians(repeat):
         del sys.path[0]
     deck = jobs.deck("invariants", 1, 0, jobs.pool("invariants", 1))
     shapes = list(dict.fromkeys(tuple(job["argv"]) for job in deck))
-    parse_argv = getattr(cli, "_parse_argv", None)
-    if parse_argv is None:
-        # a cli without the plain-argv reader: all of it is argparse
-        def parse_argv(argv, out):
-            with contextlib.redirect_stdout(out):
-                return cli._build_parser().parse_args(argv)
-
     def parse(argvs):
         sink = io.StringIO()
         for argv in argvs:
-            parse_argv(list(argv), sink)
+            cli._parse_argv(list(argv), sink)
 
     cases["cli.parse.invariants"] = (parse, shapes)
 
