@@ -6,15 +6,16 @@ model-check, batch.  Reports are TSV tables by default and JSON with
 ``--json``.  Exit status 0 on success, 1 on usage or input errors, 2 on
 validation failures and refused computations.
 
-``_build_parser`` declares each verb once, with its handler, and runs
-once per process.  From the verb parsers it declares it also builds the
-table with which ``_read_plain`` reads a plain argv, a verb and then its
-options spelled in full with their values, into the Namespace argparse
-would give.  The table models the option kinds scx declares (store,
-``store_true`` and append), so a verb declared with any other kind fails
-as the parser is built.  Any other argv, ``--help`` and every usage
-error among them, goes to argparse, which writes every message and help
-text.
+``_VERBS`` declares each verb once: its handler, its help, whether it
+checks its input, and its options, each a flag with the keywords of
+argparse's ``add_argument``.  ``_read_plain`` reads a plain argv, a verb
+and then its options spelled in full with their values, from a view of
+that table built once per process.  The view models the option kinds
+scx declares (store, ``store_true`` and append), so an option of any
+other kind or keyword fails as the view is built.  Any other argv,
+``--help`` and every usage error among them, goes to the argparse parser
+that ``_build_parser`` builds from the same table, only then and once;
+it writes every message and help text.
 
 ``_input_complex`` is the one way a verb reads ``--in``: parse the
 file, then ``validate`` it for h, jideals, gamma and model-check (the
@@ -29,13 +30,13 @@ too.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import os
 import shlex
 import sys
+import types
 
 from . import equivariant, knots, linalg, rings, scomplex
 from .equivariant import EquivariantError, INFINITY
@@ -84,209 +85,6 @@ class UsageError(Exception):
 
 class _HelpShown(Exception):
     """argparse printed a help text instead of running a verb."""
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser with its failures raised as UsageError; the one
-    :func:`_build_parser` returns holds, as ``table``, the verb table of
-    :func:`_read_plain`, read off its own verb parsers."""
-
-    def error(self, message):
-        raise UsageError(message)
-
-    def exit(self, status=0, message=None):
-        # only --help gets here: error() above takes every failure
-        raise _HelpShown
-
-
-@functools.cache
-def _build_parser():
-    # scx --help shows the first two paragraphs of the module docstring
-    top = _Parser(prog="scx",
-                  description="\n\n".join(__doc__.split("\n\n")[:2]))
-    sub = top.add_subparsers(dest="verb", metavar="VERB")
-
-    def add(name, handler, help, infile=False, check=False,
-            specialize=False):
-        """One verb; ``check`` and ``specialize`` steer _input_complex."""
-        p = sub.add_parser(name, help=help)
-        p.add_argument("--json", action="store_true",
-                       help="emit JSON instead of a TSV table")
-        p.set_defaults(handler=handler, check_input=check)
-        if infile:
-            p.add_argument("--in", dest="infile", required=True)
-        if specialize:
-            p.add_argument("--specialize", action="append", default=[],
-                           metavar="VAR=VALUE")
-            p.add_argument("--ring",
-                           help="target ring for the specialization")
-        return p
-
-    p = add("two-bridge", _cmd_two_bridge,
-            "generate a two-bridge knot complex")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ring", default="universal")
-    p.add_argument("--out", help="write the complex JSON to this file")
-
-    for name, handler, help in (
-            ("lens", _cmd_lens, "Sasahira lens-space homology ranks"),
-            ("torus", _cmd_torus,
-             "torus knot signature, Alexander data, vanishing")):
-        p = add(name, handler, help)
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-
-    p = add("fixture", _cmd_fixture, "emit a named fixture complex")
-    p.add_argument("--name", required=True,
-                   choices=["trivial", "trefoil", "t34", "t35"])
-    p.add_argument("--out")
-
-    add("validate", _cmd_validate, "validate a complex file", infile=True)
-
-    p = add("tensor", _cmd_tensor, "tensor product of two complexes")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out")
-
-    p = add("dual", _cmd_dual, "dual complex", infile=True)
-    p.add_argument("--out")
-    # one convention is left; "reverse" still parses for existing decks
-    p.add_argument("--grading", default="reverse", choices=["reverse"])
-
-    add("h", _cmd_h, "compute h of a complex", infile=True, check=True,
-        specialize=True)
-    add("euler", _cmd_euler, "compute euler of a complex", infile=True,
-        specialize=True)
-    p = add("jideals", _cmd_jideals, "compute jideals of a complex",
-            infile=True, check=True, specialize=True)
-    p.add_argument("--min", type=int)
-    p.add_argument("--max", type=int)
-
-    p = add("gamma", _cmd_gamma, "Gamma function values", infile=True,
-            check=True)
-    p.add_argument("--k", type=int, action="append", default=[])
-    p.add_argument("--min", type=int)
-    p.add_argument("--max", type=int)
-
-    p = add("sharp", _cmd_sharp, "unreduced mapping-cone model ranks",
-            infile=True, specialize=True)
-    p.add_argument("--twisted", action="store_true")
-
-    add("hat-presentation", _cmd_presentation,
-        "module presentation of the hat theory", infile=True,
-        specialize=True)
-    p = add("bn-presentation", _cmd_presentation,
-            "theta-web base-changed presentation", infile=True,
-            specialize=True)
-    p.add_argument("--target", default="bn", choices=["bn", "sharp"])
-
-    p = add("model-check", _cmd_model_check,
-            "verify the small/large model equivalence", infile=True,
-            check=True)
-    p.add_argument("--truncation", type=int,
-                   help="x-degree depth (default: $SCX_TRUNCATION, else 5;"
-                   f" 1..{TRUNCATION_LIMIT})")
-
-    p = add("batch", _cmd_batch, "run commands from a file, one per line")
-    p.add_argument("--file", required=True)
-    top.table = _verb_table(top)
-    return top
-
-
-# the action classes _read_plain reads: (takes one value, appends it)
-_KINDS = {argparse._StoreAction: (True, False),
-          argparse._StoreTrueAction: (False, False),
-          argparse._AppendAction: (True, True)}
-
-
-def _verb_table(top):
-    """The verb table of :func:`_read_plain`, read off the verb parsers
-    that :func:`_build_parser` declares in ``top``: verb -> (options,
-    defaults, required, negative).  ``options`` maps each option string
-    but -h/--help to (dest, takes one value, appends, type function or
-    the flag's constant, choices); ``defaults`` is the Namespace of the
-    verb given no option, with ``set_defaults`` filled in as argparse
-    fills it; ``required`` holds the dests it needs; ``negative`` matches
-    a value that argparse reads as a negative number.  An action of a
-    kind not in ``_KINDS`` raises KeyError, and
-    ``test_every_verb_keeps_its_options`` pins every other shape this
-    takes for granted."""
-    verbs = top._actions[1]
-    table = {}
-    for name, p in verbs.choices.items():
-        actions = [a for a in p._actions
-                   if type(a) is not argparse._HelpAction]
-        options = {}
-        for a in actions:
-            one, add = _KINDS[type(a)]
-            options[a.option_strings[0]] = (
-                a.dest, one, add, (a.type or str) if one else a.const,
-                a.choices)
-        table[name] = (
-            options,
-            {**p._defaults, verbs.dest: name,
-             **{a.dest: a.default for a in actions}},
-            frozenset(a.dest for a in actions if a.required),
-            p._negative_number_matcher.match)
-    return table
-
-
-def _read_plain(argv, table):
-    """The Namespace argparse gives a plain ``argv``: a verb of ``table``
-    (see :func:`_verb_table`), then its options, each spelled in full and
-    followed by its value unless it is a flag, where a value begins with
-    "-" only when argparse reads it as a negative number.  Each value goes
-    through the option's type and is checked against its choices; an
-    appended value goes on a copy of the list; the last of a repeated
-    option wins.  None for any other argv and for one that argparse
-    refuses, a missing required option included: argparse then reads it,
-    and writes its messages."""
-    verb = table.get(argv[0]) if argv else None
-    if verb is None:
-        return None
-    options, defaults, required, negative = verb
-    args = argparse.Namespace()
-    values = args.__dict__
-    values.update(defaults)
-    seen = set()
-    i, end = 1, len(argv)
-    while i < end:
-        option = options.get(argv[i])
-        if option is None:
-            return None
-        dest, one, add, make, choices = option
-        i += 1
-        if one:
-            if i == end:
-                return None
-            text = argv[i]
-            i += 1
-            if text[:1] == "-" and not negative(text):
-                return None
-            try:
-                value = make(text)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
-                return None
-            if choices is not None and value not in choices:
-                return None
-            if add:
-                value = (values.get(dest) or []) + [value]
-        else:
-            value = make
-        values[dest] = value
-        seen.add(dest)
-    return args if required <= seen else None
-
-
-def _parse_argv(argv, out):
-    """The Namespace of ``argv``: :func:`_read_plain`'s when it reads it,
-    else argparse's, which writes a help text to ``out``."""
-    args = _read_plain(argv, _build_parser().table)
-    if args is None:
-        with contextlib.redirect_stdout(out):
-            args = _build_parser().parse_args(argv)
-    return args
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +551,187 @@ def _cmd_batch(args, out, err):
         code = run(argv, out, err, args.batch_depth + 1)
         worst = max(worst, code)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the verb table, its plain-argv reader, and argparse for any other argv
+
+
+# the options several verbs share: (flag, add_argument keywords)
+_JSON = ("--json", {"action": "store_true",
+                    "help": "emit JSON instead of a TSV table"})
+_IN = ("--in", {"dest": "infile", "required": True})
+_SPECIALIZE = (("--specialize", {"action": "append", "default": [],
+                                 "metavar": "VAR=VALUE"}),
+               ("--ring", {"help": "target ring for the specialization"}))
+_P_Q = (("--p", {"type": int, "required": True}),
+        ("--q", {"type": int, "required": True}))
+_RANGE = (("--min", {"type": int}), ("--max", {"type": int}))
+
+# every verb, in the order scx --help lists them: (name, handler, help,
+# whether _input_complex validates its input, options)
+_VERBS = (
+    ("two-bridge", _cmd_two_bridge, "generate a two-bridge knot complex",
+     False, (_JSON, *_P_Q, ("--ring", {"default": "universal"}),
+             ("--out", {"help": "write the complex JSON to this file"}))),
+    ("lens", _cmd_lens, "Sasahira lens-space homology ranks", False,
+     (_JSON, *_P_Q)),
+    ("torus", _cmd_torus, "torus knot signature, Alexander data, vanishing",
+     False, (_JSON, *_P_Q)),
+    ("fixture", _cmd_fixture, "emit a named fixture complex", False,
+     (_JSON, ("--name", {"required": True,
+                         "choices": ["trivial", "trefoil", "t34", "t35"]}),
+      ("--out", {}))),
+    ("validate", _cmd_validate, "validate a complex file", False,
+     (_JSON, _IN)),
+    ("tensor", _cmd_tensor, "tensor product of two complexes", False,
+     (_JSON, ("--a", {"required": True}), ("--b", {"required": True}),
+      ("--out", {}))),
+    # one convention is left; "reverse" still parses for existing decks
+    ("dual", _cmd_dual, "dual complex", False,
+     (_JSON, _IN, ("--out", {}),
+      ("--grading", {"default": "reverse", "choices": ["reverse"]}))),
+    ("h", _cmd_h, "compute h of a complex", True, (_JSON, _IN, *_SPECIALIZE)),
+    ("euler", _cmd_euler, "compute euler of a complex", False,
+     (_JSON, _IN, *_SPECIALIZE)),
+    ("jideals", _cmd_jideals, "compute jideals of a complex", True,
+     (_JSON, _IN, *_SPECIALIZE, *_RANGE)),
+    ("gamma", _cmd_gamma, "Gamma function values", True,
+     (_JSON, _IN, ("--k", {"type": int, "action": "append", "default": []}),
+      *_RANGE)),
+    ("sharp", _cmd_sharp, "unreduced mapping-cone model ranks", False,
+     (_JSON, _IN, *_SPECIALIZE, ("--twisted", {"action": "store_true"}))),
+    ("hat-presentation", _cmd_presentation,
+     "module presentation of the hat theory", False,
+     (_JSON, _IN, *_SPECIALIZE)),
+    ("bn-presentation", _cmd_presentation,
+     "theta-web base-changed presentation", False,
+     (_JSON, _IN, *_SPECIALIZE,
+      ("--target", {"default": "bn", "choices": ["bn", "sharp"]}))),
+    ("model-check", _cmd_model_check,
+     "verify the small/large model equivalence", True,
+     (_JSON, _IN, ("--truncation", {
+         "type": int, "help": "x-degree depth (default: $SCX_TRUNCATION,"
+         f" else 5; 1..{TRUNCATION_LIMIT})"}))),
+    ("batch", _cmd_batch, "run commands from a file, one per line", False,
+     (_JSON, ("--file", {"required": True}))),
+)
+
+# the add_argument keywords the view reads or leaves to argparse's help
+_MODELLED = {"action", "dest", "type", "default", "choices", "required",
+             "help", "metavar"}
+
+
+@functools.cache
+def _verb_view():
+    """The view of ``_VERBS`` that :func:`_read_plain` reads: verb ->
+    (options, defaults, required dests), with ``options`` mapping each
+    flag to (dest, takes a value, appends, the value's type or a flag's
+    True, choices) and ``defaults`` what argparse fills in.  An option
+    kind other than store, ``store_true`` and append, or a keyword the
+    view does not model (``nargs`` or ``const``, say), raises
+    ValueError."""
+    view = {}
+    for name, handler, _help, check, options in _VERBS:
+        flags, defaults, required = {}, {"verb": name}, set()
+        for flag, kw in options:
+            kind = kw.get("action", "store")
+            if (kind not in ("store", "store_true", "append")
+                    or not kw.keys() <= _MODELLED):
+                raise ValueError(f"{name} {flag}: the plain-argv reader "
+                                 f"does not model {kw}")
+            dest = kw.get("dest", flag[2:])
+            one = kind != "store_true"
+            flags[flag] = (dest, one, kind == "append",
+                           kw.get("type", str) if one else True,
+                           kw.get("choices"))
+            defaults[dest] = kw.get("default", None if one else False)
+            if kw.get("required"):
+                required.add(dest)
+        defaults.update(handler=handler, check_input=check)
+        view[name] = (flags, defaults, required)
+    return view
+
+
+def _read_plain(argv, view):
+    """The attributes argparse gives a plain ``argv``: a verb of ``view``
+    (see :func:`_verb_view`), then its options spelled in full, each but
+    a flag followed by a value, which begins with "-" only when decimal
+    digits follow (argparse's negative number, as no scx option looks
+    like one).  A value goes through its type and choices, an appended
+    one onto a copy of the list, and the last of a repeated option wins.
+    None for any other argv and for one that argparse refuses: argparse
+    then reads it, and writes its messages."""
+    verb = view.get(argv[0]) if argv else None
+    if verb is None:
+        return None
+    options, defaults, required = verb
+    values = dict(defaults)
+    seen = set()
+    i, end = 1, len(argv)
+    while i < end:
+        option = options.get(argv[i])
+        if option is None:
+            return None
+        dest, one, add, make, choices = option
+        i += 1
+        if one:
+            if i == end:
+                return None
+            text = argv[i]
+            i += 1
+            if text[:1] == "-" and not text[1:].isdecimal():
+                return None
+            try:
+                value = make(text)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+            if add:
+                value = (values[dest] or []) + [value]
+        else:
+            value = make
+        values[dest] = value
+        seen.add(dest)
+    return types.SimpleNamespace(**values) if required <= seen else None
+
+
+@functools.cache
+def _build_parser():
+    """argparse's parser of ``_VERBS``, built once and only for an argv
+    that :func:`_read_plain` does not read: it writes each help text and
+    raises _HelpShown after it, and UsageError with each usage message."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+        def exit(self, status=0, message=None):
+            # only --help gets here: error() above takes every failure
+            raise _HelpShown
+
+    # scx --help shows the first two paragraphs of the module docstring
+    top = Parser(prog="scx",
+                 description="\n\n".join(__doc__.split("\n\n")[:2]))
+    sub = top.add_subparsers(dest="verb", metavar="VERB")
+    for name, handler, help, check, options in _VERBS:
+        p = sub.add_parser(name, help=help)
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
+        p.set_defaults(handler=handler, check_input=check)
+    return top
+
+
+def _parse_argv(argv, out):
+    """The parsed ``argv``: :func:`_read_plain`'s reading when it reads
+    it, else argparse's, which writes a help text to ``out``."""
+    args = _read_plain(argv, _verb_view())
+    if args is None:
+        with contextlib.redirect_stdout(out):
+            args = _build_parser().parse_args(argv)
+    return args
 
 
 def run(argv, out=None, err=None, batch_depth=0):

@@ -414,6 +414,33 @@ def test_usage_and_input_errors(tmp_path):
     assert code == 1 and "input error" in err
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["gamma", "--in", "T1.json"], 1,
+     "usage error: gamma needs --k or --min/--max\n"),
+    (["h", "--in", "T1.json", "--specialize", "T=1"], 1,
+     "usage error: specializations keeping U need an explicit --ring\n"),
+    (["jideals", "--in", "T1.json"], 2,
+     "refused: ideal sequences over Ring(UNIV) are not computable here\n"),
+    (["gamma", "--k", "0", "--in", "ungraded.json"], 2,
+     "refused: Gamma needs the instanton grading\n")])
+def test_refusals_of_the_invariant_verbs(tmp_path, monkeypatch, argv, code,
+                                         err):
+    # the trefoil over the universal ring, and with every deg_I null
+    monkeypatch.chdir(tmp_path)
+    doc = json.loads(Path(_trefoil(tmp_path)).read_text())
+    Path("T1.json").write_text(json.dumps(doc))
+    doc["generators"] = [{**g, "deg_I": None} for g in doc["generators"]]
+    Path("ungraded.json").write_text(json.dumps(doc))
+    assert run(argv) == (code, "", err)
+
+
+def test_a_missing_batch_file_is_a_usage_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(["batch", "--file", "missing.txt"])
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("usage error: cannot read missing.txt: ")
+
+
 def test_bad_entries_in_a_file_are_input_errors(tmp_path):
     path = tmp_path / "t.json"
     run(["two-bridge", "--p", "3", "--q", "-1", "--out", str(path)])
@@ -751,16 +778,26 @@ def test_scx_help_is_printed_on_stdout():
 
 
 def test_the_parser_is_built_once(tmp_path):
+    # the table's view is built once; argparse's parser only for an argv
+    # the view does not read, and then once
     path = _trefoil(tmp_path)
     script = tmp_path / "cmds.txt"
     script.write_text("lens --p 9 --q 2\ntorus --p 3 --q 5\n"
                       f"h --in {shlex.quote(path)} --specialize U=1\n")
+    cli._verb_view.cache_clear()
     cli._build_parser.cache_clear()
     for argv in (["lens", "--p", "9", "--q", "2"], ["h", "--in", path],
                  ["batch", "--file", str(script)], ["gamma", "--in", path,
                                                     "--k", "1"]):
         assert run(argv)[0] == 0
+    assert cli._verb_view.cache_info().misses == 1
+    assert cli._build_parser.cache_info().misses == 0
+    assert run(["lens", "--help"])[0] == 0
     assert cli._build_parser.cache_info().misses == 1
+    assert run(["lens", "--p", "9"])[0] == 1
+    assert run(["--help"])[0] == 0
+    assert cli._build_parser.cache_info()[:2] == (2, 1)
+    assert cli._verb_view.cache_info().misses == 1
 
 
 def test_values_do_not_leak_between_calls(tmp_path):
@@ -830,23 +867,16 @@ VERB_OPTIONS = {
 }
 
 
+def _verb_parsers():
+    """Each verb's parser in the parser built from cli._VERBS."""
+    return next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_verb_keeps_its_options():
-    # cli._verb_table reads these shapes and takes them for granted: the
-    # top parser holds only -h/--help and the verbs, and no parser reads
-    # another prefix, argument files, exclusive groups or an option that
-    # looks like a negative number
-    top = cli._build_parser()
-    assert [type(a) for a in top._actions] == [argparse._HelpAction,
-                                               argparse._SubParsersAction]
-    assert set(top._option_string_actions) == {"-h", "--help"}
-    assert top._actions[1].dest == "verb" and top._defaults == {}
-    verbs = top._actions[1].choices
+    # the parser built from the table, and so each verb's help text
+    verbs = _verb_parsers()
     assert list(verbs) == list(VERB_OPTIONS)
-    for parser in (top, *verbs.values()):
-        assert parser.prefix_chars == "-"
-        assert parser.fromfile_prefix_chars is None
-        assert not parser._mutually_exclusive_groups
-        assert not parser._has_negative_number_optionals
     for name, parser in verbs.items():
         options = {}
         for a in parser._actions:
@@ -865,9 +895,7 @@ def test_every_ring_name_each_verb_accepts(tmp_path):
     # one table of names in rings: the specializing verbs add sbn and
     # two-bridge adds universal; names match in any case
     path = _trefoil(tmp_path)
-    top = cli._build_parser()
-    verbs = next(a for a in top._actions
-                 if isinstance(a, argparse._SubParsersAction)).choices
+    top, verbs = cli._build_parser(), _verb_parsers()
     specializing = [name for name, parser in verbs.items()
                     if "--specialize" in parser._option_string_actions]
     assert specializing == ["h", "euler", "jideals", "sharp",
@@ -892,7 +920,7 @@ def test_every_ring_name_each_verb_accepts(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the plain-argv reader: argparse's Namespace or nothing
+# the plain-argv reader: argparse's reading or nothing
 
 
 def _bench_argv():
@@ -952,15 +980,15 @@ class _Workdir:
 
 
 def _same_with_and_without_the_reader(monkeypatch, workdir, argv):
-    # the reader returns argparse's Namespace or nothing, and scx says the
-    # same with it as with argparse alone
-    read = cli._read_plain(argv, cli._build_parser().table)
-    # a separately built parser: a default list that the reader changed
-    # in place would differ from its own
-    assert read is None or read == _argparse_args(_separate_parser(), argv)
+    # the reader returns argparse's attributes or nothing, and scx says
+    # the same with it as with argparse alone
+    read = cli._read_plain(argv, cli._verb_view())
+    if read is not None:
+        expected = _argparse_args(_separate_parser(), argv)
+        assert expected is not None and vars(read) == vars(expected), argv
     with_reader = workdir.outcome(argv)
     with monkeypatch.context() as m:
-        m.setattr(cli, "_read_plain", lambda argv, table: None)
+        m.setattr(cli, "_read_plain", lambda argv, view: None)
         assert workdir.outcome(argv) == with_reader, argv
     return read
 
@@ -986,7 +1014,8 @@ def test_the_reader_reads_every_bench_argv_as_argparse_does(tmp_path,
 # numbers, "-"-leading strings, spaces, choices and other words
 _ODD_VALUES = ["-2", "-0", "-17", "-2\n", "-1.5", "-.5", ".5", "1.5", "1e3",
                "0x1", "-", "--", "---", "-x", "-h", "--help", "- 1", "-2 ",
-               "", "x", "bn", "sharp", "reverse", "trefoil", "U=1", "7", "0"]
+               "", "x", "bn", "sharp", "reverse", "trefoil", "U=1", "7", "0",
+               "-\u0663", "-\u00b2"]
 _OTHER_VERBS = ["hh", "H", "gam", "help", "", "-h", "--help", "--json"]
 
 
@@ -1017,8 +1046,8 @@ def test_the_reader_agrees_with_argparse_on_mutated_argv(tmp_path,
     monkeypatch.chdir(tmp_path)
     argvs = _bench_argv()
     workdir = _Workdir(tmp_path, argvs)
-    table = cli._build_parser().table
-    options = sorted({s for verb in table.values() for s in verb[0]})
+    view = cli._verb_view()
+    options = sorted({s for verb in view.values() for s in verb[0]})
     # no "/" or NUL, so that an --out file stays in the directory
     tokens = st.one_of(st.sampled_from(_ODD_VALUES + options),
                        st.integers(-200, 200).map(str),
@@ -1071,7 +1100,7 @@ def test_the_reader_agrees_with_argparse_on_mutated_argv(tmp_path,
         return argv[:i] + [draw(tokens)] + argv[i:]
 
     def reverb(draw, argv):
-        verb = draw(st.one_of(st.sampled_from(_OTHER_VERBS + list(table)),
+        verb = draw(st.one_of(st.sampled_from(_OTHER_VERBS + list(view)),
                               st.text(max_size=4)))
         return [verb] + argv[1:]
 
@@ -1097,13 +1126,26 @@ def test_the_reader_agrees_with_argparse_on_mutated_argv(tmp_path,
 
 
 def test_the_verb_table_holds_every_verb_and_option():
-    top = cli._build_parser()
-    verbs = next(a for a in top._actions
-                 if isinstance(a, argparse._SubParsersAction)).choices
-    assert list(top.table) == list(verbs)
+    view, verbs = cli._verb_view(), _verb_parsers()
+    assert list(view) == list(verbs)
     for name, parser in verbs.items():
-        assert set(top.table[name][0]) == (
+        assert set(view[name][0]) == (
             set(parser._option_string_actions) - {"-h", "--help"}), name
+
+
+@pytest.mark.parametrize("keywords", [
+    {"nargs": 2}, {"action": "store_const", "const": 1}, {"action": "count"},
+    {"type": int, "const": 3}])
+def test_the_view_refuses_an_option_it_does_not_model(monkeypatch, keywords):
+    monkeypatch.setattr(cli, "_VERBS", cli._VERBS + (
+        ("odd", cli._cmd_lens, "an odd verb", False,
+         (("--odd", keywords),)),))
+    cli._verb_view.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="--odd"):
+            cli._verb_view()
+    finally:
+        cli._verb_view.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -483,6 +483,33 @@ def test_cli_start_up_loads_no_introspection_modules():
     assert not loaded & {"dataclasses", "inspect", "typing"}
 
 
+def _scx_process(*argv):
+    """``scx argv`` through ``scx.cli.run`` in a ``python -S`` process:
+    its exit code, whether it loaded argparse and gettext, and its
+    output."""
+    code = ("import io, sys; from scx.cli import run; out = io.StringIO(); "
+            "code = run(sys.argv[1:], out); print(code, 'argparse' in "
+            "sys.modules, 'gettext' in sys.modules); print(out.getvalue())")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True,
+        text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.stderr == ""
+    status, out = proc.stdout.split("\n", 1)
+    return status, out
+
+
+def test_a_plain_argv_loads_no_argparse():
+    # the verb table reads a plain argv; argparse, and the gettext it
+    # imports, load only for help texts and usage errors
+    status, out = _scx_process("torus", "--p", "3", "--q", "5")
+    assert status == "0 False False"
+    assert out.startswith("knot\tT(3,5)\nsignature\t-8\n")
+    status, out = _scx_process("torus", "--help")
+    assert status == "0 True True"
+    assert out.startswith("usage: scx torus [-h] [--json] --p P --q Q\n")
+
+
 def _trajectory():
     import importlib.util
     spec = importlib.util.spec_from_file_location(
@@ -603,6 +630,7 @@ def test_trajectory_layer_microbenchmarks_run():
     medians = _trajectory().run_layers(str(ROOT), repeat=1)
     assert sorted(medians) == [
         "cli._dumps.M32", "cli.h.T1", "cli.parse.invariants",
+        "cli.process.torus",
         "cli.sharp.T4_qt_twisted", "cli.sharp.tbf2t_47_7", "cli.tensor.M32",
         "equivariant.gamma.T1", "equivariant.gamma.T2",
         "equivariant.gamma.T3", "equivariant.gamma.T4",

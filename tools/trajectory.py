@@ -52,7 +52,10 @@ the first seed-1 ``invariants`` deck of ``bench/jobs.py`` (``gamma
 the two-bridge knot K(47, 7) over F2[T-Laurent], ``h --in T1`` on a warm
 input memo, and ``tensor --a T3 --b D2 --out M32`` with the input memo
 emptied before each call, with inputs written once to a temporary
-directory.
+directory.  One layer times start-up: a fresh ``python -c ENTRY torus
+--p 3 --q 5`` process, with ``ENTRY`` the code of the ``scx`` console
+script that ``bench/run.py`` runs, on the same ``src/`` and with
+``PYTHONDONTWRITEBYTECODE=1``.
 One round of them runs per side after each seed's bench runs, in that
 seed's order, so the layers alternate as the bench runs do; each side
 keeps every round's medians and, per layer, the median over the rounds.
@@ -65,6 +68,7 @@ pairs of the change's time over the parent's (``ratio``).
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -163,6 +167,16 @@ def measure(roots, workloads, seeds):
     return runs, rounds
 
 
+def bench_entry():
+    """``ENTRY`` of ``bench/run.py``, which is only read: the code that
+    each of the bench's fresh scx processes runs."""
+    with open(os.path.join(HERE, "bench", "run.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "ENTRY")
+
+
 def layer_medians(repeat):
     """The median seconds of ``repeat`` timed calls of each layer
     microbenchmark, on the scx that ``sys.path`` finds."""
@@ -219,6 +233,18 @@ def layer_medians(repeat):
     def verb(*argv):
         if cli.run(list(argv), io.StringIO(), io.StringIO()):
             raise RuntimeError(f"{argv} failed")
+
+    entry = bench_entry()
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SCX_")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+
+    def process(*argv):
+        # a fresh scx process on this src/, start-up and import included
+        subprocess.run([sys.executable, "-c", entry, *argv], env=env,
+                       stdout=subprocess.DEVNULL, check=True)
+
+    cases["cli.process.torus"] = (process, "torus", "--p", "3", "--q", "5")
 
     def tensor(*argv):
         # a cold input memo: both operands are read and parsed
